@@ -39,7 +39,7 @@ from .lossy import (
     optimize_angles,
     sweep,
 )
-from .numerics import HalfInt, LogMagnitude, binom, half, jacobi_poly, wigner_d, wigner_d_matrix
+from .numerics import HalfInt, LogMagnitude, binom, half, wigner_d, wigner_d_matrix
 from .schwinger import ModePair, SpinLabel, ladder_coeff, modes_to_spin, spin_to_modes
 from .source import (
     fock_weight_distribution,
@@ -78,7 +78,6 @@ __all__ = [
     "ideal_correlation",
     "ideal_mermin_sides",
     "ideal_pair_probability",
-    "jacobi_poly",
     "ladder_coeff",
     "lossy_correlation",
     "lossy_joint_distribution",

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -311,11 +312,41 @@ class _UsageError(Exception):
     pass
 
 
+def _checked_float(accept, what: str):
+    """argparse ``type=`` for a float that ``accept`` must approve."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+
+    return parse
+
+
+_spin = _checked_float(
+    lambda v: 0.0 < v < math.inf and abs(2.0 * v - round(2.0 * v)) <= 1e-9,
+    "a positive half-integer",
+)
+_efficiency = _checked_float(lambda v: 0.0 <= v <= 1.0, "an efficiency in [0, 1]")
+_squeezing = _checked_float(lambda v: 0.0 <= v < math.inf, "a finite nonnegative squeezing")
+_angle = _checked_float(math.isfinite, "a finite angle")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
-    p.add_argument("--policy-tol", type=float, default=1e-6, help="relative cutoff tolerance")
+    p.add_argument(
+        "--policy-tol",
+        type=float,
+        default=1e-6,
+        help="stop the source sum when a step changes the post-selected sector probability "
+        "by at most this relative amount",
+    )
     p.add_argument("--policy-max-s", type=float, default=None, help="hard cap on the source spin sum")
     p.add_argument(
         "--conventions",
@@ -333,34 +364,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep-theta", help="violation vs analyzer angle, one curve per efficiency")
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--eta", type=float, nargs="+", required=True)
-    p.add_argument("--theta-min", type=float, default=0.02)
-    p.add_argument("--theta-max", type=float, default=1.2)
+    p.add_argument("--s", type=_spin, required=True)
+    p.add_argument("--r", type=_squeezing, required=True)
+    p.add_argument("--eta", type=_efficiency, nargs="+", required=True)
+    p.add_argument("--theta-min", type=_angle, default=0.02)
+    p.add_argument("--theta-max", type=_angle, default=1.2)
     p.add_argument("--theta-steps", type=int, default=32)
-    p.add_argument("--base-angle", type=float, default=0.0)
+    p.add_argument("--base-angle", type=_angle, default=0.0)
     _add_common(p)
     p.set_defaults(func=_cmd_sweep_theta)
 
     p = sub.add_parser("sweep-eta", help="violation vs efficiency at the eta=1 optimal angles")
-    p.add_argument("--s", type=float, nargs="+", required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--eta", type=float, nargs="+", required=True)
+    p.add_argument("--s", type=_spin, nargs="+", required=True)
+    p.add_argument("--r", type=_squeezing, required=True)
+    p.add_argument("--eta", type=_efficiency, nargs="+", required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_sweep_eta)
 
     p = sub.add_parser("surface", help="violation on a full (s, r, eta) grid")
-    p.add_argument("--s", type=float, nargs="+", required=True)
-    p.add_argument("--r", type=float, nargs="+", required=True)
-    p.add_argument("--eta", type=float, nargs="+", required=True)
+    p.add_argument("--s", type=_spin, nargs="+", required=True)
+    p.add_argument("--r", type=_squeezing, nargs="+", required=True)
+    p.add_argument("--eta", type=_efficiency, nargs="+", required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_surface)
 
     p = sub.add_parser("optimize", help="maximize the violation over the analyzer triple")
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--eta", type=float, default=1.0)
+    p.add_argument("--s", type=_spin, required=True)
+    p.add_argument("--r", type=_squeezing, required=True)
+    p.add_argument("--eta", type=_efficiency, default=1.0)
     _add_common(p)
     p.set_defaults(func=_cmd_optimize)
 
@@ -370,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("fock-weights", help="photon-number weights of one squeezed pair")
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--r", type=_squeezing, required=True)
     p.add_argument("--n-max", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_fock_weights)

@@ -7,6 +7,9 @@ per-mode binomial loss ladders, assembled in the log domain.  Analyzer
 rotations contract those weights with pairs of rotation-matrix elements.
 Everything is accumulated sector by sector so the infinite source sum can be
 cut off dynamically, with an exact geometric bound on the discarded weight.
+For a post-selected sector pair the angle-independent kernel is converged
+once per truncation policy; the joint distribution, both correlations and
+the left side at any analyzer setting are contractions of it.
 
 Bob's spin convention is m_B = (n_B2 - n_B1)/2, so his "up" mode is the
 second one; the per-side weight tables below are generic in (w, w') and the
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -61,8 +65,11 @@ class TruncationPolicy:
     """Dynamic cutoff control for the source-sector sum.
 
     The sum is evaluated at ``s_start``, then repeatedly extended by
-    ``extend_by`` until the relative change of every requested quantity
-    drops below ``rel_tol`` or ``max_s`` is reached.
+    ``extend_by`` until the relative change drops below ``rel_tol`` or
+    ``max_s`` is reached.  For a post-selected sector the watched quantity
+    is the sector probability: every source sector adds a positive
+    semidefinite piece whose trace is its share of that probability, so no
+    joint probability at any analyzer angle moves by more than the change.
     """
 
     s_start: HalfInt
@@ -99,8 +106,9 @@ class JointOutcomeDistribution:
     """Probabilities of joint readouts (s_a, m_a, s_b, m_b).
 
     For unrestricted runs the entries plus ``tail_bound`` account for all
-    probability; sector-restricted runs hold only the requested sectors.
-    Convergence is judged on the entry set fixed at the initial cutoff.
+    probability, and convergence is judged on the entry set fixed at the
+    initial cutoff.  Sector-restricted runs hold only the requested sectors
+    and are converged on their sector probability.
     """
 
     entries: dict[tuple[HalfInt, HalfInt, HalfInt, HalfInt], float]
@@ -130,20 +138,6 @@ class JointOutcomeDistribution:
             return num
         if den <= 0:
             raise DegenerateSectorError("empty sector in correlation moment")
-        return num / den
-
-    def mean_abs_difference(self, sector: tuple) -> float:
-        """E[|m_a - m_b|] conditioned on the given sector pair."""
-        ta, tb = HalfInt.of(sector[0]), HalfInt.of(sector[1])
-        num = 0.0
-        den = 0.0
-        for (sa, ma, sb, mb), p in self.entries.items():
-            if sa != ta or sb != tb:
-                continue
-            num += abs(ma.value - mb.value) * p
-            den += p
-        if den <= 0:
-            raise DegenerateSectorError("empty sector in |m_a - m_b| moment")
         return num / den
 
 
@@ -188,15 +182,72 @@ def _pow_log1m(eta: float, e: np.ndarray) -> np.ndarray:
     return np.where(e == 0, 0.0, _NEG_INF)
 
 
-def _pair_products(d: np.ndarray, shift: int) -> np.ndarray:
-    """E[mu_idx, m_idx] = d[mu_idx + shift, m_idx] * d[mu_idx, m_idx]."""
-    n = d.shape[0]
-    out = np.zeros_like(d)
-    lo = max(0, -shift)
-    hi = min(n, n - shift)
-    if hi > lo:
-        out[lo:hi, :] = d[lo + shift : hi + shift, :] * d[lo:hi, :]
+def _pair_weights(logw: np.ndarray, dw: int) -> np.ndarray:
+    """W[w, mu] = exp((logw[w, mu] + logw[w + dw, mu + dw]) / 2); zero off the table."""
+    out = np.zeros_like(logw)
+    nw, nmu = logw.shape
+    w0, w1 = max(0, -dw), min(nw, nw - dw)
+    m0, m1 = max(0, -dw), min(nmu, nmu - dw)
+    if w1 > w0 and m1 > m0:
+        out[w0:w1, m0:m1] = np.exp(0.5 * (logw[w0:w1, m0:m1] + logw[w0 + dw : w1 + dw, m0 + dw : m1 + dw]))
     return out
+
+
+def _pair_stack(d: np.ndarray, dmax: int) -> np.ndarray:
+    """E[dl + dmax, i, a] = d[i + dl, a] * d[i, a]; zero where i + dl is off the block."""
+    n = d.shape[0]
+    padded = np.zeros((n + 2 * dmax, n))
+    padded[dmax : dmax + n] = d
+    rows = np.arange(n)[None, :] + np.arange(2 * dmax + 1)[:, None]
+    return padded[rows] * d
+
+
+def _contract(t: np.ndarray, tsa: int, tsb: int, alpha: float, beta: float) -> np.ndarray:
+    """Joint probabilities P[m_a, m_b] = sum_dl EA_dl^T T_dl EB_dl of one sector pair."""
+    dmax = (t.shape[0] - 1) // 2
+    ea = _pair_stack(wigner_d_matrix(HalfInt(tsa), alpha), dmax)
+    # Bob's bra-ket offset is -dl
+    eb = _pair_stack(wigner_d_matrix(HalfInt(tsb), beta), dmax)[::-1]
+    x = t @ eb
+    return ea.reshape(-1, tsa + 1).T @ x.reshape(-1, tsb + 1)
+
+
+def _nonnegative(p: np.ndarray, tsa: int, tsb: int) -> np.ndarray:
+    """Clip roundoff below zero; a probability below -1e-9 is an error."""
+    lowest = float(p.min())
+    if lowest < -1e-9:
+        raise InternalConsistencyError(
+            f"negative probability {lowest:.3e} at sector ({HalfInt(tsa)}, {HalfInt(tsb)})"
+        )
+    return np.maximum(p, 0.0)
+
+
+def _moment(t: np.ndarray, tsa: int, tsb: int, alpha: float, beta: float) -> float:
+    """Sector-restricted <S_A,alpha S_B,beta> of a kernel.
+
+    S_z S_z reads the dl = 0 slice; the S_x S_x ladder terms read dl = +-1,
+    weighted by sqrt(sigma(sigma+1) - mu(mu +- 1)).
+    """
+    c = (t.shape[0] - 1) // 2
+    mua, lpa, lma = _ladder_weights(tsa)
+    mub, lpb, lmb = _ladder_weights(tsb)
+    value = math.cos(alpha) * math.cos(beta) * float(mua @ t[c] @ mub)
+    if c:
+        ladders = float(lpa @ t[c + 1] @ lmb) + float(lma @ t[c - 1] @ lpb)
+        value += math.sin(alpha) * math.sin(beta) / 4.0 * ladders
+    return value
+
+
+@lru_cache(maxsize=None)
+def _ladder_weights(tso: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mu, <mu+1|S_+|mu>, <mu-1|S_-|mu>) for spin tso/2, read-only."""
+    so = tso / 2.0
+    mu = np.arange(0, tso + 1) - so
+    lp = np.sqrt(np.maximum(so * (so + 1) - mu * (mu + 1), 0.0))
+    lm = np.sqrt(np.maximum(so * (so + 1) - mu * (mu - 1), 0.0))
+    for v in (mu, lp, lm):
+        v.setflags(write=False)
+    return mu, lp, lm
 
 
 def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
@@ -217,8 +268,7 @@ class LossyEngine:
         self.r = float(r)
         self.loss = loss
         self._logw_cache: dict = {}
-        self._tblock_cache: dict = {}
-        self._corr_cache: dict = {}
+        self._kernel_cache: dict = {}
 
     # ---------------------------------------------------------------- weights
 
@@ -236,104 +286,82 @@ class LossyEngine:
             return self.loss.eta_a1, self.loss.eta_a2
         return self.loss.eta_b2, self.loss.eta_b1
 
-    def _logw(self, side: str, ts: int, tso: int, dw_cap: int, _force_general: bool = False) -> np.ndarray:
-        """Log weights W[w_idx, dw_idx, mu_idx] for one side and one sector.
+    def _logw(self, side: str, ts: int, tso: int, _force_general: bool = False) -> np.ndarray:
+        """Log loss weights L[w_idx, mu_idx] for one side and one sector.
 
-        w runs over the source projections of spin s (ts+1 values), dw over
-        integer bra-ket offsets w'-w in [-dw_cap, dw_cap], mu over the
-        projections of the surviving spin sigma = tso/2.
+        w runs over the source projections of spin s (ts+1 values), mu over
+        the projections of the surviving spin sigma = tso/2.  The weight of
+        the bra-ket pair (w, w + dw) -> (mu, mu + dw) is
+        exp((L[w, mu] + L[w + dw, mu + dw]) / 2): both per-mode binomial
+        ladders shift with dw, and the lost-photon counts do not change.
         """
-        key = (side, ts, tso, dw_cap, _force_general)
+        key = (side, ts, tso, _force_general)
         got = self._logw_cache.get(key)
         if got is not None:
             return got
         eta_up, eta_dn = self._side_etas(side)
-        tw = np.arange(-ts, ts + 1, 2)
-        n_up = (ts + tw) // 2
-        n_dn = (ts - tw) // 2
-        dws = np.arange(-dw_cap, dw_cap + 1)
-        k_up = np.arange(0, tso + 1)
+        n_up = np.arange(ts + 1)[:, None]
+        n_dn = ts - n_up
+        k_up = np.arange(tso + 1)[None, :]
         k_dn = tso - k_up
-
-        NU = n_up[:, None, None]
-        ND = n_dn[:, None, None]
-        DW = dws[None, :, None]
-        KU = k_up[None, None, :]
-        KD = k_dn[None, None, :]
-        NUp = NU + DW
-        NDp = ND - DW
-        KUp = KU + DW
-        KDp = KD - DW
-
-        with np.errstate(invalid="ignore"):
-            logw = 0.5 * (_lc(NU, KU) + _lc(NUp, KUp) + _lc(ND, KD) + _lc(NDp, KDp))
-            if eta_up == eta_dn and not _force_general:
-                # equal transmissivity per side: the exponents collapse to
-                # eta^(2 sigma) (1-eta)^(2s - 2 sigma), constant over the table
-                eta = eta_up
-                if eta == 0.0 and tso > 0:
-                    logw = np.full_like(logw, _NEG_INF)
-                elif eta == 1.0 and ts != tso:
-                    logw = np.full_like(logw, _NEG_INF)
-                else:
-                    if eta > 0.0 and tso > 0:
-                        logw = logw + tso * math.log(eta)
-                    if eta < 1.0 and ts != tso:
-                        logw = logw + (ts - tso) * math.log1p(-eta)
-            else:
-                logw = logw + _pow_log(eta_up, 0.5 * (KU + KUp))
-                logw = logw + _pow_log(eta_dn, 0.5 * (KD + KDp))
-                logw = logw + _pow_log1m(eta_up, NU - KU)
-                logw = logw + _pow_log1m(eta_dn, ND - KD)
-        logw = np.where(np.isnan(logw), _NEG_INF, logw)
+        logw = _lc(n_up, k_up) + _lc(n_dn, k_dn)
+        if eta_up == eta_dn and not _force_general:
+            # equal transmissivity per side: the exponents collapse to
+            # eta^(2 sigma) (1-eta)^(2s - 2 sigma), constant over the table
+            logw = logw + _pow_log(eta_up, np.array(tso)) + _pow_log1m(eta_up, np.array(ts - tso))
+        else:
+            logw = logw + _pow_log(eta_up, k_up) + _pow_log(eta_dn, k_dn)
+            logw = logw + _pow_log1m(eta_up, n_up - k_up) + _pow_log1m(eta_dn, n_dn - k_dn)
         logw.setflags(write=False)
         self._logw_cache[key] = logw
         return logw
 
     # --------------------------------------------------------- joint outcomes
 
-    def _t_sector(self, tsa: int, tsb: int, ts: int, _force_general: bool = False) -> np.ndarray | None:
-        """Angle-independent kernel T[dw_idx, mu_a, mu_b] of one source sector.
+    def _t_sector(self, tsa: int, tsb: int, ts: int, _force_general: bool = False) -> np.ndarray:
+        """Angle-independent kernel T[dw_idx, mu_a, mu_b] of one source sector ts >= tsa, tsb.
 
         T[dw][i, j] = sign(dw) tau^4 sum_w WA(w, dw)[i] WB(-w, -dw)[j], where
         the sign (-1)^(w'-w) is what remains of the singlet phases.
         """
-        if ts < max(tsa, tsb):
-            return None
-        key = (tsa, tsb, ts, _force_general)
-        got = self._tblock_cache.get(key)
+        dmax = min(tsa, tsb)
+        lt2 = self._log_tau2(ts)
+        la = self._logw("a", ts, tsa, _force_general) + lt2
+        lb = self._logw("b", ts, tsb, _force_general) + lt2
+        out = np.empty((2 * dmax + 1, tsa + 1, tsb + 1))
+        for dl in range(-dmax, dmax + 1):
+            blk = _pair_weights(la, dl).T @ _pair_weights(lb, -dl)[::-1]
+            out[dl + dmax] = -blk if dl % 2 else blk
+        return out
+
+    def _kernel(self, tsa: int, tsb: int, policy: TruncationPolicy, _force_general: bool = False):
+        """Converged kernel (T, cutoff, converged) of the post-selected sector pair.
+
+        T[dl + dmax, mu_a, mu_b] sums the source-sector blocks up to the
+        cutoff; it does not depend on the analyzer angles, so it is built
+        once per (sector pair, policy) and every angle contracts it.
+        """
+        key = (tsa, tsb, policy, _force_general)
+        got = self._kernel_cache.get(key)
         if got is not None:
             return got
         dmax = min(tsa, tsb)
-        lt2 = self._log_tau2(ts)
-        la = self._logw("a", ts, tsa, tsa, _force_general)
-        lb = self._logw("b", ts, tsb, tsb, _force_general)
-        with np.errstate(over="ignore"):
-            wa = np.exp(la + lt2)
-            wb = np.exp(lb + lt2)
-        out = np.zeros((2 * dmax + 1, tsa + 1, tsb + 1))
-        for dl in range(-dmax, dmax + 1):
-            a = wa[:, dl + tsa, :]
-            b = wb[::-1, tsb - dl, :]
-            blk = a.T @ b
-            out[dl + dmax] = -blk if dl % 2 else blk
-        out.setflags(write=False)
-        self._tblock_cache[key] = out
-        return out
+        tcum = np.zeros((2 * dmax + 1, tsa + 1, tsb + 1))
+        applied = max(tsa, tsb) - 1
 
-    def _contract_joint(self, tcum: np.ndarray, tsa: int, tsb: int, alpha: float, beta: float) -> np.ndarray:
-        da = wigner_d_matrix(HalfInt(tsa), alpha)
-        db = wigner_d_matrix(HalfInt(tsb), beta)
-        dmax = (tcum.shape[0] - 1) // 2
-        p = np.zeros((tsa + 1, tsb + 1))
-        for dl in range(-dmax, dmax + 1):
-            t = tcum[dl + dmax]
-            if not t.any():
-                continue
-            ea = _pair_products(da, dl)
-            eb = _pair_products(db, -dl)
-            p += np.einsum("ij,ia,jb->ab", t, ea, eb)
-        return p
+        def extend(tcut: int) -> None:
+            nonlocal applied, tcum
+            for ts in range(applied + 1, tcut + 1):
+                tcum += self._t_sector(tsa, tsb, ts, _force_general)
+            applied = max(applied, tcut)
+
+        def snapshot() -> np.ndarray:
+            return np.array([tcum[dmax].sum()])
+
+        _, tcut, ok = self._converge(policy, max(tsa, tsb), extend, snapshot)
+        tcum.setflags(write=False)
+        got = self._kernel_cache[key] = (tcum, tcut, ok)
+        return got
 
     def _converge(
         self,
@@ -381,25 +409,10 @@ class LossyEngine:
         return self._joint_full(alpha, beta, policy, _force_general)
 
     def _joint_restricted(self, tsa, tsb, alpha, beta, policy, _force_general=False):
-        dmax = min(tsa, tsb)
-        tcum = np.zeros((2 * dmax + 1, tsa + 1, tsb + 1))
-        applied = -1
-
-        def extend(tcut: int) -> None:
-            nonlocal applied, tcum
-            for ts in range(max(applied + 1, max(tsa, tsb)), tcut + 1):
-                blk = self._t_sector(tsa, tsb, ts, _force_general)
-                if blk is not None:
-                    tcum = tcum + blk
-            applied = max(applied, tcut)
-
-        def snapshot() -> np.ndarray:
-            return self._contract_joint(tcum, tsa, tsb, alpha, beta)
-
-        p, tcut, ok = self._converge(policy, max(tsa, tsb), extend, snapshot)
-        entries = self._entries_from_block(p, tsa, tsb)
+        t, tcut, ok = self._kernel(tsa, tsb, policy, _force_general)
+        p = _contract(t, tsa, tsb, alpha, beta)
         return JointOutcomeDistribution(
-            entries=entries,
+            entries=self._entries_from_block(p, tsa, tsb),
             tail_bound=sector_weight_tail(HalfInt(tcut), self.r),
             s_cutoff_used=HalfInt(tcut),
             converged=ok,
@@ -415,13 +428,8 @@ class LossyEngine:
                 for tsa in range(0, ts + 1):
                     for tsb in range(0, ts + 1):
                         blk = self._t_sector(tsa, tsb, ts, _force_general)
-                        if blk is None:
-                            continue
                         key = (tsa, tsb)
-                        if key in cum:
-                            cum[key] = cum[key] + blk
-                        else:
-                            cum[key] = blk.copy()
+                        cum[key] = cum[key] + blk if key in cum else blk
             applied = max(applied, tcut)
 
         watched: list[tuple[int, int]] = []
@@ -434,13 +442,13 @@ class LossyEngine:
             vals = []
             for key in watched:
                 tsa, tsb = key
-                vals.append(self._contract_joint(cum[key], tsa, tsb, alpha, beta).ravel())
+                vals.append(_contract(cum[key], tsa, tsb, alpha, beta).ravel())
             return np.concatenate(vals) if vals else np.zeros(1)
 
         _, tcut, ok = self._converge(policy, 0, extend, snapshot)
         entries: dict = {}
         for (tsa, tsb), tcum in sorted(cum.items()):
-            p = self._contract_joint(tcum, tsa, tsb, alpha, beta)
+            p = _contract(tcum, tsa, tsb, alpha, beta)
             entries.update(self._entries_from_block(p, tsa, tsb))
         return JointOutcomeDistribution(
             entries=entries,
@@ -451,47 +459,16 @@ class LossyEngine:
 
     @staticmethod
     def _entries_from_block(p: np.ndarray, tsa: int, tsb: int) -> dict:
+        p = _nonnegative(p, tsa, tsb)
         sa = HalfInt(tsa)
         sb = HalfInt(tsb)
         entries: dict = {}
         for ia in range(tsa + 1):
             for ib in range(tsb + 1):
-                v = p[ia, ib]
-                if v < -1e-9:
-                    raise InternalConsistencyError(
-                        f"negative probability {v:.3e} at sector ({sa}, {sb})"
-                    )
-                if v < 0.0:
-                    v = 0.0
-                entries[(sa, HalfInt(2 * ia - tsa), sb, HalfInt(2 * ib - tsb))] = v
+                entries[(sa, HalfInt(2 * ia - tsa), sb, HalfInt(2 * ib - tsb))] = float(p[ia, ib])
         return entries
 
     # ----------------------------------------------------------- correlations
-
-    def _corr_blocks(self, side: str, ts: int, tso: int) -> dict[str, np.ndarray]:
-        """Per-sector reduction vectors over w for the correlation sums.
-
-        N: plain weight sum (sector marginal); Z: weighted by mu;
-        Lp/Lm: ladder blocks weighted by sqrt(sigma(sigma+1) - mu(mu +- 1)).
-        """
-        key = (side, ts, tso)
-        got = self._corr_cache.get(key)
-        if got is not None:
-            return got
-        logw = self._logw(side, ts, tso, 1)
-        w = np.exp(logw + self._log_tau2(ts))
-        so = tso / 2.0
-        mu = np.arange(0, tso + 1) - so
-        lp = np.sqrt(np.maximum(so * (so + 1) - mu * (mu + 1), 0.0))
-        lm = np.sqrt(np.maximum(so * (so + 1) - mu * (mu - 1), 0.0))
-        blocks = {
-            "N": w[:, 1, :].sum(axis=1),
-            "Z": w[:, 1, :] @ mu,
-            "Lp": w[:, 2, :] @ lp,
-            "Lm": w[:, 0, :] @ lm,
-        }
-        self._corr_cache[key] = blocks
-        return blocks
 
     def correlation(
         self,
@@ -507,48 +484,33 @@ class LossyEngine:
         surviving sectors is returned and the sector probability is 1.
         Returns (value, sector_probability, cutoff_used, converged).
         """
-        restricted = s_star is not None
-        tso = HalfInt.of(s_star).twice if restricted else None
-        ca, cb = math.cos(alpha), math.cos(beta)
-        sa, sb = math.sin(alpha), math.sin(beta)
+        if s_star is not None:
+            tso = HalfInt.of(s_star).twice
+            t, tcut, ok = self._kernel(tso, tso, policy)
+            num = _moment(t, tso, tso, alpha, beta)
+            den = float(t[tso].sum())
+            if conditioned:
+                if den < 1e-300:
+                    raise DegenerateSectorError(f"sector s={HalfInt(tso)} has probability {den:.3e}")
+                return num / den, den, HalfInt(tcut), ok
+            return num, den, HalfInt(tcut), ok
 
         state = {"num": 0.0, "den": 0.0, "applied": -1}
 
-        def add_sector(ts: int) -> None:
-            pairs: Iterable[tuple[int, int]]
-            if restricted:
-                if ts < tso:
-                    return
-                pairs = [(tso, tso)]
-            else:
-                pairs = [(ta, tb) for ta in range(ts + 1) for tb in range(ts + 1)]
-            for ta, tb in pairs:
-                ba = self._corr_blocks("a", ts, ta)
-                bb = self._corr_blocks("b", ts, tb)
-                zz = float(ba["Z"] @ bb["Z"][::-1])
-                lad1 = float(ba["Lp"] @ bb["Lm"][::-1])
-                lad2 = float(ba["Lm"] @ bb["Lp"][::-1])
-                state["num"] += ca * cb * zz - (sa * sb / 4.0) * (lad1 + lad2)
-                state["den"] += float(ba["N"] @ bb["N"][::-1])
-
         def extend(tcut: int) -> None:
             for ts in range(state["applied"] + 1, tcut + 1):
-                add_sector(ts)
+                for ta in range(ts + 1):
+                    for tb in range(ts + 1):
+                        t = self._t_sector(ta, tb, ts)
+                        state["num"] += _moment(t, ta, tb, alpha, beta)
+                        state["den"] += float(t[min(ta, tb)].sum())
             state["applied"] = max(state["applied"], tcut)
 
         def snapshot() -> np.ndarray:
             return np.array([state["num"], state["den"]])
 
-        floor = tso if restricted else 0
-        vals, tcut, ok = self._converge(policy, floor, extend, snapshot)
-        num, den = float(vals[0]), float(vals[1])
-        if not restricted:
-            return num, 1.0, HalfInt(tcut), ok
-        if conditioned:
-            if den < 1e-300:
-                raise DegenerateSectorError(f"sector s={HalfInt(tso)} has probability {den:.3e}")
-            return num / den, den, HalfInt(tcut), ok
-        return num, den, HalfInt(tcut), ok
+        vals, tcut, ok = self._converge(policy, 0, extend, snapshot)
+        return float(vals[0]), 1.0, HalfInt(tcut), ok
 
     # ------------------------------------------------------- inequality sides
 
@@ -573,20 +535,22 @@ class LossyEngine:
         if policy is None:
             policy = TruncationPolicy.for_sector(s_star)
         conditioned = convention == "conditioned"
-        jd = self.joint(angles.alpha, angles.beta, policy, sectors=(s_star, s_star))
-        mass = jd.total_mass()
+        ts = s_star.twice
+        t, tcut, ok = self._kernel(ts, ts, policy)
+        p = _nonnegative(_contract(t, ts, ts, angles.alpha, angles.beta), ts, ts)
+        mass = float(p.sum())
         if mass < 1e-300:
             raise DegenerateSectorError(f"sector s={s_star} has probability {mass:.3e}")
-        lhs_raw = 0.0
-        for (_, ma, _, mb), p in jd.entries.items():
-            lhs_raw += abs(ma.value - mb.value) * p
-        c1, p1, cut1, ok1 = self.correlation(
-            angles.alpha, angles.gamma, s_star, policy, conditioned=conditioned
-        )
-        c2, p2, cut2, ok2 = self.correlation(
-            angles.beta, angles.gamma, s_star, policy, conditioned=conditioned
-        )
-        lhs = s_star.value * (lhs_raw / mass if conditioned else lhs_raw)
+        m = _ladder_weights(ts)[0]
+        lhs_raw = float((np.abs(m[:, None] - m[None, :]) * p).sum())
+        c1 = _moment(t, ts, ts, angles.alpha, angles.gamma)
+        c2 = _moment(t, ts, ts, angles.beta, angles.gamma)
+        if conditioned:
+            den = float(t[ts].sum())
+            c1, c2 = c1 / den, c2 / den
+            lhs = s_star.value * lhs_raw / mass
+        else:
+            lhs = s_star.value * lhs_raw
         rhs = c1 + c2
         return ViolationRecord(
             s_star=s_star,
@@ -596,9 +560,9 @@ class LossyEngine:
             lhs=lhs,
             rhs=rhs,
             violation=rhs - lhs,
-            sector_probability=p1 if conditioned else mass,
-            s_cutoff_used=HalfInt(max(jd.s_cutoff_used.twice, cut1.twice, cut2.twice)),
-            converged=jd.converged and ok1 and ok2,
+            sector_probability=den if conditioned else mass,
+            s_cutoff_used=HalfInt(tcut),
+            converged=ok,
             convention=convention,
         )
 

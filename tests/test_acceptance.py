@@ -207,10 +207,10 @@ def test_criterion_3_trend_reproduction():
 
 
 def test_criterion_4_numeric_kernels():
-    # d-matrix unitarity (1e-10) and composition (1e-9)
+    # d-matrix unitarity (1e-10) and composition (1e-9), up to 2s = 340
     worst_u = 0.0
     worst_c = 0.0
-    for ts in range(1, 10):
+    for ts in (*range(1, 10), 20, 40, 60, 80, 100, 140, 200, 340):
         for alpha in np.linspace(0.0, 2 * math.pi, 8):
             d = wigner_d_matrix(HalfInt(ts), float(alpha))
             worst_u = max(worst_u, float(np.max(np.abs(d @ d.T - np.eye(ts + 1)))))

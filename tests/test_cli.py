@@ -163,6 +163,26 @@ def test_mutated_bob_sign_fails_reduction(monkeypatch):
     assert not rep["passed"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--s", "0", "--r", "0.3"],
+        ["optimize", "--s", "1.3", "--r", "0.3"],
+        ["optimize", "--s", "1", "--r", "0.3", "--eta", "1.3"],
+        ["optimize", "--s", "1", "--r", "-1"],
+        ["sweep-theta", "--s", "1", "--r", "0.3", "--eta", "0.9", "--base-angle", "nan"],
+    ],
+    ids=["s-zero", "s-not-half-integer", "eta-above-one", "r-negative", "base-angle-nan"],
+)
+def test_bad_input_exits_2_with_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: merminbell")
+    assert "is not" in err
+
+
 def test_main_inprocess_exit_codes(tmp_path, capsys):
     assert main(["fock-weights", "--r", "0.2"]) == 0
     capsys.readouterr()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from merminbell.ideal import AngleTriple, ideal_mermin_sides, theta_triple
+from merminbell.ideal import AngleTriple, ideal_correlation, ideal_mermin_sides, theta_triple
 from merminbell.loss import LossConfig
 from merminbell.lossy import (
     DegenerateSectorError,
@@ -77,6 +77,19 @@ def test_eta1_reduction_small(r, angles):
         assert got.lhs == pytest.approx(want.lhs, abs=1e-10)
         assert got.rhs == pytest.approx(want.rhs, abs=1e-10)
         assert got.converged
+
+
+@pytest.mark.parametrize("s", [40, 60])
+def test_eta1_reduction_large_spin(s):
+    # rotation blocks from the explicit factorial sum gave lhs 255 against 7.06 at s=60
+    angles = theta_triple(0.3 / s)
+    rec = LossyEngine(0.3, LossConfig.equal_eta(1.0)).mermin_sides(s, angles)
+    rhs = ideal_correlation(s, angles.alpha - angles.gamma) + ideal_correlation(
+        s, angles.beta - angles.gamma
+    )
+    assert rec.converged
+    assert abs(rec.rhs - rhs) < 1e-9
+    assert abs(rec.lhs - ideal_mermin_sides(s, angles).lhs) < 1e-9
 
 
 def test_eta1_violation_r_independent():
@@ -226,6 +239,34 @@ def test_monotone_truncation():
     for k, v in dist.entries.items():
         v2 = dist2.entries[k]
         assert abs(v2 - v) <= rel_tol * max(abs(v2), 1e-300) * 4
+
+
+def test_one_kernel_serves_every_angle():
+    r, loss, s = 0.3, LossConfig(0.9, 0.8, 0.85, 0.75), HalfInt(4)
+    triples = [theta_triple(0.2), AngleTriple(0.4, -1.1, 0.7), AngleTriple(2.0, -1.2, 0.3)]
+    eng = LossyEngine(r, loss)
+    recs = [eng.mermin_sides(s, angles) for angles in triples]
+    assert len({rec.s_cutoff_used for rec in recs}) == 1
+    for angles, rec in zip(triples, recs):
+        assert LossyEngine(r, loss).mermin_sides(s, angles) == rec
+
+
+def test_cutoff_step_bounded_by_sector_probability_step():
+    # each source sector adds a positive semidefinite piece whose trace is its
+    # share of the sector probability, so no joint probability moves further
+    rng = np.random.default_rng(7)
+    for loss in (LossConfig.equal_eta(0.7), LossConfig(0.9, 0.6, 0.8, 0.75)):
+        eng = LossyEngine(0.6, loss)
+        for sectors in ((HalfInt(4), HalfInt(4)), (HalfInt(3), HalfInt(5))):
+            for n in range(5, 15, 3):
+                lo = TruncationPolicy(s_start=HalfInt(n), max_s=HalfInt(n))
+                hi = TruncationPolicy(s_start=HalfInt(n + 2), max_s=HalfInt(n + 2))
+                for alpha, beta in rng.uniform(-math.pi, math.pi, (3, 2)):
+                    p_lo = eng.joint(alpha, beta, lo, sectors=sectors)
+                    p_hi = eng.joint(alpha, beta, hi, sectors=sectors)
+                    step = p_hi.total_mass() - p_lo.total_mass()
+                    moved = max(abs(p_hi.entries[k] - p_lo.entries[k]) for k in p_lo.entries)
+                    assert moved <= step + 1e-15
 
 
 def test_nonconvergence_flagged_not_raised():

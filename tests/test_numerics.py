@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from merminbell.numerics import (
     binom,
     binom_int,
     half_range,
-    jacobi_poly,
     log_choose,
     logmag_sum,
     wigner_d,
@@ -113,6 +113,24 @@ def test_logmag_sum_tiny_magnitudes():
 
 
 # ------------------------------------------------------------------- jacobi
+# The Jacobi form of d below is an independent reference for the rotation
+# blocks; its three-term recurrence is checked against the explicit series.
+
+
+def jacobi_poly(n: int, a: int, b: int, x: float) -> float:
+    """P_n^{(a,b)}(x) by the three-term recurrence (assumes a, b > -1)."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    p_prev = 1.0
+    if n == 0:
+        return p_prev
+    p = (a + 1) + (a + b + 2) * (x - 1) / 2.0
+    for k in range(2, n + 1):
+        c1 = 2.0 * k * (k + a + b) * (2 * k + a + b - 2)
+        c2 = (2 * k + a + b - 1) * ((2 * k + a + b) * (2 * k + a + b - 2) * x + a * a - b * b)
+        c3 = 2.0 * (k + a - 1) * (k + b - 1) * (2 * k + a + b)
+        p, p_prev = (c2 * p - c3 * p_prev) / c1, p
+    return p
 
 
 def _jacobi_series(n, a, b, x):
@@ -235,6 +253,39 @@ def test_wigner_jacobi_form_cross_check():
                     want = jacobi_form(ts, t1, t2, alpha)
                     got = wigner_d(HalfInt(ts), HalfInt(t2), HalfInt(t1), alpha)
                     assert got == pytest.approx(want, abs=1e-10)
+
+
+def _d_explicit_reference(ts, t1, t2, p, r, q):
+    """d^s_{m1 m2}(beta) at cos(beta/2) = p/q, sin(beta/2) = r/q.
+
+    The explicit alternating sum, rewritten with binomials so that every term
+    is an integer over q^(2s); it is summed exactly, and only the square root
+    of the factorial ratio is taken in 80-digit decimal arithmetic.
+    """
+    jp1, jm1 = (ts + t1) // 2, (ts - t1) // 2
+    jp2, jm2 = (ts + t2) // 2, (ts - t2) // 2
+    dm = (t1 - t2) // 2
+    total = 0
+    for k in range(max(0, -dm), min(jp2, jm1) + 1):
+        term = math.comb(jp2, k) * math.comb(jm2, dm + k) * p ** (ts - dm - 2 * k) * r ** (dm + 2 * k)
+        total += -term if (dm + k) % 2 else term
+    f = math.factorial
+    with localcontext() as ctx:
+        ctx.prec = 80
+        scale = (Decimal(f(jp1) * f(jm1)) / Decimal(f(jp2) * f(jm2))).sqrt()
+        return float(scale * Decimal(total) / Decimal(q) ** ts)
+
+
+@pytest.mark.parametrize("p, r, q", [(3, 4, 5), (5, 12, 13)])
+def test_wigner_vs_exact_explicit_sum(p, r, q):
+    # the float explicit sum cancels catastrophically beyond 2s ~ 60; the
+    # exact one does not, so a few full rows per spin pin the blocks up to 2s = 160
+    beta = 2.0 * math.atan2(r, p)
+    for ts in (1, 2, 5, 20, 41, 80, 121, 160):
+        d = wigner_d_matrix(HalfInt(ts), beta)
+        for i1 in sorted({0, ts // 3, ts // 2, ts}):
+            want = [_d_explicit_reference(ts, 2 * i1 - ts, 2 * i2 - ts, p, r, q) for i2 in range(ts + 1)]
+            assert np.max(np.abs(d[i1] - want)) < 1e-13, (ts, i1)
 
 
 def test_wigner_invalid_labels():
