@@ -334,6 +334,7 @@ _spin = _checked_float(
 _efficiency = _checked_float(lambda v: 0.0 <= v <= 1.0, "an efficiency in [0, 1]")
 _squeezing = _checked_float(lambda v: 0.0 <= v < math.inf, "a finite nonnegative squeezing")
 _angle = _checked_float(math.isfinite, "a finite angle")
+_tolerance = _checked_float(lambda v: 0.0 < v < math.inf, "a positive tolerance")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -342,12 +343,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     p.add_argument(
         "--policy-tol",
-        type=float,
+        type=_tolerance,
         default=1e-6,
         help="stop the source sum when a step changes the post-selected sector probability "
         "by at most this relative amount",
     )
-    p.add_argument("--policy-max-s", type=float, default=None, help="hard cap on the source spin sum")
+    p.add_argument("--policy-max-s", type=_spin, default=None, help="hard cap on the source spin sum")
     p.add_argument(
         "--conventions",
         choices=("conditioned", "unconditioned", "both"),

@@ -81,7 +81,7 @@ class TruncationPolicy:
         object.__setattr__(self, "s_start", HalfInt.of(self.s_start))
         object.__setattr__(self, "max_s", HalfInt.of(self.max_s))
         object.__setattr__(self, "extend_by", HalfInt.of(self.extend_by))
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
         if self.s_start.twice > self.max_s.twice:
             raise ValueError("s_start must not exceed max_s")

@@ -171,8 +171,13 @@ def test_mutated_bob_sign_fails_reduction(monkeypatch):
         ["optimize", "--s", "1", "--r", "0.3", "--eta", "1.3"],
         ["optimize", "--s", "1", "--r", "-1"],
         ["sweep-theta", "--s", "1", "--r", "0.3", "--eta", "0.9", "--base-angle", "nan"],
+        ["optimize", "--s", "1", "--r", "0.3", "--policy-tol", "nan"],
+        ["optimize", "--s", "1", "--r", "0.3", "--policy-max-s", "0.3"],
     ],
-    ids=["s-zero", "s-not-half-integer", "eta-above-one", "r-negative", "base-angle-nan"],
+    ids=[
+        "s-zero", "s-not-half-integer", "eta-above-one", "r-negative", "base-angle-nan",
+        "policy-tol-nan", "policy-max-s-not-half-integer",
+    ],
 )
 def test_bad_input_exits_2_with_usage(argv, capsys):
     with pytest.raises(SystemExit) as exc:
