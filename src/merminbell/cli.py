@@ -327,10 +327,14 @@ def _checked_float(accept, what: str):
     return parse
 
 
-_spin = _checked_float(
-    lambda v: 0.0 < v < math.inf and abs(2.0 * v - round(2.0 * v)) <= 1e-9,
-    "a positive half-integer",
-)
+def _is_positive_half_integer(value: float) -> bool:
+    try:
+        return HalfInt.of(value).twice > 0
+    except (ValueError, OverflowError):
+        return False
+
+
+_spin = _checked_float(_is_positive_half_integer, "a positive half-integer")
 _efficiency = _checked_float(lambda v: 0.0 <= v <= 1.0, "an efficiency in [0, 1]")
 _squeezing = _checked_float(lambda v: 0.0 <= v < math.inf, "a finite nonnegative squeezing")
 _angle = _checked_float(math.isfinite, "a finite angle")
