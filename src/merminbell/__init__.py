@@ -39,7 +39,7 @@ from .lossy import (
     optimize_angles,
     sweep,
 )
-from .numerics import HalfInt, LogMagnitude, binom, half, wigner_d, wigner_d_matrix
+from .numerics import HalfInt, half, wigner_d, wigner_d_matrix
 from .schwinger import ModePair, SpinLabel, ladder_coeff, modes_to_spin, spin_to_modes
 from .source import (
     fock_weight_distribution,
@@ -59,7 +59,6 @@ __all__ = [
     "InequalitySides",
     "InternalConsistencyError",
     "JointOutcomeDistribution",
-    "LogMagnitude",
     "LossConfig",
     "LossyEngine",
     "ModePair",
@@ -67,7 +66,6 @@ __all__ = [
     "SpinOperatorTerm",
     "TruncationPolicy",
     "ViolationRecord",
-    "binom",
     "chsh_spin_s",
     "chsh_threshold_spin",
     "decohere_fock",

@@ -185,10 +185,6 @@ def _conventions(arg: str) -> list[str]:
 
 
 def _cmd_sweep_theta(args) -> int:
-    if args.theta_steps < 1:
-        raise _UsageError("--theta-steps must be at least 1")
-    if not args.eta:
-        raise _UsageError("at least one --eta value is required")
     step = (args.theta_max - args.theta_min) / max(args.theta_steps - 1, 1)
     thetas = [args.theta_min + i * step for i in range(args.theta_steps)]
     convs = _conventions(args.conventions)
@@ -235,8 +231,6 @@ def _eta_grid_rows(args) -> list[dict]:
 
 
 def _cmd_sweep_eta(args) -> int:
-    if not args.eta or not args.s:
-        raise _UsageError("--s and --eta require at least one value")
     args.r = [args.r]
     rows = _eta_grid_rows(args)
     convs = _conventions(args.conventions)
@@ -246,8 +240,6 @@ def _cmd_sweep_eta(args) -> int:
 
 
 def _cmd_surface(args) -> int:
-    if not args.eta or not args.s or not args.r:
-        raise _UsageError("--s, --r and --eta require at least one value")
     rows = _eta_grid_rows(args)
     convs = _conventions(args.conventions)
     columns = ETA_COLUMNS + (["convention"] if len(convs) > 1 else [])
@@ -308,18 +300,14 @@ def _cmd_fock_weights(args) -> int:
     return 0
 
 
-class _UsageError(Exception):
-    pass
+def _checked(convert, accept, what: str):
+    """argparse ``type=`` for a value that ``convert`` parses and ``accept`` approves."""
 
-
-def _checked_float(accept, what: str):
-    """argparse ``type=`` for a float that ``accept`` must approve."""
-
-    def parse(text: str) -> float:
+    def parse(text: str):
         try:
-            value = float(text)
+            value = convert(text)
         except ValueError:
-            value = math.nan
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}") from None
         if not accept(value):
             raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
         return value
@@ -334,17 +322,19 @@ def _is_positive_half_integer(value: float) -> bool:
         return False
 
 
-_spin = _checked_float(_is_positive_half_integer, "a positive half-integer")
-_efficiency = _checked_float(lambda v: 0.0 <= v <= 1.0, "an efficiency in [0, 1]")
-_squeezing = _checked_float(lambda v: 0.0 <= v < math.inf, "a finite nonnegative squeezing")
-_angle = _checked_float(math.isfinite, "a finite angle")
-_tolerance = _checked_float(lambda v: 0.0 < v < math.inf, "a positive tolerance")
+_spin = _checked(float, _is_positive_half_integer, "a positive half-integer")
+_efficiency = _checked(float, lambda v: 0.0 <= v <= 1.0, "an efficiency in [0, 1]")
+_squeezing = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite nonnegative squeezing")
+_angle = _checked(float, math.isfinite, "a finite angle")
+_tolerance = _checked(float, lambda v: 0.0 < v < math.inf, "a positive tolerance")
+_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--workers", type=_positive_int, default=1, help="parallel worker processes")
     p.add_argument(
         "--policy-tol",
         type=_tolerance,
@@ -374,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=_efficiency, nargs="+", required=True)
     p.add_argument("--theta-min", type=_angle, default=0.02)
     p.add_argument("--theta-max", type=_angle, default=1.2)
-    p.add_argument("--theta-steps", type=int, default=32)
+    p.add_argument("--theta-steps", type=_positive_int, default=32)
     p.add_argument("--base-angle", type=_angle, default=0.0)
     _add_common(p)
     p.set_defaults(func=_cmd_sweep_theta)
@@ -407,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fock-weights", help="photon-number weights of one squeezed pair")
     p.add_argument("--r", type=_squeezing, required=True)
-    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--n-max", type=_nonnegative_int, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_fock_weights)
 
@@ -419,8 +409,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        parser.exit(2, f"error: {exc}\n")
     except BrokenPipeError:
         return 1
     except Exception as exc:  # computation failure

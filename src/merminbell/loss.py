@@ -5,15 +5,21 @@ transmissivity eta with vacuum on the idle port, traced over the loss port.
 On a single mode this turns |n><n'| into a ladder of |k><k+n'-n| terms with
 square-rooted binomial weights; on a mode pair the channel factorizes, and
 the combined term ladder can be relabeled by the surviving effective spin
-(sigma, mu).  Out-of-range binomial coefficients are exact zeros, which is
-what enforces every summation bound.
+(sigma, mu).  Every weight is built from one log-domain binomial thinning,
+``log_thinning``; ``log_weight_table`` is the per-side table of it that the
+lossy engine reads and that ``decohere_spin_op`` takes its weights from.
+Out-of-range binomial coefficients are exact zeros (-inf in the log
+domain), which is what enforces every summation bound.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .numerics import HalfInt, LogMagnitude, binom
+import numpy as np
+
+from .numerics import HalfInt
 from .schwinger import SpinLabel
 
 __all__ = [
@@ -24,7 +30,13 @@ __all__ = [
     "decohere_single",
     "min_output_spin",
     "decohere_spin_op",
+    "log_thinning",
+    "log_weight_table",
 ]
+
+_NEG_INF = float("-inf")
+# ln k! for photon counts up to twice the deepest source cutoff (2s = 400)
+_LGF = np.array([math.lgamma(i + 1.0) for i in range(804)])
 
 
 @dataclass(frozen=True)
@@ -61,11 +73,7 @@ class ModeOperatorTerm:
 
     ket: int
     bra: int
-    weight: LogMagnitude
-
-    @property
-    def value(self) -> float:
-        return self.weight.to_float()
+    value: float
 
 
 @dataclass(frozen=True)
@@ -74,11 +82,62 @@ class SpinOperatorTerm:
 
     ket: SpinLabel
     bra: SpinLabel
-    weight: LogMagnitude
+    value: float
 
-    @property
-    def value(self) -> float:
-        return self.weight.to_float()
+
+def _log_factorial(n: np.ndarray) -> np.ndarray:
+    """ln n! for integers n >= 0: a table lookup, lgamma past the table."""
+    if n.size and n.max() >= _LGF.size:
+        return np.vectorize(math.lgamma, otypes=[float])(n + 1.0)
+    return _LGF[n]
+
+
+def _lc(n: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Vectorized ln C(n, k): -inf outside 0 <= k <= n (or n < 0)."""
+    valid = (n >= 0) & (k >= 0) & (k <= n)
+    nn = np.where(valid, n, 0)
+    kk = np.where(valid, k, 0)
+    out = _log_factorial(nn) - _log_factorial(kk) - _log_factorial(nn - kk)
+    return np.where(valid, out, _NEG_INF)
+
+
+def _pow_log(base: float, e: np.ndarray) -> np.ndarray:
+    """Log-domain contribution of base**e for base >= 0 with 0**0 = 1."""
+    if base > 0.0:
+        return e * math.log(base)
+    return np.where(e == 0, 0.0, _NEG_INF)
+
+
+def _pow_log1m(eta: float, e: np.ndarray) -> np.ndarray:
+    """Log-domain contribution of (1-eta)**e."""
+    if eta < 1.0:
+        return e * math.log1p(-eta)
+    return np.where(e == 0, 0.0, _NEG_INF)
+
+
+def log_thinning(n, k, eta: float) -> np.ndarray:
+    """ln[C(n, k) eta^k (1-eta)^(n-k)], elementwise over integer arrays n, k.
+
+    The probability that loss eta leaves k of n photons; -inf outside
+    0 <= k <= n, and 0^0 = 1 at eta = 0 and eta = 1.
+    """
+    n, k = np.asarray(n), np.asarray(k)
+    return _lc(n, k) + _pow_log(eta, k) + _pow_log1m(eta, n - k)
+
+
+def log_weight_table(ts: int, tso: int, eta_up: float, eta_dn: float) -> np.ndarray:
+    """Log loss weights L[w, mu] of one mode pair, from spin ts/2 to spin tso/2.
+
+    Row w is the source state with w photons in the up mode and ts - w in
+    the down mode; column mu keeps mu up and tso - mu down photons.
+    exp(L[w, mu]) is the probability of that transition, and the
+    coherence |w><w + dw| reaches |mu><mu + dw| with weight
+    exp((L[w, mu] + L[w + dw, mu + dw]) / 2), since both carry the same
+    lost-photon counts.
+    """
+    n_up = np.arange(ts + 1)[:, None]
+    k_up = np.arange(tso + 1)[None, :]
+    return log_thinning(n_up, k_up, eta_up) + log_thinning(ts - n_up, tso - k_up, eta_dn)
 
 
 def decohere_fock(n: int, eta: float) -> dict[int, float]:
@@ -90,15 +149,8 @@ def decohere_fock(n: int, eta: float) -> dict[int, float]:
         raise ValueError("photon number must be nonnegative")
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
-    out: dict[int, float] = {}
-    for k in range(n + 1):
-        w = (
-            binom(n, k)
-            * LogMagnitude.from_pow(eta, k)
-            * LogMagnitude.from_pow(1.0 - eta, n - k)
-        )
-        out[k] = w.to_float()
-    return out
+    p = np.exp(log_thinning(n, np.arange(n + 1), eta))
+    return {k: float(v) for k, v in enumerate(p)}
 
 
 def decohere_single(n: int, n_prime: int, eta: float) -> list[ModeOperatorTerm]:
@@ -111,18 +163,14 @@ def decohere_single(n: int, n_prime: int, eta: float) -> list[ModeOperatorTerm]:
         raise ValueError("photon numbers must be nonnegative")
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
-    terms: list[ModeOperatorTerm] = []
-    for k in range(max(0, n - n_prime), n + 1):
-        kp = k + n_prime - n
-        w = (
-            binom(n, k).sqrt()
-            * binom(n_prime, kp).sqrt()
-            * LogMagnitude.from_pow(eta, 0.5 * (k + kp))
-            * LogMagnitude.from_pow(1.0 - eta, n - k)
-        )
-        if w.sign != 0:
-            terms.append(ModeOperatorTerm(ket=k, bra=kp, weight=w))
-    return terms
+    k = np.arange(max(0, n - n_prime), n + 1)
+    kp = k + n_prime - n
+    lw = 0.5 * (log_thinning(n, k, eta) + log_thinning(n_prime, kp, eta))
+    return [
+        ModeOperatorTerm(ket=a, bra=b, value=math.exp(v))
+        for a, b, v in zip(k.tolist(), kp.tolist(), lw.tolist())
+        if v > _NEG_INF
+    ]
 
 
 def min_output_spin(s, m, s_p, m_p) -> HalfInt:
@@ -154,8 +202,9 @@ def decohere_spin_op(s, m, s_p, m_p, eta1: float, eta2: float) -> list[SpinOpera
     <sigma + s'-s, mu + m'-m|, with weights
     eta1^(sigma+mu+(s'-s+m'-m)/2) * eta2^(sigma-mu+(s'-s-m'+m)/2)
     * (1-eta1)^(s+m-sigma-mu) * (1-eta2)^(s-m-sigma+mu)
-    times the four square-rooted binomials.  Terms whose binomials fall out
-    of range are omitted.
+    times the four square-rooted binomials: exp of the half-sum of the ket
+    and bra rows of ``log_weight_table``.  Terms whose binomials fall out of
+    range are omitted.
     """
     ts, tm = HalfInt.of(s).twice, HalfInt.of(m).twice
     tsp, tmp = HalfInt.of(s_p).twice, HalfInt.of(m_p).twice
@@ -169,24 +218,22 @@ def decohere_spin_op(s, m, s_p, m_p, eta1: float, eta2: float) -> list[SpinOpera
     terms: list[SpinOperatorTerm] = []
     t_lo = min_output_spin(s, m, s_p, m_p).twice
     for tsig in range(t_lo, ts + 1):  # sigma in half-integer steps
-        for tmu in range(-tsig, tsig + 1, 2):
-            k_up = (tsig + tmu) // 2
-            k_dn = (tsig - tmu) // 2
-            kp_up = k_up + (np_up - n_up)
-            kp_dn = k_dn + (np_dn - n_dn)
-            w = (
-                binom(n_up, k_up).sqrt()
-                * binom(np_up, kp_up).sqrt()
-                * binom(n_dn, k_dn).sqrt()
-                * binom(np_dn, kp_dn).sqrt()
-                * LogMagnitude.from_pow(eta1, 0.5 * (k_up + kp_up))
-                * LogMagnitude.from_pow(eta2, 0.5 * (k_dn + kp_dn))
-                * LogMagnitude.from_pow(1.0 - eta1, n_up - k_up)
-                * LogMagnitude.from_pow(1.0 - eta2, n_dn - k_dn)
-            )
-            if w.sign == 0:
+        tsig_p = tsig + tsp - ts
+        # surviving up counts k (ket) and k + np_up - n_up (bra) on both tables
+        k_up = np.arange(max(0, n_up - np_up), min(tsig, tsig_p + n_up - np_up) + 1)
+        if not k_up.size:
+            continue
+        ket = log_weight_table(ts, tsig, eta1, eta2)[n_up, k_up]
+        bra = log_weight_table(tsp, tsig_p, eta1, eta2)[np_up, k_up + np_up - n_up]
+        for k, lw in zip(k_up.tolist(), (0.5 * (ket + bra)).tolist()):
+            if lw == _NEG_INF:
                 continue
-            ket = SpinLabel(HalfInt(tsig), HalfInt(tmu))
-            bra = SpinLabel(HalfInt(kp_up + kp_dn), HalfInt(kp_up - kp_dn))
-            terms.append(SpinOperatorTerm(ket=ket, bra=bra, weight=w))
+            kp = k + np_up - n_up
+            terms.append(
+                SpinOperatorTerm(
+                    ket=SpinLabel(HalfInt(tsig), HalfInt(2 * k - tsig)),
+                    bra=SpinLabel(HalfInt(tsig_p), HalfInt(2 * kp - tsig_p)),
+                    value=math.exp(lw),
+                )
+            )
     return terms

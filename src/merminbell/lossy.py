@@ -2,9 +2,10 @@
 
 The source emits two effective spins in the singlet of every sector s with
 weight w_s = (2s+1) tanh(r)^(4s) / cosh(r)^4.  Loss maps each side's
-|s w><s w'| onto surviving spins sigma <= s; the weights are products of two
-per-mode binomial loss ladders, assembled in the log domain.  Analyzer
-rotations contract those weights with pairs of rotation-matrix elements.
+|s w><s w'| onto surviving spins sigma <= s; the weights come from the
+per-side log tables of ``loss.log_weight_table``, products of two per-mode
+binomial thinnings.  Analyzer rotations contract those weights with pairs of
+rotation-matrix elements.
 Everything is accumulated sector by sector so the infinite source sum can be
 cut off dynamically, with an exact geometric bound on the discarded weight.
 For a post-selected sector pair the angle-independent kernel is converged
@@ -12,7 +13,7 @@ once per truncation policy; the joint distribution, both correlations and
 the left side at any analyzer setting are contractions of it.
 
 Bob's spin convention is m_B = (n_B2 - n_B1)/2, so his "up" mode is the
-second one; the per-side weight tables below are generic in (w, w') and the
+second one; the per-side weight tables are generic in (w, w') and the
 two sides differ only in which detector efficiency feeds which mode and in
 the substitution (w, w') -> (-m, -m').
 """
@@ -27,7 +28,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .ideal import AngleTriple, theta_triple
-from .loss import LossConfig
+from .loss import LossConfig, log_weight_table
 from .numerics import HalfInt, wigner_d_matrix
 from .source import sector_weight_tail
 
@@ -47,9 +48,7 @@ __all__ = [
 ]
 
 _NEG_INF = float("-inf")
-# covers photon counts up to twice the deepest allowed source cutoff
 _MAX_SOURCE_TWICE = 400
-_LGF = np.array([math.lgamma(i + 1.0) for i in range(2 * _MAX_SOURCE_TWICE + 4)])
 
 
 class DegenerateSectorError(RuntimeError):
@@ -159,29 +158,6 @@ class ViolationRecord:
     error: str | None = None
 
 
-def _lc(n: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Vectorized ln C(n, k): -inf outside 0 <= k <= n (or n < 0)."""
-    valid = (n >= 0) & (k >= 0) & (k <= n)
-    nn = np.where(valid, n, 0)
-    kk = np.where(valid, k, 0)
-    out = _LGF[nn] - _LGF[kk] - _LGF[nn - kk]
-    return np.where(valid, out, _NEG_INF)
-
-
-def _pow_log(base: float, e: np.ndarray) -> np.ndarray:
-    """Log-domain contribution of base**e for base >= 0 with 0**0 = 1."""
-    if base > 0.0:
-        return e * math.log(base)
-    return np.where(e == 0, 0.0, _NEG_INF)
-
-
-def _pow_log1m(eta: float, e: np.ndarray) -> np.ndarray:
-    """Log-domain contribution of (1-eta)**e."""
-    if eta < 1.0:
-        return e * math.log1p(-eta)
-    return np.where(e == 0, 0.0, _NEG_INF)
-
-
 def _pair_weights(logw: np.ndarray, dw: int) -> np.ndarray:
     """W[w, mu] = exp((logw[w, mu] + logw[w + dw, mu + dw]) / 2); zero off the table."""
     out = np.zeros_like(logw)
@@ -286,39 +262,19 @@ class LossyEngine:
             return self.loss.eta_a1, self.loss.eta_a2
         return self.loss.eta_b2, self.loss.eta_b1
 
-    def _logw(self, side: str, ts: int, tso: int, _force_general: bool = False) -> np.ndarray:
-        """Log loss weights L[w_idx, mu_idx] for one side and one sector.
-
-        w runs over the source projections of spin s (ts+1 values), mu over
-        the projections of the surviving spin sigma = tso/2.  The weight of
-        the bra-ket pair (w, w + dw) -> (mu, mu + dw) is
-        exp((L[w, mu] + L[w + dw, mu + dw]) / 2): both per-mode binomial
-        ladders shift with dw, and the lost-photon counts do not change.
-        """
-        key = (side, ts, tso, _force_general)
+    def _logw(self, side: str, ts: int, tso: int) -> np.ndarray:
+        """``loss.log_weight_table`` of one side, from spin ts/2 to tso/2, cached per engine."""
+        key = (side, ts, tso)
         got = self._logw_cache.get(key)
-        if got is not None:
-            return got
-        eta_up, eta_dn = self._side_etas(side)
-        n_up = np.arange(ts + 1)[:, None]
-        n_dn = ts - n_up
-        k_up = np.arange(tso + 1)[None, :]
-        k_dn = tso - k_up
-        logw = _lc(n_up, k_up) + _lc(n_dn, k_dn)
-        if eta_up == eta_dn and not _force_general:
-            # equal transmissivity per side: the exponents collapse to
-            # eta^(2 sigma) (1-eta)^(2s - 2 sigma), constant over the table
-            logw = logw + _pow_log(eta_up, np.array(tso)) + _pow_log1m(eta_up, np.array(ts - tso))
-        else:
-            logw = logw + _pow_log(eta_up, k_up) + _pow_log(eta_dn, k_dn)
-            logw = logw + _pow_log1m(eta_up, n_up - k_up) + _pow_log1m(eta_dn, n_dn - k_dn)
-        logw.setflags(write=False)
-        self._logw_cache[key] = logw
-        return logw
+        if got is None:
+            got = log_weight_table(ts, tso, *self._side_etas(side))
+            got.setflags(write=False)
+            self._logw_cache[key] = got
+        return got
 
     # --------------------------------------------------------- joint outcomes
 
-    def _t_sector(self, tsa: int, tsb: int, ts: int, _force_general: bool = False) -> np.ndarray:
+    def _t_sector(self, tsa: int, tsb: int, ts: int) -> np.ndarray:
         """Angle-independent kernel T[dw_idx, mu_a, mu_b] of one source sector ts >= tsa, tsb.
 
         T[dw][i, j] = sign(dw) tau^4 sum_w WA(w, dw)[i] WB(-w, -dw)[j], where
@@ -326,22 +282,22 @@ class LossyEngine:
         """
         dmax = min(tsa, tsb)
         lt2 = self._log_tau2(ts)
-        la = self._logw("a", ts, tsa, _force_general) + lt2
-        lb = self._logw("b", ts, tsb, _force_general) + lt2
+        la = self._logw("a", ts, tsa) + lt2
+        lb = self._logw("b", ts, tsb) + lt2
         out = np.empty((2 * dmax + 1, tsa + 1, tsb + 1))
         for dl in range(-dmax, dmax + 1):
             blk = _pair_weights(la, dl).T @ _pair_weights(lb, -dl)[::-1]
             out[dl + dmax] = -blk if dl % 2 else blk
         return out
 
-    def _kernel(self, tsa: int, tsb: int, policy: TruncationPolicy, _force_general: bool = False):
+    def _kernel(self, tsa: int, tsb: int, policy: TruncationPolicy):
         """Converged kernel (T, cutoff, converged) of the post-selected sector pair.
 
         T[dl + dmax, mu_a, mu_b] sums the source-sector blocks up to the
         cutoff; it does not depend on the analyzer angles, so it is built
         once per (sector pair, policy) and every angle contracts it.
         """
-        key = (tsa, tsb, policy, _force_general)
+        key = (tsa, tsb, policy)
         got = self._kernel_cache.get(key)
         if got is not None:
             return got
@@ -352,7 +308,7 @@ class LossyEngine:
         def extend(tcut: int) -> None:
             nonlocal applied, tcum
             for ts in range(applied + 1, tcut + 1):
-                tcum += self._t_sector(tsa, tsb, ts, _force_general)
+                tcum += self._t_sector(tsa, tsb, ts)
             applied = max(applied, tcut)
 
         def snapshot() -> np.ndarray:
@@ -395,7 +351,6 @@ class LossyEngine:
         beta: float,
         policy: TruncationPolicy,
         sectors: tuple | None = None,
-        _force_general: bool = False,
     ) -> JointOutcomeDistribution:
         """Joint readout distribution at analyzer angles (alpha, beta).
 
@@ -405,11 +360,11 @@ class LossyEngine:
         if sectors is not None:
             tsa = HalfInt.of(sectors[0]).twice
             tsb = HalfInt.of(sectors[1]).twice
-            return self._joint_restricted(tsa, tsb, alpha, beta, policy, _force_general)
-        return self._joint_full(alpha, beta, policy, _force_general)
+            return self._joint_restricted(tsa, tsb, alpha, beta, policy)
+        return self._joint_full(alpha, beta, policy)
 
-    def _joint_restricted(self, tsa, tsb, alpha, beta, policy, _force_general=False):
-        t, tcut, ok = self._kernel(tsa, tsb, policy, _force_general)
+    def _joint_restricted(self, tsa, tsb, alpha, beta, policy):
+        t, tcut, ok = self._kernel(tsa, tsb, policy)
         p = _contract(t, tsa, tsb, alpha, beta)
         return JointOutcomeDistribution(
             entries=self._entries_from_block(p, tsa, tsb),
@@ -418,7 +373,7 @@ class LossyEngine:
             converged=ok,
         )
 
-    def _joint_full(self, alpha, beta, policy, _force_general=False):
+    def _joint_full(self, alpha, beta, policy):
         cum: dict[tuple[int, int], np.ndarray] = {}
         applied = -1
 
@@ -427,7 +382,7 @@ class LossyEngine:
             for ts in range(applied + 1, tcut + 1):
                 for tsa in range(0, ts + 1):
                     for tsb in range(0, ts + 1):
-                        blk = self._t_sector(tsa, tsb, ts, _force_general)
+                        blk = self._t_sector(tsa, tsb, ts)
                         key = (tsa, tsb)
                         cum[key] = cum[key] + blk if key in cum else blk
             applied = max(applied, tcut)
@@ -750,7 +705,7 @@ def correlation_alt_bookkeeping(
 ) -> float:
     """Equal-loss crosscorrelation with the alternative exponent bookkeeping.
 
-    This literal transcription keeps a projection-dependent loss exponent
+    This form keeps a projection-dependent loss exponent
     (1-eta)^(2(2s + 2m - sigma_a - sigma_b)) and shifts the transmission
     exponent by +-1 in the two ladder blocks.  It is retained only so the
     validation report can adjudicate it against the brute-force oracle; the
@@ -760,94 +715,28 @@ def correlation_alt_bookkeeping(
     """
     if not 0.0 < eta < 1.0:
         raise ValueError("the alternative bookkeeping is only finite for 0 < eta < 1")
-    t_max = HalfInt.of(max_s).twice
-    ca, cb = math.cos(alpha), math.cos(beta)
-    sa, sb = math.sin(alpha), math.sin(beta)
-    ln_eta = math.log(eta)
+    eng = LossyEngine(r, LossConfig.equal_eta(eta))
     ln_1m = math.log1p(-eta)
+    ca_cb, sa_sb = math.cos(alpha) * math.cos(beta), math.sin(alpha) * math.sin(beta)
     total = 0.0
-    for ts in range(0, t_max + 1):
-        if ts == 0:
-            lt4 = -4.0 * math.log(math.cosh(r))
-        elif r == 0.0:
+    for ts in range(0, HalfInt.of(max_s).twice + 1):
+        lt4 = 2.0 * eng._log_tau2(ts)
+        if lt4 == _NEG_INF:
             continue
-        else:
-            lt4 = 2.0 * ts * math.log(math.tanh(r)) - 4.0 * math.log(math.cosh(r))
-        s = ts / 2.0
-        for tm in range(-ts, ts + 1, 2):
-            m = tm / 2.0
-            zz = 0.0
-            l_up = 0.0
-            l_dn = 0.0
-            for tsig_a in range(0, ts + 1):
-                for tsig_b in range(0, ts + 1):
-                    sig_a, sig_b = tsig_a / 2.0, tsig_b / 2.0
-                    e_lost = 2.0 * (2 * s + 2 * m - sig_a - sig_b)
-                    base = e_lost * ln_1m + lt4
-                    for tmu_a in range(-tsig_a, tsig_a + 1, 2):
-                        mu_a = tmu_a / 2.0
-                        ka = (tsig_a + tmu_a) // 2
-                        for tmu_b in range(-tsig_b, tsig_b + 1, 2):
-                            mu_b = tmu_b / 2.0
-                            kb = (tsig_b + tmu_b) // 2
-                            n_up = (ts + tm) // 2
-                            n_dn = (ts - tm) // 2
-                            # z block
-                            lw = (
-                                _scalar_lc(n_up, ka)
-                                + _scalar_lc(n_dn, (tsig_a - tmu_a) // 2)
-                                + _scalar_lc(n_up, kb)
-                                + _scalar_lc(n_dn, (tsig_b - tmu_b) // 2)
-                            )
-                            if lw > _NEG_INF:
-                                zz += mu_a * mu_b * math.exp(
-                                    lw + base + 2.0 * (sig_a + sig_b) * ln_eta
-                                )
-                            # raising block
-                            lw = 0.5 * (
-                                _scalar_lc(n_up, ka)
-                                + _scalar_lc(n_up + 1, ka + 1)
-                                + _scalar_lc(n_dn, (tsig_a - tmu_a) // 2)
-                                + _scalar_lc(n_dn - 1, (tsig_a - tmu_a) // 2 - 1)
-                                + _scalar_lc(n_up, kb)
-                                + _scalar_lc(n_up + 1, kb + 1)
-                                + _scalar_lc(n_dn, (tsig_b - tmu_b) // 2)
-                                + _scalar_lc(n_dn - 1, (tsig_b - tmu_b) // 2 - 1)
-                            )
-                            if lw > _NEG_INF:
-                                lad = math.sqrt(
-                                    max(sig_a * (sig_a + 1) - mu_a * (mu_a + 1), 0.0)
-                                ) * math.sqrt(
-                                    max(sig_b * (sig_b + 1) - mu_b * (mu_b + 1), 0.0)
-                                )
-                                l_up += lad * math.exp(
-                                    lw + base + 2.0 * (sig_a + sig_b + 1) * ln_eta
-                                )
-                            # lowering block
-                            lw = 0.5 * (
-                                _scalar_lc(n_up, ka)
-                                + _scalar_lc(n_up - 1, ka - 1)
-                                + _scalar_lc(n_dn, (tsig_a - tmu_a) // 2)
-                                + _scalar_lc(n_dn + 1, (tsig_a - tmu_a) // 2 + 1)
-                                + _scalar_lc(n_up, kb)
-                                + _scalar_lc(n_up - 1, kb - 1)
-                                + _scalar_lc(n_dn, (tsig_b - tmu_b) // 2)
-                                + _scalar_lc(n_dn + 1, (tsig_b - tmu_b) // 2 + 1)
-                            )
-                            if lw > _NEG_INF:
-                                lad = math.sqrt(
-                                    max(sig_a * (sig_a + 1) - mu_a * (mu_a - 1), 0.0)
-                                ) * math.sqrt(
-                                    max(sig_b * (sig_b + 1) - mu_b * (mu_b - 1), 0.0)
-                                )
-                                l_dn += lad * math.exp(
-                                    lw + base + 2.0 * (sig_a + sig_b - 1) * ln_eta
-                                )
-            total += ca * cb * zz - (sa * sb / 4.0) * (l_up + l_dn)
-    return total
-
-
-def _scalar_lc(n: int, k: int) -> float:
-    if n < 0 or k < 0 or k > n:
-        return _NEG_INF
-    return _LGF[n] - _LGF[k] - _LGF[n - k]
+        # For each source projection m the sum over both sides' surviving
+        # labels is a product of one-side sums over the production weight
+        # tables: z for S_z S_z, u and d for the raising and lowering blocks,
+        # whose transmission exponents are eta^(+-2) away from the tables'.
+        # The loss exponent is (1-eta)^(2 * 2m) away from the tables'.
+        z = u = d = np.zeros(ts + 1)
+        for tso in range(ts + 1):
+            logw = eng._logw("a", ts, tso)
+            mu, lp, lm = _ladder_weights(tso)
+            z = z + np.exp(logw) @ mu
+            u = u + _pair_weights(logw, 1) @ lp
+            d = d + _pair_weights(logw, -1) @ lm
+        prefactor = np.exp(lt4 + 2.0 * ln_1m * (2 * np.arange(ts + 1) - ts))
+        zz = prefactor @ (z * z)
+        ladders = prefactor @ (eta * eta * u * u + d * d / (eta * eta))
+        total += ca_cb * zz - sa_sb / 4.0 * ladders
+    return float(total)

@@ -1,10 +1,6 @@
-"""Exact half-integer labels and numerically stable kernels.
+"""Exact half-integer labels, exact binomials and stable rotation blocks.
 
-The spin sums evaluated elsewhere in this package multiply square roots of
-large binomial coefficients by high powers of detector transmissivities.
-Magnitudes of such factors are assembled in the log domain (``LogMagnitude``,
-``log_choose``) and turned back into ordinary floats only when terms are
-accumulated.  Rotation blocks d(beta) = exp(-i beta S_y) come from one cached
+Rotation blocks d(beta) = exp(-i beta S_y) come from one cached
 eigendecomposition S_y = V Lambda V^dagger per spin, with the exact
 eigenvalues -s..s: d(beta) = Re(V exp(-i beta Lambda) V^dagger) (Feng, Wang,
 Yang & Jin, Phys. Rev. E 92, 043307 (2015)).  V is taken from the real
@@ -19,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -27,16 +23,10 @@ __all__ = [
     "HalfInt",
     "half",
     "half_range",
-    "LogMagnitude",
-    "logmag_sum",
-    "binom",
     "binom_int",
-    "log_choose",
     "wigner_d",
     "wigner_d_matrix",
 ]
-
-_NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True, order=True)
@@ -115,112 +105,11 @@ def half_range(lo, hi, step=HalfInt(1)) -> Iterator[HalfInt]:
         t += step.twice
 
 
-@dataclass(frozen=True)
-class LogMagnitude:
-    """Signed magnitude kept as (sign, ln|x|); sign 0 encodes exact zero.
-
-    Products and quotients are exact in the log domain; sums go through
-    ``logmag_sum`` which factors out the largest magnitude first.
-    """
-
-    sign: int
-    log_abs: float
-
-    @classmethod
-    def zero(cls) -> "LogMagnitude":
-        return cls(0, _NEG_INF)
-
-    @classmethod
-    def one(cls) -> "LogMagnitude":
-        return cls(1, 0.0)
-
-    @classmethod
-    def from_value(cls, x: float) -> "LogMagnitude":
-        if x == 0.0:
-            return cls.zero()
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
-    @classmethod
-    def from_pow(cls, base: float, exponent: float) -> "LogMagnitude":
-        """base**exponent for base >= 0, with the convention 0**0 == 1."""
-        if exponent == 0:
-            return cls.one()
-        if base == 0.0:
-            return cls.zero()
-        if base < 0:
-            raise ValueError("from_pow requires a nonnegative base")
-        return cls(1, exponent * math.log(base))
-
-    def __mul__(self, other: "LogMagnitude") -> "LogMagnitude":
-        if self.sign == 0 or other.sign == 0:
-            return LogMagnitude.zero()
-        return LogMagnitude(self.sign * other.sign, self.log_abs + other.log_abs)
-
-    def __truediv__(self, other: "LogMagnitude") -> "LogMagnitude":
-        if other.sign == 0:
-            raise ZeroDivisionError("division by exact zero LogMagnitude")
-        if self.sign == 0:
-            return LogMagnitude.zero()
-        return LogMagnitude(self.sign * other.sign, self.log_abs - other.log_abs)
-
-    def sqrt(self) -> "LogMagnitude":
-        if self.sign < 0:
-            raise ValueError("sqrt of a negative LogMagnitude")
-        if self.sign == 0:
-            return LogMagnitude.zero()
-        return LogMagnitude(1, 0.5 * self.log_abs)
-
-    def to_float(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_abs)
-
-    @property
-    def value(self) -> float:
-        return self.to_float()
-
-
-def logmag_sum(terms: Iterable[LogMagnitude]) -> LogMagnitude:
-    """Signed sum of LogMagnitudes via max-factoring."""
-    live = [t for t in terms if t.sign != 0]
-    if not live:
-        return LogMagnitude.zero()
-    m = max(t.log_abs for t in live)
-    if m == _NEG_INF:
-        return LogMagnitude.zero()
-    acc = 0.0
-    for t in live:
-        acc += t.sign * math.exp(t.log_abs - m)
-    if acc == 0.0:
-        return LogMagnitude.zero()
-    return LogMagnitude(1 if acc > 0 else -1, m + math.log(abs(acc)))
-
-
 def binom_int(n: int, k: int) -> int:
     """C(n, k) as an exact integer; 0 outside 0 <= k <= n (including n < 0)."""
     if n < 0 or k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-@lru_cache(maxsize=None)
-def _log_fact(n: int) -> float:
-    return math.lgamma(n + 1)
-
-
-def log_choose(n: int, k: int) -> float:
-    """ln C(n, k); -inf outside the support."""
-    if n < 0 or k < 0 or k > n:
-        return _NEG_INF
-    return _log_fact(n) - _log_fact(k) - _log_fact(n - k)
-
-
-def binom(n: int, k: int) -> LogMagnitude:
-    """Binomial coefficient as a LogMagnitude; exact zero out of range."""
-    lg = log_choose(n, k)
-    if lg == _NEG_INF:
-        return LogMagnitude.zero()
-    return LogMagnitude(1, lg)
 
 
 def _check_spin_label(ts: int, tm: int) -> None:

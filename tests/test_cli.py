@@ -173,10 +173,14 @@ def test_mutated_bob_sign_fails_reduction(monkeypatch):
         ["sweep-theta", "--s", "1", "--r", "0.3", "--eta", "0.9", "--base-angle", "nan"],
         ["optimize", "--s", "1", "--r", "0.3", "--policy-tol", "nan"],
         ["optimize", "--s", "1", "--r", "0.3", "--policy-max-s", "0.3"],
+        ["fock-weights", "--r", "0.3", "--n-max", "-1"],
+        ["optimize", "--s", "1", "--r", "0.3", "--workers", "-2"],
+        ["sweep-theta", "--s", "1", "--r", "0.3", "--eta", "0.9", "--theta-steps", "0"],
     ],
     ids=[
         "s-zero", "s-not-half-integer", "eta-above-one", "r-negative", "base-angle-nan",
-        "policy-tol-nan", "policy-max-s-not-half-integer",
+        "policy-tol-nan", "policy-max-s-not-half-integer", "n-max-negative", "workers-negative",
+        "theta-steps-zero",
     ],
 )
 def test_bad_input_exits_2_with_usage(argv, capsys):

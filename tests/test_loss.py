@@ -42,6 +42,13 @@ def test_decohere_fock_normalized():
             assert sum(decohere_fock(n, eta).values()) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_decohere_fock_beyond_the_factorial_table():
+    # photon counts past the engine's precomputed ln k! table go through lgamma
+    p = decohere_fock(1000, 0.5)
+    assert len(p) == 1001
+    assert sum(p.values()) == pytest.approx(1.0, abs=1e-12)
+
+
 # ----------------------------------------------------------- decohere_single
 
 

@@ -206,19 +206,6 @@ def test_sector_probability_routes_agree():
     assert dist.total_mass() == pytest.approx(p_corr, rel=1e-9)
 
 
-# ------------------------------------------------- equal-eta fast path checks
-
-
-def test_equal_eta_fast_path_matches_general_path():
-    r, eta = 0.5, 0.8
-    eng = LossyEngine(r, LossConfig.equal_eta(eta))
-    policy = TruncationPolicy(s_start=HalfInt(6), max_s=HalfInt(6))
-    fast = eng.joint(0.7, -0.3, policy, sectors=(HalfInt(2), HalfInt(2)))
-    slow = eng.joint(0.7, -0.3, policy, sectors=(HalfInt(2), HalfInt(2)), _force_general=True)
-    for k in fast.entries:
-        assert fast.entries[k] == pytest.approx(slow.entries[k], rel=1e-13, abs=1e-300)
-
-
 # ----------------------------------------------------------------- truncation
 
 
@@ -389,3 +376,19 @@ def test_alt_bookkeeping_rejected_by_oracle():
         alt = correlation_alt_bookkeeping(r, eta, alpha, beta, cap)
         assert derived == pytest.approx(reference, abs=1e-10)
         assert abs(alt - reference) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "r,eta,alpha,beta,cap,want",
+    [
+        (0.4, 0.5, 0.7, -0.4, 2, 0.19126043498460632),
+        (0.4, 0.8, 0.7, -0.4, 2, 279.6758130058654),
+        (0.3, 0.6, 1.1, 0.2, 3, 0.1934448572001895),
+        (0.6, 0.9, -0.5, 2.0, 4, -1035897224405.5039),
+        (0.2, 0.3, 0.3, 0.9, 1.5, 0.00031487391130976665),
+    ],
+)
+def test_alt_bookkeeping_golden_values(r, eta, alpha, beta, cap, want):
+    # recorded from the literal seven-deep loop transcription of the form
+    got = correlation_alt_bookkeeping(r, eta, alpha, beta, HalfInt.of(cap))
+    assert got == pytest.approx(want, rel=1e-12)

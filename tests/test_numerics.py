@@ -4,14 +4,11 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from merminbell.loss import log_thinning
 from merminbell.numerics import (
     HalfInt,
-    LogMagnitude,
-    binom,
     binom_int,
     half_range,
-    log_choose,
-    logmag_sum,
     wigner_d,
     wigner_d_matrix,
 )
@@ -63,53 +60,41 @@ def test_binom_int_pascal_identity_in_value_space():
             assert binom_int(n, k) == binom_int(n - 1, k - 1) + binom_int(n - 1, k)
 
 
+def _ln_choose(n, k):
+    # ln C(n, k) read off the shared thinning function: at eta = 1/2 every
+    # outcome carries the same factor 2^-n
+    return log_thinning(n, k, 0.5) + n * math.log(2.0)
+
+
 def test_binom_out_of_range_is_exact_zero():
-    assert binom(2, 1).to_float() == pytest.approx(2.0, rel=1e-14)
-    assert binom(5, -1).sign == 0
-    assert binom(5, 6).sign == 0
-    assert binom(-1, 0).sign == 0
+    assert math.exp(_ln_choose(2, 1)) == pytest.approx(2.0, rel=1e-14)
+    assert _ln_choose(5, -1) == float("-inf")
+    assert _ln_choose(5, 6) == float("-inf")
+    assert _ln_choose(-1, 0) == float("-inf")
     assert binom_int(5, -1) == 0
 
 
 def test_binom_large_value():
-    assert binom(40, 20).to_float() == pytest.approx(137846528820.0, rel=1e-12)
+    assert math.exp(_ln_choose(40, 20)) == pytest.approx(137846528820.0, rel=1e-12)
 
 
 def test_binom_log_vs_exact():
     for n in range(0, 61):
-        for k in range(0, n + 1):
-            assert binom(n, k).to_float() == pytest.approx(binom_int(n, k), rel=5e-13)
+        k = np.arange(n + 1)
+        want = np.array([float(binom_int(n, j)) for j in k])
+        np.testing.assert_allclose(np.exp(_ln_choose(n, k)), want, rtol=5e-13)
 
 
-def test_log_choose_support():
-    assert log_choose(4, 2) == pytest.approx(math.log(6.0))
-    assert log_choose(4, 5) == float("-inf")
-    assert log_choose(-2, 0) == float("-inf")
-
-
-# -------------------------------------------------------------- LogMagnitude
-
-
-def test_logmag_products_and_sums():
-    a = LogMagnitude.from_value(3.0)
-    b = LogMagnitude.from_value(-2.0)
-    assert (a * b).to_float() == pytest.approx(-6.0, rel=1e-14)
-    assert (a / b).to_float() == pytest.approx(-1.5, rel=1e-14)
-    assert a.sqrt().to_float() == pytest.approx(math.sqrt(3.0), rel=1e-14)
-    assert LogMagnitude.from_pow(0.0, 0.0).to_float() == 1.0
-    assert LogMagnitude.from_pow(0.0, 2.5).sign == 0
-    total = logmag_sum([a, b, LogMagnitude.from_value(-1.0)])
-    assert total.to_float() == pytest.approx(0.0, abs=1e-14)
-    # cancellation to exact zero
-    assert logmag_sum([a, LogMagnitude.from_value(-3.0)]).sign == 0
-
-
-def test_logmag_sum_tiny_magnitudes():
-    # values far below double underflow still sum correctly in the log domain
-    terms = [LogMagnitude(1, -2000.0), LogMagnitude(1, -2000.0)]
-    out = logmag_sum(terms)
-    assert out.sign == 1
-    assert out.log_abs == pytest.approx(-2000.0 + math.log(2.0), rel=1e-12)
+def test_log_thinning_support():
+    assert log_thinning(4, 2, 0.5) == pytest.approx(math.log(6.0 / 16.0))
+    assert log_thinning(4, 5, 0.5) == float("-inf")
+    assert log_thinning(-2, 0, 0.5) == float("-inf")
+    # 0^0 = 1 at the ends of the efficiency range
+    assert log_thinning(3, 3, 1.0) == 0.0
+    assert log_thinning(3, 0, 0.0) == 0.0
+    assert log_thinning(0, 0, 0.0) == 0.0
+    assert log_thinning(3, 2, 1.0) == float("-inf")
+    assert log_thinning(3, 1, 0.0) == float("-inf")
 
 
 # ------------------------------------------------------------------- jacobi
