@@ -251,8 +251,7 @@ def _cmd_optimize(args) -> int:
     s_star = HalfInt.of(args.s)
     policy = _policy_for(s_star, args.policy_tol, args.policy_max_s)
     loss = LossConfig.equal_eta(args.eta)
-    angles, rec = optimize_angles(s_star, args.r, loss, policy, convention=args.conventions
-                                  if args.conventions != "both" else "conditioned")
+    angles, rec = optimize_angles(s_star, args.r, loss, policy, convention=args.conventions)
     report = {
         "s": s_star.value,
         "r": args.r,
@@ -407,6 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "optimize" and args.conventions == "both":
+        parser.error("argument --conventions: 'both' is not accepted by optimize, "
+                     "which maximizes one convention")
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .ideal import AngleTriple, theta_triple
 from .loss import LossConfig, log_weight_table
-from .numerics import HalfInt, wigner_d_matrix
+from .numerics import HalfInt, InternalConsistencyError, wigner_d_matrix
 from .source import sector_weight_tail
 
 __all__ = [
@@ -53,10 +53,6 @@ _MAX_SOURCE_TWICE = 400
 
 class DegenerateSectorError(RuntimeError):
     """Raised when the post-selected sector carries essentially no weight."""
-
-
-class InternalConsistencyError(RuntimeError):
-    """Raised when signed sums produce a negative probability beyond noise."""
 
 
 @dataclass(frozen=True)

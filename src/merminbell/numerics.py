@@ -7,7 +7,9 @@ Yang & Jin, Phys. Rev. E 92, 043307 (2015)).  V is taken from the real
 symmetric S_x, which a diagonal phase matrix maps onto S_y, so only real
 arithmetic is needed.  Unlike the explicit alternating factorial sum, which
 cancels catastrophically beyond 2s ~ 60, this stays unitary to rounding at
-every spin the engine accepts.
+every spin the engine accepts.  The eigenvectors are checked for
+orthogonality once per spin, since an orthogonal V makes every d(beta)
+unitary to rounding.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Iterator
 import numpy as np
 
 __all__ = [
+    "InternalConsistencyError",
     "HalfInt",
     "half",
     "half_range",
@@ -27,6 +30,11 @@ __all__ = [
     "wigner_d",
     "wigner_d_matrix",
 ]
+
+
+class InternalConsistencyError(RuntimeError):
+    """Raised when a computed quantity breaks an identity it must satisfy,
+    such as a negative probability or a non-orthogonal rotation basis."""
 
 
 @dataclass(frozen=True, order=True)
@@ -134,6 +142,11 @@ def _sx_eigenvectors(ts: int) -> np.ndarray:
     m = np.arange(-ts, ts, 2) / 2.0
     half_raising = 0.5 * np.sqrt(s * (s + 1) - m * (m + 1))  # <m+1|S_x|m>
     _, u = np.linalg.eigh(np.diag(half_raising, -1) + np.diag(half_raising, 1))
+    defect = float(np.max(np.abs(u.T @ u - np.eye(ts + 1))))
+    if not defect <= 1e-10:
+        raise InternalConsistencyError(
+            f"rotation basis of spin {HalfInt(ts)} has orthogonality defect {defect:.2e}"
+        )
     return u
 
 

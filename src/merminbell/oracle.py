@@ -4,7 +4,10 @@ Everything here works directly on photon occupation amplitudes of the four
 optical modes (a1, a2, b1, b2): explicit state preparation, Kraus-sum loss
 channels, beamsplitter analyzer unitaries, and photon-counting readout.  No
 spin algebra is shared with the analytic modules; agreement between the two
-routes is the package's core correctness check.
+routes is the package's core correctness check.  A loss Kraus operator sends
+each basis state to exactly one basis state (n -> n - k on its mode), so it
+is applied as a weighted index map, not a dense product; the density matrix
+is real unless the input state has a complex amplitude.
 
 The working basis holds every occupation with per-side photon totals up to
 the totals present in the initial state, which is closed under both loss
@@ -70,7 +73,7 @@ def build_epr2(
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     t_sec = None if sector_max is None else HalfInt.of(sector_max).twice
-    amp: dict[tuple[int, int, int, int], complex] = {}
+    amp: dict[tuple[int, int, int, int], float] = {}
     norm = math.cosh(r1) * math.cosh(r2)
     for n1 in range(cutoff + 1):
         for n2 in range(cutoff + 1):
@@ -81,7 +84,7 @@ def build_epr2(
                 continue
             if pi_shift_on_a2 and n2 % 2:
                 a = -a
-            amp[(n1, n2, n1, n2)] = complex(a)
+            amp[(n1, n2, n1, n2)] = a
     return TruncatedFockState(cutoff=cutoff, amplitudes=amp)
 
 
@@ -105,7 +108,8 @@ class DensityMatrixLite:
             for n4 in range(nb + 1 - n3)
         ]
         index = {t: i for i, t in enumerate(basis)}
-        psi = np.zeros(len(basis), dtype=complex)
+        amps = np.asarray(list(state.amplitudes.values()))
+        psi = np.zeros(len(basis), dtype=np.result_type(amps, float))
         for t, a in state.amplitudes.items():
             psi[index[t]] = a
         return cls(basis, np.outer(psi, psi.conj()))
@@ -130,32 +134,35 @@ def _as_dm(obj) -> DensityMatrixLite:
 
 def apply_loss(obj, mode: str, eta: float) -> DensityMatrixLite:
     """Kraus-sum loss channel on one mode: k photons lost with amplitude
-    sqrt(C(n,k)) eta^((n-k)/2) (1-eta)^(k/2)."""
+    sqrt(C(n,k)) eta^((n-k)/2) (1-eta)^(k/2).
+
+    The k-photon Kraus operator sends each state with n >= k to its copy with
+    n - k photons, so K rho K^T is a weighted copy of a sub-block of rho.
+    """
     if mode not in _MODE_POS:
         raise ValueError(f"unknown mode {mode!r}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     dm = _as_dm(obj)
-    pos = _MODE_POS[mode]
-    dim = len(dm.basis)
-    max_n = max(t[pos] for t in dm.basis)
+    occ = np.array(dm.basis, dtype=np.int64).reshape(-1, 4)
+    n = occ[:, _MODE_POS[mode]]
+    # occupations as mixed-radix keys: losing k photons subtracts k * place
+    places = (int(occ.max()) + 1) ** np.arange(3, -1, -1, dtype=np.int64)
+    keys = occ @ places
+    order = np.argsort(keys)
     new = np.zeros_like(dm.rho)
-    for k in range(max_n + 1):
-        if eta == 1.0 and k > 0:
-            break
-        kr = np.zeros((dim, dim))
-        for j, t in enumerate(dm.basis):
-            n = t[pos]
-            if n < k:
-                continue
-            w = math.sqrt(math.comb(n, k)) * eta ** ((n - k) / 2.0) * (1.0 - eta) ** (k / 2.0)
-            if w == 0.0:
-                continue
-            lowered = list(t)
-            lowered[pos] = n - k
-            kr[dm.index[tuple(lowered)], j] = w
-        if kr.any():
-            new += kr @ dm.rho @ kr.T
+    for k in range(n.max() + 1 if eta < 1.0 else 1):
+        table = [0.0] * k + [
+            math.sqrt(math.comb(m, k)) * eta ** ((m - k) / 2.0) * (1.0 - eta) ** (k / 2.0)
+            for m in range(k, n.max() + 1)
+        ]
+        w = np.array(table)[n]
+        cols = np.flatnonzero(w)
+        target = keys[cols] - k * places[_MODE_POS[mode]]
+        rows = order[np.searchsorted(keys, target, sorter=order) % len(keys)]
+        if not np.array_equal(keys[rows], target):
+            raise ValueError("basis is not closed under photon loss")
+        new[np.ix_(rows, rows)] += w[cols, None] * dm.rho[np.ix_(cols, cols)] * w[None, cols]
     return DensityMatrixLite(dm.basis, new)
 
 
@@ -197,21 +204,14 @@ def apply_analyzer(obj, side: str, angle: float) -> DensityMatrixLite:
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
     dm = _as_dm(obj)
-    dim = len(dm.basis)
-    u = np.zeros((dim, dim))
+    lead, other = (0, 1) if side == "A" else (3, 2)
+    u = np.zeros((len(dm.basis), len(dm.basis)))
     for j, t in enumerate(dm.basis):
-        if side == "A":
-            nf, ng = t[0], t[1]
-        else:
-            nf, ng = t[3], t[2]
-        for kf, kg, w in _rotation_coeffs(nf, ng, float(angle)):
+        for kf, kg, w in _rotation_coeffs(t[lead], t[other], float(angle)):
             out = list(t)
-            if side == "A":
-                out[0], out[1] = kf, kg
-            else:
-                out[3], out[2] = kf, kg
+            out[lead], out[other] = kf, kg
             u[dm.index[tuple(out)], j] += w
-    return DensityMatrixLite(dm.basis, u @ dm.rho @ u.conj().T)
+    return DensityMatrixLite(dm.basis, u @ dm.rho @ u.T)
 
 
 def _bob_projection(n_b1: int, n_b2: int) -> int:

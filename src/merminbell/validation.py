@@ -52,6 +52,11 @@ ORACLE_TRIPLES: tuple[AngleTriple, ...] = (
 )
 
 
+def _worst(errors: list[tuple[float, dict]]) -> tuple[float, dict | None]:
+    """The largest error and the first setting where it occurred."""
+    return max(errors, key=lambda e: e[0], default=(0.0, None))
+
+
 def eta1_reduction_report(
     s_values: Iterable = (HalfInt(1), HalfInt(2), HalfInt(3), HalfInt(4), HalfInt(5)),
     r_values: Iterable[float] = (0.2, 0.5),
@@ -59,8 +64,7 @@ def eta1_reduction_report(
     tol: float = 1e-9,
 ) -> dict:
     """Perfect-detection reduction: lossy sides must equal the ideal forms."""
-    max_lhs = 0.0
-    max_rhs = 0.0
+    lhs_errors, rhs_errors = [], []
     for r in r_values:
         eng = LossyEngine(r, LossConfig.equal_eta(1.0))
         for s in s_values:
@@ -69,13 +73,20 @@ def eta1_reduction_report(
             for ang in triples:
                 got = eng.mermin_sides(s, ang, policy)
                 want = ideal_mermin_sides(s, ang)
-                max_lhs = max(max_lhs, abs(got.lhs - want.lhs))
-                max_rhs = max(max_rhs, abs(got.rhs - want.rhs))
+                where = {
+                    "r": r, "s": s.value, "alpha": ang.alpha, "beta": ang.beta, "gamma": ang.gamma
+                }
+                lhs_errors.append((abs(got.lhs - want.lhs), where))
+                rhs_errors.append((abs(got.rhs - want.rhs), where))
+    max_lhs, worst_lhs = _worst(lhs_errors)
+    max_rhs, worst_rhs = _worst(rhs_errors)
     passed = max_lhs <= tol and max_rhs <= tol
     return {
         "name": "eta1_reduction",
         "max_lhs_error": max_lhs,
         "max_rhs_error": max_rhs,
+        "worst_lhs": worst_lhs,
+        "worst_rhs": worst_rhs,
         "tolerance": tol,
         "passed": passed,
     }
@@ -98,8 +109,7 @@ def oracle_equivalence_report(
     """
     s_cap = HalfInt.of(sector_max)
     policy = TruncationPolicy(s_start=s_cap, max_s=s_cap)
-    max_joint = 0.0
-    max_corr = 0.0
+    joint_errors, corr_errors = [], []
     configs: list[LossConfig] = []
     for eta in eta_values:
         configs.append(LossConfig.equal_eta(eta))
@@ -111,10 +121,10 @@ def oracle_equivalence_report(
             for ang in triples:
                 want = simulate_joint(r, loss, ang.alpha, ang.beta, cutoff, sector_max=s_cap)
                 got = eng.joint(ang.alpha, ang.beta, policy)
-                keys = set(want.entries) | set(got.entries)
-                for k in keys:
+                where = {"r": r, "etas": list(loss.etas()), "alpha": ang.alpha, "beta": ang.beta}
+                for k in sorted(set(want.entries) | set(got.entries)):
                     diff = abs(want.entries.get(k, 0.0) - got.entries.get(k, 0.0))
-                    max_joint = max(max_joint, diff)
+                    joint_errors.append((diff, {**where, "key": [h.twice for h in k]}))
                 for s_star in half_range(HalfInt(1), s_cap):
                     p_oracle = want.sector_probability(s_star, s_star)
                     if p_oracle < 1e-12:
@@ -123,12 +133,16 @@ def oracle_equivalence_report(
                     c_closed, _, _, _ = eng.correlation(
                         ang.alpha, ang.beta, s_star, policy, conditioned=True
                     )
-                    max_corr = max(max_corr, abs(c_oracle - c_closed))
+                    corr_errors.append((abs(c_oracle - c_closed), {**where, "s": s_star.value}))
+    max_joint, worst_joint = _worst(joint_errors)
+    max_corr, worst_corr = _worst(corr_errors)
     passed = max_joint <= tol and max_corr <= tol
     return {
         "name": "oracle_equivalence",
         "max_joint_error": max_joint,
         "max_correlation_error": max_corr,
+        "worst_joint": worst_joint,
+        "worst_correlation": worst_corr,
         "tolerance": tol,
         "passed": passed,
     }

@@ -176,11 +176,12 @@ def test_mutated_bob_sign_fails_reduction(monkeypatch):
         ["fock-weights", "--r", "0.3", "--n-max", "-1"],
         ["optimize", "--s", "1", "--r", "0.3", "--workers", "-2"],
         ["sweep-theta", "--s", "1", "--r", "0.3", "--eta", "0.9", "--theta-steps", "0"],
+        ["optimize", "--s", "1", "--r", "0.3", "--conventions", "both"],
     ],
     ids=[
         "s-zero", "s-not-half-integer", "eta-above-one", "r-negative", "base-angle-nan",
         "policy-tol-nan", "policy-max-s-not-half-integer", "n-max-negative", "workers-negative",
-        "theta-steps-zero",
+        "theta-steps-zero", "optimize-both-conventions",
     ],
 )
 def test_bad_input_exits_2_with_usage(argv, capsys):
@@ -210,3 +211,51 @@ def test_reduction_report_small():
     rep = eta1_reduction_report(s_values=(HalfInt(1),), r_values=(0.3,))
     assert rep["passed"]
     assert rep["max_lhs_error"] < 1e-10
+
+
+def test_worst_error_locations_name_evaluated_settings():
+    from merminbell.ideal import ideal_mermin_sides
+    from merminbell.loss import LossConfig
+    from merminbell.lossy import LossyEngine, TruncationPolicy
+    from merminbell.numerics import HalfInt
+    from merminbell.oracle import simulate_joint
+    from merminbell.validation import ORACLE_TRIPLES, REDUCTION_TRIPLES, oracle_equivalence_report
+
+    triples = REDUCTION_TRIPLES[:3]
+    rep = eta1_reduction_report(s_values=(HalfInt(1), HalfInt(2)), r_values=(0.3,), triples=triples)
+    for side in ("lhs", "rhs"):
+        where = rep[f"worst_{side}"]
+        s = HalfInt.of(where["s"])
+        angles = next(a for a in triples if (a.alpha, a.beta, a.gamma)
+                      == (where["alpha"], where["beta"], where["gamma"]))
+        assert where["r"] == 0.3 and s in (HalfInt(1), HalfInt(2))
+        policy = TruncationPolicy(s_start=s, max_s=s + HalfInt(4))
+        got = LossyEngine(0.3, LossConfig.equal_eta(1.0)).mermin_sides(s, angles, policy)
+        err = abs(getattr(got, side) - getattr(ideal_mermin_sides(s, angles), side))
+        assert err == rep[f"max_{side}_error"]
+
+    cap = HalfInt(3)
+    policy = TruncationPolicy(s_start=cap, max_s=cap)
+    triples = ORACLE_TRIPLES[:2]
+    rep = oracle_equivalence_report(
+        r_values=(0.4,), eta_values=(0.8,), triples=triples, cutoff=3, sector_max=cap
+    )
+    configs = {(0.8,) * 4, (0.9, 0.7, 0.8, 0.6)}
+    for name in ("worst_joint", "worst_correlation"):
+        where = rep[name]
+        assert where["r"] == 0.4 and tuple(where["etas"]) in configs
+        assert (where["alpha"], where["beta"]) in {(a.alpha, a.beta) for a in triples}
+    where = rep["worst_joint"]
+    loss = LossConfig(*where["etas"])
+    want = simulate_joint(0.4, loss, where["alpha"], where["beta"], 3, sector_max=cap)
+    got = LossyEngine(0.4, loss).joint(where["alpha"], where["beta"], policy)
+    key = tuple(HalfInt(t) for t in where["key"])
+    assert key in want.entries or key in got.entries
+    assert abs(want.entries.get(key, 0.0) - got.entries.get(key, 0.0)) == rep["max_joint_error"]
+    where = rep["worst_correlation"]
+    loss = LossConfig(*where["etas"])
+    s = HalfInt.of(where["s"])
+    want = simulate_joint(0.4, loss, where["alpha"], where["beta"], 3, sector_max=cap)
+    got, _, _, _ = LossyEngine(0.4, loss).correlation(where["alpha"], where["beta"], s, policy)
+    err = abs(want.correlation(sector=(s, s), conditioned=True) - got)
+    assert err == rep["max_correlation_error"]

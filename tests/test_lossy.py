@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from merminbell import numerics
 from merminbell.ideal import AngleTriple, ideal_correlation, ideal_mermin_sides, theta_triple
 from merminbell.loss import LossConfig
 from merminbell.lossy import (
     DegenerateSectorError,
+    InternalConsistencyError,
     LossyEngine,
     TruncationPolicy,
     correlation_alt_bookkeeping,
@@ -392,3 +394,27 @@ def test_alt_bookkeeping_golden_values(r, eta, alpha, beta, cap, want):
     # recorded from the literal seven-deep loop transcription of the form
     got = correlation_alt_bookkeeping(r, eta, alpha, beta, HalfInt.of(cap))
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_non_orthogonal_rotation_basis_is_an_internal_error(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def perturbed(a):
+        w, u = eigh(a)
+        return w, u * (1.0 + 1e-8)
+
+    numerics._sx_eigenvectors.cache_clear()
+    numerics._wigner_matrix_cached.cache_clear()
+    monkeypatch.setattr(numerics.np.linalg, "eigh", perturbed)
+    try:
+        engine = LossyEngine(0.3, LossConfig.equal_eta(0.9))
+        with pytest.raises(InternalConsistencyError, match="orthogonality defect"):
+            engine.mermin_sides(HalfInt(2), theta_triple(0.2))
+        [rec] = sweep([HalfInt(2)], [0.3], [0.9], [0.2])
+        assert rec.error.startswith("InternalConsistencyError")
+        assert math.isnan(rec.violation)
+    finally:
+        monkeypatch.undo()
+        numerics._sx_eigenvectors.cache_clear()
+        numerics._wigner_matrix_cached.cache_clear()
+    assert engine.mermin_sides(HalfInt(2), theta_triple(0.2)).error is None

@@ -1,8 +1,12 @@
+import ast
+import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import merminbell.oracle as oracle_mod
 from merminbell.loss import LossConfig
 from merminbell.numerics import HalfInt
 from merminbell.oracle import (
@@ -177,3 +181,88 @@ def test_trace_conserved_through_full_pipeline():
     dm = apply_analyzer(dm, "B", -0.4)
     assert dm.trace() == pytest.approx(t0, abs=1e-12)
     assert measure_joint(dm).total_mass() == pytest.approx(t0, abs=1e-12)
+
+
+def _dense_loss_reference(dm, mode, eta):
+    """Kraus sum with each K_k built as a dense dim x dim matrix, then K rho K^T."""
+    pos = ("a1", "a2", "b1", "b2").index(mode)
+    dim = len(dm.basis)
+    max_n = max(t[pos] for t in dm.basis)
+    new = np.zeros_like(dm.rho)
+    for k in range(max_n + 1):
+        if eta == 1.0 and k > 0:
+            break
+        kr = np.zeros((dim, dim))
+        for j, t in enumerate(dm.basis):
+            n = t[pos]
+            if n < k:
+                continue
+            w = math.sqrt(math.comb(n, k)) * eta ** ((n - k) / 2.0) * (1.0 - eta) ** (k / 2.0)
+            if w == 0.0:
+                continue
+            lowered = list(t)
+            lowered[pos] = n - k
+            kr[dm.index[tuple(lowered)], j] = w
+        if kr.any():
+            new += kr @ dm.rho @ kr.T
+    return new
+
+
+@pytest.mark.parametrize("sector_max", [None, HalfInt(1)], ids=["uncapped", "sector-capped"])
+@pytest.mark.parametrize("eta", [0.0, 0.37, 1.0])
+def test_apply_loss_matches_dense_kraus_reference(sector_max, eta):
+    dm = DensityMatrixLite.from_state(build_epr2(0.5, 0.4, cutoff=2, sector_max=sector_max))
+    for mode in ("a1", "a2", "b1", "b2"):
+        want = _dense_loss_reference(dm, mode, eta)
+        got = apply_loss(dm, mode, eta)
+        assert got.rho.dtype == want.dtype
+        assert np.max(np.abs(got.rho - want)) <= 1e-15
+        dm = got  # the next mode sees a mixed state
+
+
+def test_complex_amplitudes_stay_supported():
+    base = build_epr2(0.5, 0.4, cutoff=2)
+    phased = TruncatedFockState(
+        cutoff=base.cutoff,
+        amplitudes={
+            t: a * cmath.exp(1j * (0.3 * t[0] - 0.7 * t[1] + 1.1 * t[3]))
+            for t, a in base.amplitudes.items()
+        },
+    )
+    dm = DensityMatrixLite.from_state(phased)
+    assert dm.rho.dtype == np.complex128
+    lossy = apply_loss(dm, "a2", 0.37)
+    assert np.max(np.abs(lossy.rho - _dense_loss_reference(dm, "a2", 0.37))) <= 1e-15
+    # the analyzer unitary is real, so it maps real and imaginary parts separately
+    rot = apply_analyzer(lossy, "B", 0.8).rho
+    parts = [apply_analyzer(DensityMatrixLite(lossy.basis, x), "B", 0.8).rho
+             for x in (lossy.rho.real.copy(), lossy.rho.imag.copy())]
+    assert np.max(np.abs(rot.imag)) > 1e-3
+    assert np.max(np.abs(rot - (parts[0] + 1j * parts[1]))) <= 1e-14
+
+
+def test_source_density_matrix_is_real():
+    dm = DensityMatrixLite.from_state(build_epr2(0.5, 0.5, cutoff=3))
+    assert dm.rho.dtype == np.float64
+    out = apply_analyzer(apply_loss(dm, "b1", 0.6), "A", 0.4)
+    assert out.rho.dtype == np.float64
+
+
+def test_apply_loss_rejects_basis_not_closed_under_loss():
+    dm = DensityMatrixLite([(1, 0, 0, 0)], np.ones((1, 1)))
+    with pytest.raises(ValueError, match="not closed"):
+        apply_loss(dm, "a1", 0.5)
+
+
+def test_oracle_imports_nothing_from_the_analytic_route():
+    # the oracle validates the closed forms only while it shares no spin algebra with them
+    tree = ast.parse(Path(oracle_mod.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "merminbell"
+        ):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] != "merminbell" for alias in node.names)
+    assert names == {"LossConfig", "JointOutcomeDistribution", "HalfInt"}
