@@ -75,6 +75,14 @@ def _write_rows(columns: list[str], rows: list[dict], out_path: str | None, fmt:
             obj = {c: row.get(c) for c in columns}
             lines.append(json.dumps(obj, allow_nan=True, sort_keys=False))
         data = "\n".join(lines) + "\n"
+    _emit(data, out_path)
+
+
+def _write_report(report: dict, out_path: str | None) -> None:
+    _emit(json.dumps(report, indent=2) + "\n", out_path)
+
+
+def _emit(data: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", newline="") as fh:
             fh.write(data)
@@ -151,28 +159,12 @@ def _eta_task(payload: dict) -> list[dict]:
     return rows
 
 
-_TASKS = {"theta": _theta_task, "eta": _eta_task}
-
-
-def _run_task(task: tuple[int, str, dict]) -> tuple[int, list[dict]]:
-    idx, kind, payload = task
-    return idx, _TASKS[kind](payload)
-
-
-def _dispatch(tasks: list[tuple[int, str, dict]], workers: int) -> list[dict]:
-    results: dict[int, list[dict]] = {}
-    if workers <= 1 or len(tasks) <= 1:
-        for t in tasks:
-            idx, rows = _run_task(t)
-            results[idx] = rows
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for idx, rows in pool.map(_run_task, tasks):
-                results[idx] = rows
-    out: list[dict] = []
-    for idx in sorted(results):
-        out.extend(results[idx])
-    return out
+def _dispatch(task, payloads: list[dict], workers: int) -> list[dict]:
+    """Rows of every payload, in payload order (``pool.map`` keeps submission order)."""
+    if workers <= 1 or len(payloads) <= 1:
+        return [row for payload in payloads for row in task(payload)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [row for rows in pool.map(task, payloads) for row in rows]
 
 
 def _conventions(arg: str) -> list[str]:
@@ -188,12 +180,9 @@ def _cmd_sweep_theta(args) -> int:
     step = (args.theta_max - args.theta_min) / max(args.theta_steps - 1, 1)
     thetas = [args.theta_min + i * step for i in range(args.theta_steps)]
     convs = _conventions(args.conventions)
-    tasks = []
-    idx = 0
-    ts = HalfInt.of(args.s).twice
-    for eta in args.eta:
-        payload = {
-            "ts": ts,
+    payloads = [
+        {
+            "ts": HalfInt.of(args.s).twice,
             "r": args.r,
             "eta": eta,
             "thetas": thetas,
@@ -202,46 +191,29 @@ def _cmd_sweep_theta(args) -> int:
             "max_s": args.policy_max_s,
             "conventions": convs,
         }
-        tasks.append((idx, "theta", payload))
-        idx += 1
-    rows = _dispatch(tasks, args.workers)
+        for eta in args.eta
+    ]
+    rows = _dispatch(_theta_task, payloads, args.workers)
     columns = SWEEP_COLUMNS + (["convention"] if len(convs) > 1 else [])
     _write_rows(columns, rows, args.out, args.format)
     return 0
 
 
-def _eta_grid_rows(args) -> list[dict]:
+def _cmd_eta_grid(args) -> int:
     convs = _conventions(args.conventions)
-    tasks = []
-    idx = 0
-    for s in args.s:
-        ts = HalfInt.of(s).twice
-        for r in args.r:
-            payload = {
-                "ts": ts,
-                "r": r,
-                "etas": list(args.eta),
-                "tol": args.policy_tol,
-                "max_s": args.policy_max_s,
-                "conventions": convs,
-            }
-            tasks.append((idx, "eta", payload))
-            idx += 1
-    return _dispatch(tasks, args.workers)
-
-
-def _cmd_sweep_eta(args) -> int:
-    args.r = [args.r]
-    rows = _eta_grid_rows(args)
-    convs = _conventions(args.conventions)
-    columns = ETA_COLUMNS + (["convention"] if len(convs) > 1 else [])
-    _write_rows(columns, rows, args.out, args.format)
-    return 0
-
-
-def _cmd_surface(args) -> int:
-    rows = _eta_grid_rows(args)
-    convs = _conventions(args.conventions)
+    payloads = [
+        {
+            "ts": HalfInt.of(s).twice,
+            "r": r,
+            "etas": list(args.eta),
+            "tol": args.policy_tol,
+            "max_s": args.policy_max_s,
+            "conventions": convs,
+        }
+        for s in args.s
+        for r in args.r
+    ]
+    rows = _dispatch(_eta_task, payloads, args.workers)
     columns = ETA_COLUMNS + (["convention"] if len(convs) > 1 else [])
     _write_rows(columns, rows, args.out, args.format)
     return 0
@@ -266,12 +238,7 @@ def _cmd_optimize(args) -> int:
         "converged": rec.converged,
         "s_cutoff_used": rec.s_cutoff_used.value,
     }
-    data = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.write(data)
+    _write_report(report, args.out)
     return 0
 
 
@@ -279,12 +246,7 @@ def _cmd_validate(args) -> int:
     ok, report = run_all(fast=args.fast)
     if args.conventions in ("unconditioned", "both"):
         report["convention_comparison"] = convention_comparison_rows()
-    data = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.write(data)
+    _write_report(report, args.out)
     if not ok:
         sys.stderr.write("validation FAILED\n")
         return 1
@@ -338,8 +300,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--policy-tol",
         type=_tolerance,
         default=1e-6,
-        help="stop the source sum when a step changes the post-selected sector probability "
-        "by at most this relative amount",
+        help="stop the source sum when a step changes the probability of the computed "
+        "outcome sectors by at most this relative amount",
     )
     p.add_argument("--policy-max-s", type=_spin, default=None, help="hard cap on the source spin sum")
     p.add_argument(
@@ -370,17 +332,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-eta", help="violation vs efficiency at the eta=1 optimal angles")
     p.add_argument("--s", type=_spin, nargs="+", required=True)
-    p.add_argument("--r", type=_squeezing, required=True)
+    p.add_argument("--r", type=_squeezing, nargs=1, required=True)
     p.add_argument("--eta", type=_efficiency, nargs="+", required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_sweep_eta)
+    p.set_defaults(func=_cmd_eta_grid)
 
     p = sub.add_parser("surface", help="violation on a full (s, r, eta) grid")
     p.add_argument("--s", type=_spin, nargs="+", required=True)
     p.add_argument("--r", type=_squeezing, nargs="+", required=True)
     p.add_argument("--eta", type=_efficiency, nargs="+", required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_surface)
+    p.set_defaults(func=_cmd_eta_grid)
 
     p = sub.add_parser("optimize", help="maximize the violation over the analyzer triple")
     p.add_argument("--s", type=_spin, required=True)

@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import HalfInt, wigner_d
-from .schwinger import projections
+import numpy as np
+
+from .numerics import HalfInt, wigner_d, wigner_d_matrix
 
 __all__ = [
     "AngleTriple",
@@ -83,14 +84,12 @@ def ideal_mermin_sides(s, angles: AngleTriple) -> InequalitySides:
     rhs = corr(alpha-gamma) + corr(beta-gamma).
     """
     s = HalfInt.of(s)
-    delta = angles.alpha - angles.beta
-    lhs = 0.0
-    for m in projections(s):
-        for mp in projections(s):
-            w = abs(m.value - mp.value)
-            if w:
-                lhs += w * ideal_pair_probability(s, m, mp, delta)
-    lhs *= s.value
+    d = wigner_d_matrix(s, math.pi - (angles.alpha - angles.beta))
+    m = np.arange(s.twice + 1)
+    terms = np.abs(m[:, None] - m[None, :]) * (d * d / (s.twice + 1))
+    # summed in sequence, m then m' ascending, so the eta = 1 reference
+    # keeps the rounding of the element-by-element sum
+    lhs = s.value * float(np.cumsum(terms.ravel())[-1])
     rhs = ideal_correlation(s, angles.alpha - angles.gamma) + ideal_correlation(
         s, angles.beta - angles.gamma
     )

@@ -8,9 +8,10 @@ binomial thinnings.  Analyzer rotations contract those weights with pairs of
 rotation-matrix elements.
 Everything is accumulated sector by sector so the infinite source sum can be
 cut off dynamically, with an exact geometric bound on the discarded weight.
-For a post-selected sector pair the angle-independent kernel is converged
+The angle-independent kernels of the computed outcome sector pairs (one
+post-selected pair, or every pair reachable below the cutoff) are converged
 once per truncation policy; the joint distribution, both correlations and
-the left side at any analyzer setting are contractions of it.
+the left side at any analyzer setting are contractions of them.
 
 Bob's spin convention is m_B = (n_B2 - n_B1)/2, so his "up" mode is the
 second one; the per-side weight tables are generic in (w, w') and the
@@ -61,10 +62,12 @@ class TruncationPolicy:
 
     The sum is evaluated at ``s_start``, then repeatedly extended by
     ``extend_by`` until the relative change drops below ``rel_tol`` or
-    ``max_s`` is reached.  For a post-selected sector the watched quantity
-    is the sector probability: every source sector adds a positive
-    semidefinite piece whose trace is its share of that probability, so no
-    joint probability at any analyzer angle moves by more than the change.
+    ``max_s`` is reached.  The watched quantity is always the probability
+    the computed outcome sectors hold (the post-selected sector probability,
+    or the total probability of an unrestricted run): every source sector
+    adds a positive semidefinite piece whose trace is its share of that
+    probability, so no joint probability at any analyzer angle moves by more
+    than the change.
     """
 
     s_start: HalfInt
@@ -101,9 +104,8 @@ class JointOutcomeDistribution:
     """Probabilities of joint readouts (s_a, m_a, s_b, m_b).
 
     For unrestricted runs the entries plus ``tail_bound`` account for all
-    probability, and convergence is judged on the entry set fixed at the
-    initial cutoff.  Sector-restricted runs hold only the requested sectors
-    and are converged on their sector probability.
+    probability.  Sector-restricted runs hold only the requested sectors.
+    Either is converged on the probability its entries hold.
     """
 
     entries: dict[tuple[HalfInt, HalfInt, HalfInt, HalfInt], float]
@@ -222,11 +224,6 @@ def _ladder_weights(tso: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mu, lp, lm
 
 
-def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
-    denom = np.maximum(np.maximum(np.abs(new), np.abs(old)), 1e-300)
-    return float(np.max(np.abs(new - old) / denom))
-
-
 class LossyEngine:
     """Shared caches for repeated evaluations at one (r, loss) setting.
 
@@ -286,60 +283,48 @@ class LossyEngine:
             out[dl + dmax] = -blk if dl % 2 else blk
         return out
 
-    def _kernel(self, tsa: int, tsb: int, policy: TruncationPolicy):
-        """Converged kernel (T, cutoff, converged) of the post-selected sector pair.
+    def _kernels(self, pairs: tuple | None, policy: TruncationPolicy):
+        """Converged kernels ({(tsa, tsb): T}, cutoff, converged) of outcome sector pairs.
 
         T[dl + dmax, mu_a, mu_b] sums the source-sector blocks up to the
         cutoff; it does not depend on the analyzer angles, so it is built
-        once per (sector pair, policy) and every angle contracts it.
+        once per (pairs, policy) and every angle contracts it.  ``pairs``
+        None takes every pair reachable below the cutoff.  The cutoff grows
+        until a step changes the probability the kernels hold by at most
+        ``policy.rel_tol`` relative.
         """
-        key = (tsa, tsb, policy)
+        key = (pairs, policy)
         got = self._kernel_cache.get(key)
         if got is not None:
             return got
-        dmax = min(tsa, tsb)
-        tcum = np.zeros((2 * dmax + 1, tsa + 1, tsb + 1))
-        applied = max(tsa, tsb) - 1
-
-        def extend(tcut: int) -> None:
-            nonlocal applied, tcum
-            for ts in range(applied + 1, tcut + 1):
-                tcum += self._t_sector(tsa, tsb, ts)
-            applied = max(applied, tcut)
-
-        def snapshot() -> np.ndarray:
-            return np.array([tcum[dmax].sum()])
-
-        _, tcut, ok = self._converge(policy, max(tsa, tsb), extend, snapshot)
-        tcum.setflags(write=False)
-        got = self._kernel_cache[key] = (tcum, tcut, ok)
-        return got
-
-    def _converge(
-        self,
-        policy: TruncationPolicy,
-        t_floor: int,
-        extend: Callable[[int], None],
-        snapshot: Callable[[], np.ndarray],
-    ) -> tuple[np.ndarray, int, bool]:
-        """Run the dynamic-cutoff loop; returns (value, cutoff_used, converged)."""
-        t_start = max(policy.s_start.twice, t_floor)
+        t_floor = max(max(p) for p in pairs) if pairs else 0
         t_max = max(policy.max_s.twice, t_floor)
-        step = policy.extend_by.twice
-        extend(t_start)
-        prev = snapshot()
-        tcut = t_start
-        if tcut >= t_max:
-            return prev, tcut, sector_weight_tail(HalfInt(tcut), self.r) == 0.0
+        tcut = max(policy.s_start.twice, t_floor)
+        ok = tcut >= t_max and sector_weight_tail(HalfInt(tcut), self.r) == 0.0
+        kernels: dict[tuple[int, int], np.ndarray] = {}
+        applied, prev = -1, None
         while True:
-            tnext = min(tcut + step, t_max)
-            extend(tnext)
-            cur = snapshot()
-            if _rel_change(cur, prev) <= policy.rel_tol:
-                return cur, tnext, True
-            if tnext >= t_max:
-                return cur, tnext, False
-            prev, tcut = cur, tnext
+            for ts in range(applied + 1, tcut + 1):
+                live = pairs if pairs else [(a, b) for a in range(ts + 1) for b in range(ts + 1)]
+                for tsa, tsb in live:
+                    if max(tsa, tsb) > ts:
+                        continue
+                    t = kernels.get((tsa, tsb))
+                    if t is None:
+                        dmax = min(tsa, tsb)
+                        t = kernels[(tsa, tsb)] = np.zeros((2 * dmax + 1, tsa + 1, tsb + 1))
+                    t += self._t_sector(tsa, tsb, ts)
+            applied = tcut
+            mass = sum(float(t[min(tsa, tsb)].sum()) for (tsa, tsb), t in kernels.items())
+            if prev is not None:
+                ok = abs(mass - prev) / max(abs(mass), abs(prev), 1e-300) <= policy.rel_tol
+            if ok or tcut >= t_max:
+                break
+            prev, tcut = mass, min(tcut + policy.extend_by.twice, t_max)
+        for t in kernels.values():
+            t.setflags(write=False)
+        got = self._kernel_cache[key] = (kernels, tcut, ok)
+        return got
 
     def joint(
         self,
@@ -353,71 +338,21 @@ class LossyEngine:
         ``sectors`` restricts the computed entries to one (s_a, s_b) pair;
         otherwise every outcome reachable below the cutoff is returned.
         """
-        if sectors is not None:
-            tsa = HalfInt.of(sectors[0]).twice
-            tsb = HalfInt.of(sectors[1]).twice
-            return self._joint_restricted(tsa, tsb, alpha, beta, policy)
-        return self._joint_full(alpha, beta, policy)
-
-    def _joint_restricted(self, tsa, tsb, alpha, beta, policy):
-        t, tcut, ok = self._kernel(tsa, tsb, policy)
-        p = _contract(t, tsa, tsb, alpha, beta)
-        return JointOutcomeDistribution(
-            entries=self._entries_from_block(p, tsa, tsb),
-            tail_bound=sector_weight_tail(HalfInt(tcut), self.r),
-            s_cutoff_used=HalfInt(tcut),
-            converged=ok,
-        )
-
-    def _joint_full(self, alpha, beta, policy):
-        cum: dict[tuple[int, int], np.ndarray] = {}
-        applied = -1
-
-        def extend(tcut: int) -> None:
-            nonlocal applied
-            for ts in range(applied + 1, tcut + 1):
-                for tsa in range(0, ts + 1):
-                    for tsb in range(0, ts + 1):
-                        blk = self._t_sector(tsa, tsb, ts)
-                        key = (tsa, tsb)
-                        cum[key] = cum[key] + blk if key in cum else blk
-            applied = max(applied, tcut)
-
-        watched: list[tuple[int, int]] = []
-
-        def snapshot() -> np.ndarray:
-            # convergence is judged on the outcome sectors present at the
-            # first cutoff; later sectors are covered by the tail bound
-            if not watched:
-                watched.extend(sorted(cum.keys()))
-            vals = []
-            for key in watched:
-                tsa, tsb = key
-                vals.append(_contract(cum[key], tsa, tsb, alpha, beta).ravel())
-            return np.concatenate(vals) if vals else np.zeros(1)
-
-        _, tcut, ok = self._converge(policy, 0, extend, snapshot)
+        pairs = None if sectors is None else ((HalfInt.of(sectors[0]).twice, HalfInt.of(sectors[1]).twice),)
+        kernels, tcut, ok = self._kernels(pairs, policy)
         entries: dict = {}
-        for (tsa, tsb), tcum in sorted(cum.items()):
-            p = _contract(tcum, tsa, tsb, alpha, beta)
-            entries.update(self._entries_from_block(p, tsa, tsb))
+        for (tsa, tsb), t in sorted(kernels.items()):
+            p = _nonnegative(_contract(t, tsa, tsb, alpha, beta), tsa, tsb)
+            sa, sb = HalfInt(tsa), HalfInt(tsb)
+            for ia in range(tsa + 1):
+                for ib in range(tsb + 1):
+                    entries[(sa, HalfInt(2 * ia - tsa), sb, HalfInt(2 * ib - tsb))] = float(p[ia, ib])
         return JointOutcomeDistribution(
             entries=entries,
             tail_bound=sector_weight_tail(HalfInt(tcut), self.r),
             s_cutoff_used=HalfInt(tcut),
             converged=ok,
         )
-
-    @staticmethod
-    def _entries_from_block(p: np.ndarray, tsa: int, tsb: int) -> dict:
-        p = _nonnegative(p, tsa, tsb)
-        sa = HalfInt(tsa)
-        sb = HalfInt(tsb)
-        entries: dict = {}
-        for ia in range(tsa + 1):
-            for ib in range(tsb + 1):
-                entries[(sa, HalfInt(2 * ia - tsa), sb, HalfInt(2 * ib - tsb))] = float(p[ia, ib])
-        return entries
 
     # ----------------------------------------------------------- correlations
 
@@ -435,33 +370,17 @@ class LossyEngine:
         surviving sectors is returned and the sector probability is 1.
         Returns (value, sector_probability, cutoff_used, converged).
         """
-        if s_star is not None:
-            tso = HalfInt.of(s_star).twice
-            t, tcut, ok = self._kernel(tso, tso, policy)
-            num = _moment(t, tso, tso, alpha, beta)
-            den = float(t[tso].sum())
-            if conditioned:
-                if den < 1e-300:
-                    raise DegenerateSectorError(f"sector s={HalfInt(tso)} has probability {den:.3e}")
-                return num / den, den, HalfInt(tcut), ok
-            return num, den, HalfInt(tcut), ok
-
-        state = {"num": 0.0, "den": 0.0, "applied": -1}
-
-        def extend(tcut: int) -> None:
-            for ts in range(state["applied"] + 1, tcut + 1):
-                for ta in range(ts + 1):
-                    for tb in range(ts + 1):
-                        t = self._t_sector(ta, tb, ts)
-                        state["num"] += _moment(t, ta, tb, alpha, beta)
-                        state["den"] += float(t[min(ta, tb)].sum())
-            state["applied"] = max(state["applied"], tcut)
-
-        def snapshot() -> np.ndarray:
-            return np.array([state["num"], state["den"]])
-
-        vals, tcut, ok = self._converge(policy, 0, extend, snapshot)
-        return float(vals[0]), 1.0, HalfInt(tcut), ok
+        tso = None if s_star is None else HalfInt.of(s_star).twice
+        kernels, tcut, ok = self._kernels(None if tso is None else ((tso, tso),), policy)
+        num = sum(_moment(t, tsa, tsb, alpha, beta) for (tsa, tsb), t in kernels.items())
+        if tso is None:
+            return num, 1.0, HalfInt(tcut), ok
+        den = float(kernels[(tso, tso)][tso].sum())
+        if conditioned:
+            if den < 1e-300:
+                raise DegenerateSectorError(f"sector s={HalfInt(tso)} has probability {den:.3e}")
+            return num / den, den, HalfInt(tcut), ok
+        return num, den, HalfInt(tcut), ok
 
     # ------------------------------------------------------- inequality sides
 
@@ -487,7 +406,8 @@ class LossyEngine:
             policy = TruncationPolicy.for_sector(s_star)
         conditioned = convention == "conditioned"
         ts = s_star.twice
-        t, tcut, ok = self._kernel(ts, ts, policy)
+        kernels, tcut, ok = self._kernels(((ts, ts),), policy)
+        t = kernels[(ts, ts)]
         p = _nonnegative(_contract(t, ts, ts, angles.alpha, angles.beta), ts, ts)
         mass = float(p.sum())
         if mass < 1e-300:

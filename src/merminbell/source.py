@@ -17,8 +17,6 @@ __all__ = [
     "sector_amplitude",
     "sector_weight",
     "sector_weight_tail",
-    "SectorWeight",
-    "sector_weights_through",
     "singlet_sign",
     "FockWeights",
     "fock_weight_distribution",
@@ -62,18 +60,6 @@ def sector_weight_tail(s_cut, r: float) -> float:
     if y == 0.0:
         return 0.0
     return (n_cut + 2) * y ** (n_cut + 1) - (n_cut + 1) * y ** (n_cut + 2)
-
-
-@dataclass(frozen=True)
-class SectorWeight:
-    s: HalfInt
-    amplitude: float
-
-
-def sector_weights_through(s_max, r: float) -> list[SectorWeight]:
-    """Sector amplitudes for s = 0 .. s_max in half-integer steps."""
-    t_max = HalfInt.of(s_max).twice
-    return [SectorWeight(HalfInt(t), sector_amplitude(HalfInt(t), r)) for t in range(0, t_max + 1)]
 
 
 def singlet_sign(s, m) -> int:

@@ -70,13 +70,20 @@ def test_sweep_theta_rows_and_ordering(tmp_path):
         assert float(rows[i]["violation"]) > float(rows[i + 4]["violation"])
 
 
-def test_sweep_theta_worker_determinism(tmp_path):
-    args = ["sweep-theta", "--s", "1", "--r", "0.4", "--eta", "1.0", "0.85",
-            "--theta-steps", "5", "--theta-max", "0.5"]
+@pytest.mark.parametrize(
+    "args, workers",
+    [
+        (["sweep-theta", "--s", "1", "--r", "0.4", "--eta", "1.0", "0.85",
+          "--theta-steps", "5", "--theta-max", "0.5"], "8"),
+        (["surface", "--s", "0.5", "1", "--r", "0.3", "--eta", "1.0", "0.85"], "2"),
+    ],
+    ids=["sweep-theta", "surface"],
+)
+def test_worker_determinism(tmp_path, args, workers):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     assert _run_cli(args + ["--workers", "1", "--out", str(a)]).returncode == 0
-    assert _run_cli(args + ["--workers", "8", "--out", str(b)]).returncode == 0
+    assert _run_cli(args + ["--workers", workers, "--out", str(b)]).returncode == 0
     assert a.read_bytes() == b.read_bytes()
 
 

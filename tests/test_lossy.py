@@ -53,6 +53,16 @@ def test_full_distribution_mass_plus_tail():
         assert all(p <= 1.0 for p in dist.entries.values())
 
 
+def test_unrestricted_cutoff_converges_on_mass():
+    # the full distribution stops on the probability it holds, so a converged
+    # run has lost no more than rel_tol to the sectors beyond its cutoff
+    policy = TruncationPolicy(s_start=HalfInt(2), max_s=HalfInt(20), rel_tol=1e-6)
+    dist = lossy_joint_distribution(0.5, LossConfig.equal_eta(0.8), 0.3, -0.4, policy)
+    assert dist.converged
+    assert dist.tail_bound <= policy.rel_tol
+    assert dist.total_mass() + dist.tail_bound == pytest.approx(1.0, abs=1e-12)
+
+
 def test_perfect_detection_supports_equal_sectors():
     policy = TruncationPolicy(s_start=HalfInt(6), max_s=HalfInt(8))
     dist = lossy_joint_distribution(0.4, LossConfig.equal_eta(1.0), 0.9, 0.1, policy)
@@ -238,6 +248,16 @@ def test_one_kernel_serves_every_angle():
     assert len({rec.s_cutoff_used for rec in recs}) == 1
     for angles, rec in zip(triples, recs):
         assert LossyEngine(r, loss).mermin_sides(s, angles) == rec
+
+
+def test_one_unrestricted_kernel_set_serves_every_angle():
+    policy = TruncationPolicy(s_start=HalfInt(2), max_s=HalfInt(20), rel_tol=1e-6)
+    for loss in (LossConfig.equal_eta(0.8), LossConfig(0.9, 0.7, 0.8, 0.6)):
+        eng = LossyEngine(0.5, loss)
+        dists = [eng.joint(alpha, beta, policy) for alpha, beta in ((0.3, -0.4), (0.0, 0.0))]
+        assert dists[0].s_cutoff_used == dists[1].s_cutoff_used
+        for (alpha, beta), dist in zip(((0.3, -0.4), (0.0, 0.0)), dists):
+            assert LossyEngine(0.5, loss).joint(alpha, beta, policy) == dist
 
 
 def test_cutoff_step_bounded_by_sector_probability_step():

@@ -8,7 +8,6 @@ from merminbell.source import (
     sector_amplitude,
     sector_weight,
     sector_weight_tail,
-    sector_weights_through,
     singlet_sign,
 )
 
@@ -51,12 +50,6 @@ def test_sector_weight_tail_decreases():
     tails = [sector_weight_tail(HalfInt(t), r) for t in range(0, 40)]
     assert all(b < a for a, b in zip(tails, tails[1:]))
     assert tails[-1] < 1e-6
-
-
-def test_sector_weights_through():
-    rows = sector_weights_through(HalfInt(4), 0.3)
-    assert [w.s.twice for w in rows] == [0, 1, 2, 3, 4]
-    assert rows[0].amplitude == pytest.approx(1 / math.cosh(0.3), rel=1e-14)
 
 
 def test_singlet_sign_examples():
