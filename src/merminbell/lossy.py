@@ -50,6 +50,10 @@ __all__ = [
 
 _NEG_INF = float("-inf")
 _MAX_SOURCE_TWICE = 400
+# equal-loss angle search: dense-grid oversampling, Newton steps, interpolant check
+_OVERSAMPLE = 64
+_NEWTON_STEPS = 8
+_INTERPOLANT_TOL = 1e-9
 
 
 class DegenerateSectorError(RuntimeError):
@@ -562,27 +566,93 @@ def optimize_angles(
     loss: LossConfig,
     policy: TruncationPolicy | None = None,
     convention: str = "conditioned",
-    starts: Iterable[AngleTriple] | None = None,
 ) -> tuple[AngleTriple, ViolationRecord]:
     """Maximize the violation over the analyzer triple.
 
-    Multi-start coordinate descent with golden-section line searches; the
-    start list is deterministic, so repeated runs return identical triples.
+    At equal loss the correlations depend only on angle differences, so the
+    optimum lies on the ``theta_triple`` family with base 0 (rhs is largest
+    at gamma = (alpha + beta)/2 for any alpha - beta, and lhs depends on
+    alpha - beta alone).  Along that family the violation is a
+    trigonometric polynomial of degree 4s in theta, which 8s + 1 samples
+    on one cached kernel determine exactly; its maximum is read from the
+    coefficients and returned in canonical form, theta in (0, pi/2] and
+    gamma = 0 (``_theta_optimum``).  Unequal loss uses multi-start
+    coordinate descent with golden-section line searches from a fixed start
+    list.  Both are deterministic, so repeated runs return identical triples.
     """
     s_star = HalfInt.of(s_star)
     eng = LossyEngine(r, loss)
     if policy is None:
         policy = TruncationPolicy.for_sector(s_star)
+    if loss.equal:
+        return _theta_optimum(eng, s_star, policy, convention)
+    return _coordinate_descent(eng, s_star, policy, convention)
+
+
+def _theta_optimum(
+    eng: LossyEngine, s_star: HalfInt, policy: TruncationPolicy, convention: str
+) -> tuple[AngleTriple, ViolationRecord]:
+    """Maximum of the violation along ``theta_triple(theta)`` from its Fourier coefficients.
+
+    lhs is a trigonometric polynomial of degree 2s in alpha - beta = pi + 2 theta
+    and rhs goes as sin(theta), so n = 2 * 4s + 1 equispaced samples give
+    every coefficient.  The maximum of a 64x zero-padded evaluation is
+    polished by Newton steps on the coefficients and folded into
+    [-pi/2, pi/2] by f(pi - theta) = f(theta); lhs is even and rhs odd in
+    theta, so the maximum lies in (0, pi/2].  The interpolant must agree
+    with the returned record; a gap above ``_INTERPOLANT_TOL`` means the
+    curve is not of that degree and raises ``InternalConsistencyError``.
+    """
+    deg = 2 * s_star.twice
+    n = 2 * deg + 1
+    samples = [
+        eng.mermin_sides(s_star, theta_triple(2.0 * math.pi * k / n), policy, convention).violation
+        for k in range(n)
+    ]
+    spectrum = np.fft.rfft(samples)
+    dense = np.fft.irfft(spectrum, _OVERSAMPLE * n) * _OVERSAMPLE
+    theta = 2.0 * math.pi * int(np.argmax(dense)) / (_OVERSAMPLE * n)
+    # f(theta) = Re sum_k coef_k e^{i k theta}
+    k = np.arange(deg + 1)
+    coef = spectrum / n
+    coef[1:] *= 2.0
+
+    def derivative(x: float, order: int) -> float:
+        return float(np.real((coef * (1j * k) ** order) @ np.exp(1j * k * x)))
+
+    for _ in range(_NEWTON_STEPS):
+        curvature = derivative(theta, 2)
+        if not curvature < 0:
+            break
+        step = derivative(theta, 1) / curvature
+        theta -= step
+        if abs(step) < 1e-15:
+            break
+    theta = math.remainder(theta, 2.0 * math.pi)
+    if abs(theta) > math.pi / 2:
+        theta = math.copysign(math.pi, theta) - theta
+    record = eng.mermin_sides(s_star, theta_triple(theta), policy, convention)
+    gap = abs(derivative(theta, 0) - record.violation)
+    if not gap <= _INTERPOLANT_TOL:
+        raise InternalConsistencyError(
+            f"violation along theta is not a trigonometric polynomial of degree {deg}: "
+            f"interpolant off by {gap:.3e} at theta={theta!r}"
+        )
+    return record.angles, record
+
+
+def _coordinate_descent(
+    eng: LossyEngine, s_star: HalfInt, policy: TruncationPolicy, convention: str
+) -> tuple[AngleTriple, ViolationRecord]:
+    """Multi-start coordinate descent over (alpha, beta, gamma) with golden-section line searches."""
 
     def objective(a: float, b: float, g: float) -> float:
         angles = AngleTriple(a, b, g)
         return -eng.mermin_sides(s_star, angles, policy, convention).violation
 
-    if starts is None:
-        sv = max(s_star.value, 0.5)
-        seeds = [0.15 / sv, 0.35 / sv, 0.7 / sv, 1.2 / sv]
-        starts = [theta_triple(t) for t in seeds]
-        starts.append(AngleTriple(2.0, -1.2, 0.3))
+    sv = max(s_star.value, 0.5)
+    starts = [theta_triple(t) for t in (0.15 / sv, 0.35 / sv, 0.7 / sv, 1.2 / sv)]
+    starts.append(AngleTriple(2.0, -1.2, 0.3))
     best: tuple[float, tuple[float, float, float]] | None = None
     for st in starts:
         x = [st.alpha, st.beta, st.gamma]

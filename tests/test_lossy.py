@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -367,6 +368,48 @@ def test_optimal_angle_shifts_slightly_with_loss():
     assert shift < 0.5
 
 
+@pytest.mark.parametrize("convention", ["conditioned", "unconditioned"])
+@pytest.mark.parametrize("eta", [1.0, 0.7])
+@pytest.mark.parametrize("ts", [1, 2, 3, 4, 6, 12])
+def test_theta_curve_is_trigonometric_polynomial_of_degree_4s(ts, eta, convention):
+    # twice the samples the equal-loss optimizer reads: every coefficient
+    # above degree 4s = 2 * ts must vanish
+    s = HalfInt(ts)
+    n = 8 * ts + 1
+    eng = LossyEngine(0.3, LossConfig.equal_eta(eta))
+    f = np.array(
+        [eng.mermin_sides(s, theta_triple(2 * math.pi * k / n), convention=convention).violation for k in range(n)]
+    )
+    coef = np.abs(np.fft.rfft(f)) / n
+    assert coef[2 * ts + 1 :].max() <= 1e-12 * np.abs(f).max()
+
+
+@pytest.mark.parametrize(
+    "s,r,eta,convention,golden",
+    [
+        (0.5, 0.3, 1.0, "conditioned", 0.12499999999999763),
+        (0.5, 0.3, 0.85, "conditioned", 0.12357338424345524),
+        (1.5, 0.5, 1.0, "conditioned", 0.21629579569065727),
+        (1.5, 0.5, 0.85, "conditioned", 0.1848862492298305),
+        (3, 0.3, 1.0, "conditioned", 0.34505438780552616),
+        (3, 0.3, 0.85, "conditioned", 0.2690802942725156),
+        (1.5, 0.4, 0.85, "unconditioned", 0.0006902112923231867),
+    ],
+)
+def test_equal_loss_optimum_is_canonical_and_meets_golden(s, r, eta, convention, golden):
+    # golden values: the 3-D multi-start coordinate descent this search replaced
+    angles, rec = optimize_angles(s, r, LossConfig.equal_eta(eta), convention=convention)
+    assert rec.violation >= golden - 1e-10
+    assert abs(rec.violation - golden) <= 1e-8
+    theta = angles.alpha - math.pi / 2
+    assert 0 < theta <= math.pi / 2
+    assert angles.gamma == 0.0 and angles.beta == -angles.alpha
+    mirror = LossyEngine(r, LossConfig.equal_eta(eta)).mermin_sides(
+        s, theta_triple(math.pi - theta), convention=convention
+    )
+    assert abs(mirror.violation - rec.violation) <= 1e-12
+
+
 # ------------------------------------------------------------- conventions
 
 
@@ -438,3 +481,14 @@ def test_non_orthogonal_rotation_basis_is_an_internal_error(monkeypatch):
         numerics._sx_eigenvectors.cache_clear()
         numerics._wigner_matrix_cached.cache_clear()
     assert engine.mermin_sides(HalfInt(2), theta_triple(0.2)).error is None
+
+    # an angle curve of higher degree than 4s fails the optimizer's interpolant check
+    exact = LossyEngine.mermin_sides
+
+    def rippled(self, *args, **kwargs):
+        rec = exact(self, *args, **kwargs)
+        return dataclasses.replace(rec, violation=rec.violation + 1e-6 * math.cos(40 * rec.angles.alpha))
+
+    monkeypatch.setattr(LossyEngine, "mermin_sides", rippled)
+    with pytest.raises(InternalConsistencyError, match="not a trigonometric polynomial"):
+        optimize_angles(HalfInt(2), 0.3, LossConfig.equal_eta(0.9))
