@@ -24,8 +24,7 @@ for loss in (LossConfig.equal_eta(0.8), LossConfig(0.9, 0.7, 0.8, 0.6)):
     for alpha, beta in ((0.0, 0.0), (0.7, -0.4), (1.3, 2.1)):
         oracle = simulate_joint(R, loss, alpha, beta, cutoff=4, sector_max=CAP)
         closed = eng.joint(alpha, beta, POLICY)
-        keys = set(oracle.entries) | set(closed.entries)
-        diff = max(abs(oracle.entries.get(k, 0.0) - closed.entries.get(k, 0.0)) for k in keys)
+        diff, _ = oracle.largest_difference(closed)
         print(f"  etas={loss.etas()} angles=({alpha:+.1f},{beta:+.1f}): {diff:.2e}")
 
 # %% sector-conditioned correlations

@@ -126,12 +126,11 @@ def _policy_for(s_star: HalfInt, tol: float, max_s: float | None) -> TruncationP
 def _theta_task(payload: dict) -> list[dict]:
     s_star = HalfInt(payload["ts"])
     r, eta = payload["r"], payload["eta"]
-    policy = _policy_for(s_star, payload["tol"], payload["max_s"])
     rows = []
     for conv in payload["conventions"]:
         recs = sweep(
             [s_star], [r], [eta], payload["thetas"],
-            policy=policy, convention=conv, base_angle=payload["base"],
+            policy=payload["policy"], convention=conv, base_angle=payload["base"],
         )
         for theta, rec in zip(payload["thetas"], recs):
             rows.append(_record_row(rec, eta, theta))
@@ -144,8 +143,7 @@ def _theta_task(payload: dict) -> list[dict]:
 
 def _eta_task(payload: dict) -> list[dict]:
     s_star = HalfInt(payload["ts"])
-    r = payload["r"]
-    policy = _policy_for(s_star, payload["tol"], payload["max_s"])
+    r, policy = payload["r"], payload["policy"]
     angles, _ = optimize_angles(s_star, r, LossConfig.equal_eta(1.0), policy)
     rows = []
     for eta in payload["etas"]:
@@ -187,8 +185,7 @@ def _cmd_sweep_theta(args) -> int:
             "eta": eta,
             "thetas": thetas,
             "base": args.base_angle,
-            "tol": args.policy_tol,
-            "max_s": args.policy_max_s,
+            "policy": args.policies[HalfInt.of(args.s)],
             "conventions": convs,
         }
         for eta in args.eta
@@ -206,8 +203,7 @@ def _cmd_eta_grid(args) -> int:
             "ts": HalfInt.of(s).twice,
             "r": r,
             "etas": list(args.eta),
-            "tol": args.policy_tol,
-            "max_s": args.policy_max_s,
+            "policy": args.policies[HalfInt.of(s)],
             "conventions": convs,
         }
         for s in args.s
@@ -221,9 +217,8 @@ def _cmd_eta_grid(args) -> int:
 
 def _cmd_optimize(args) -> int:
     s_star = HalfInt.of(args.s)
-    policy = _policy_for(s_star, args.policy_tol, args.policy_max_s)
     loss = LossConfig.equal_eta(args.eta)
-    angles, rec = optimize_angles(s_star, args.r, loss, policy, convention=args.conventions)
+    angles, rec = optimize_angles(s_star, args.r, loss, args.policies[s_star], args.conventions)
     report = {
         "s": s_star.value,
         "r": args.r,
@@ -292,24 +287,29 @@ _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
 _nonnegative_int = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p.add_argument("--workers", type=_positive_int, default=1, help="parallel worker processes")
-    p.add_argument(
-        "--policy-tol",
+_COMMON_FLAGS = {
+    "--format": dict(choices=("csv", "jsonl"), default="csv"),
+    "--workers": dict(type=_positive_int, default=1, help="parallel worker processes"),
+    "--policy-tol": dict(
         type=_tolerance,
         default=1e-6,
         help="stop the source sum when a step changes the probability of the computed "
         "outcome sectors by at most this relative amount",
-    )
-    p.add_argument("--policy-max-s", type=_spin, default=None, help="hard cap on the source spin sum")
-    p.add_argument(
-        "--conventions",
+    ),
+    "--policy-max-s": dict(type=_spin, default=None, help="hard cap on the source spin sum"),
+    "--conventions": dict(
         choices=("conditioned", "unconditioned", "both"),
         default="conditioned",
         help="sector post-selection convention(s) to evaluate",
-    )
+    ),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
+    """``--out`` and the named ``_COMMON_FLAGS`` that the subcommand reads."""
+    p.add_argument("--out", default=None, help="output path (default: stdout)")
+    for flag in flags:
+        p.add_argument(flag, **_COMMON_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,39 +327,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-max", type=_angle, default=1.2)
     p.add_argument("--theta-steps", type=_positive_int, default=32)
     p.add_argument("--base-angle", type=_angle, default=0.0)
-    _add_common(p)
+    _add_common(p, *_COMMON_FLAGS)
     p.set_defaults(func=_cmd_sweep_theta)
 
     p = sub.add_parser("sweep-eta", help="violation vs efficiency at the eta=1 optimal angles")
     p.add_argument("--s", type=_spin, nargs="+", required=True)
     p.add_argument("--r", type=_squeezing, nargs=1, required=True)
     p.add_argument("--eta", type=_efficiency, nargs="+", required=True)
-    _add_common(p)
+    _add_common(p, *_COMMON_FLAGS)
     p.set_defaults(func=_cmd_eta_grid)
 
     p = sub.add_parser("surface", help="violation on a full (s, r, eta) grid")
     p.add_argument("--s", type=_spin, nargs="+", required=True)
     p.add_argument("--r", type=_squeezing, nargs="+", required=True)
     p.add_argument("--eta", type=_efficiency, nargs="+", required=True)
-    _add_common(p)
+    _add_common(p, *_COMMON_FLAGS)
     p.set_defaults(func=_cmd_eta_grid)
 
     p = sub.add_parser("optimize", help="maximize the violation over the analyzer triple")
     p.add_argument("--s", type=_spin, required=True)
     p.add_argument("--r", type=_squeezing, required=True)
     p.add_argument("--eta", type=_efficiency, default=1.0)
-    _add_common(p)
+    _add_common(p, "--policy-tol", "--policy-max-s", "--conventions")
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("validate", help="run the reduction, oracle, and bookkeeping suites")
     p.add_argument("--fast", action="store_true", help="smaller validation grids")
-    _add_common(p)
+    _add_common(p, "--conventions")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("fock-weights", help="photon-number weights of one squeezed pair")
     p.add_argument("--r", type=_squeezing, required=True)
     p.add_argument("--n-max", type=_nonnegative_int, default=None)
-    _add_common(p)
+    _add_common(p, "--format")
     p.set_defaults(func=_cmd_fock_weights)
 
     return parser
@@ -371,6 +371,12 @@ def main(argv=None) -> int:
     if args.command == "optimize" and args.conventions == "both":
         parser.error("argument --conventions: 'both' is not accepted by optimize, "
                      "which maximizes one convention")
+    if "policy_tol" in args:
+        spins = [HalfInt.of(s) for s in (args.s if isinstance(args.s, list) else [args.s])]
+        try:
+            args.policies = {s: _policy_for(s, args.policy_tol, args.policy_max_s) for s in spins}
+        except ValueError as exc:
+            parser.error(f"argument --s/--policy-max-s: that source sum is not allowed ({exc})")
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -64,82 +64,94 @@ class DegenerateSectorError(RuntimeError):
 class TruncationPolicy:
     """Dynamic cutoff control for the source-sector sum.
 
-    The sum is evaluated at ``s_start``, then repeatedly extended by
-    ``extend_by`` until the relative change drops below ``rel_tol`` or
-    ``max_s`` is reached.  The watched quantity is always the probability
+    The sum is evaluated at ``s_start``, then repeatedly extended by one
+    spin (2s grows by 2) until the relative change drops below ``rel_tol``
+    or ``max_s`` is reached.  The watched quantity is always the probability
     the computed outcome sectors hold (the post-selected sector probability,
     or the total probability of an unrestricted run): every source sector
     adds a positive semidefinite piece whose trace is its share of that
     probability, so no joint probability at any analyzer angle moves by more
-    than the change.
+    than the change.  ``max_s`` above 200 raises ``ValueError``.
     """
 
     s_start: HalfInt
     max_s: HalfInt
     rel_tol: float = 1e-6
-    extend_by: HalfInt = HalfInt(2)
 
     def __post_init__(self):
         object.__setattr__(self, "s_start", HalfInt.of(self.s_start))
         object.__setattr__(self, "max_s", HalfInt.of(self.max_s))
-        object.__setattr__(self, "extend_by", HalfInt.of(self.extend_by))
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
         if self.s_start.twice > self.max_s.twice:
             raise ValueError("s_start must not exceed max_s")
-        if self.extend_by.twice <= 0:
-            raise ValueError("extend_by must be positive")
         if self.max_s.twice > _MAX_SOURCE_TWICE:
             raise ValueError(f"max_s is capped at {_MAX_SOURCE_TWICE / 2:.0f}")
 
     @classmethod
-    def for_sector(cls, s_star, rel_tol: float = 1e-6, margin=HalfInt(30)) -> "TruncationPolicy":
-        """Default policy for a post-selected sector: cap at s_star + margin."""
+    def for_sector(cls, s_star, rel_tol: float = 1e-6) -> "TruncationPolicy":
+        """Default policy for a post-selected sector: start at s_star + 2, cap at s_star + 15."""
         t = HalfInt.of(s_star).twice
-        return cls(
-            s_start=HalfInt(t + 4),
-            max_s=HalfInt(t + HalfInt.of(margin).twice),
-            rel_tol=rel_tol,
-        )
+        return cls(s_start=HalfInt(t + 4), max_s=HalfInt(t + 30), rel_tol=rel_tol)
 
 
 @dataclass
 class JointOutcomeDistribution:
-    """Probabilities of joint readouts (s_a, m_a, s_b, m_b).
+    """Probabilities of joint readouts, one block per outcome sector pair.
 
-    For unrestricted runs the entries plus ``tail_bound`` account for all
-    probability.  Sector-restricted runs hold only the requested sectors.
-    Either is converged on the probability its entries hold.
+    ``blocks[(2 s_a, 2 s_b)]`` is the (2s_a+1) x (2s_b+1) array P with
+    P[i, j] the probability of (s_a, m_a = i - s_a, s_b, m_b = j - s_b),
+    m_b in Bob's convention.  For unrestricted runs the blocks plus
+    ``tail_bound`` account for all probability.  Sector-restricted runs hold
+    only the requested sector pair.  Either is converged on the probability
+    its blocks hold.  Arrays compare elementwise, so compare two
+    distributions through ``blocks``, not with ``==``.
     """
 
-    entries: dict[tuple[HalfInt, HalfInt, HalfInt, HalfInt], float]
+    blocks: dict[tuple[int, int], np.ndarray]
     tail_bound: float
     s_cutoff_used: HalfInt
     converged: bool
 
     def total_mass(self) -> float:
-        return sum(self.entries.values())
+        return sum(float(p.sum()) for p in self.blocks.values())
 
     def sector_probability(self, s_a, s_b) -> float:
-        ta, tb = HalfInt.of(s_a), HalfInt.of(s_b)
-        return sum(p for (sa, _, sb, _), p in self.entries.items() if sa == ta and sb == tb)
+        p = self.blocks.get((HalfInt.of(s_a).twice, HalfInt.of(s_b).twice))
+        return 0.0 if p is None else float(p.sum())
 
     def correlation(self, sector: tuple | None = None, conditioned: bool = False) -> float:
         """Moment sum m_a * m_b, optionally restricted to one sector pair."""
-        num = 0.0
-        den = 0.0
-        if sector is not None:
-            ta, tb = HalfInt.of(sector[0]), HalfInt.of(sector[1])
-        for (sa, ma, sb, mb), p in self.entries.items():
-            if sector is not None and (sa != ta or sb != tb):
-                continue
-            num += ma.value * mb.value * p
-            den += p
+        keys = self.blocks if sector is None else [(HalfInt.of(sector[0]).twice, HalfInt.of(sector[1]).twice)]
+        num = den = 0.0
+        for tsa, tsb in keys:
+            p = self.blocks.get((tsa, tsb), np.zeros((tsa + 1, tsb + 1)))
+            num += float(_ladder_weights(tsa)[0] @ p @ _ladder_weights(tsb)[0])
+            den += float(p.sum())
         if not conditioned:
             return num
         if den <= 0:
             raise DegenerateSectorError("empty sector in correlation moment")
         return num / den
+
+    def largest_difference(self, other: "JointOutcomeDistribution") -> tuple[float, tuple[int, int, int, int]]:
+        """Largest |P - P_other| over all readouts and where it first occurs.
+
+        The location is (2s_a, 2m_a, 2s_b, 2m_b); readouts are visited in
+        lexicographic (s_a, m_a, s_b, m_b) order and a block missing on one
+        side counts as zeros.
+        """
+        keys = sorted(set(self.blocks) | set(other.blocks))
+        error, where = 0.0, None
+        for tsa in sorted({k[0] for k in keys}):
+            row = [k for k in keys if k[0] == tsa]
+            # columns run over (s_b, m_b) in order, so a row-major argmax is the first maximum
+            diff = np.hstack([np.abs(self.blocks.get(k, 0.0) - other.blocks.get(k, 0.0)) for k in row])
+            labels = [(tsb, 2 * j - tsb) for _, tsb in row for j in range(tsb + 1)]
+            ia, col = divmod(int(np.argmax(diff)), diff.shape[1])
+            if where is None or diff[ia, col] > error:
+                error, where = float(diff[ia, col]), (tsa, 2 * ia - tsa, *labels[col])
+        return error, where
 
 
 @dataclass
@@ -324,7 +336,7 @@ class LossyEngine:
                 ok = abs(mass - prev) / max(abs(mass), abs(prev), 1e-300) <= policy.rel_tol
             if ok or tcut >= t_max:
                 break
-            prev, tcut = mass, min(tcut + policy.extend_by.twice, t_max)
+            prev, tcut = mass, min(tcut + 2, t_max)
         for t in kernels.values():
             t.setflags(write=False)
         got = self._kernel_cache[key] = (kernels, tcut, ok)
@@ -339,20 +351,13 @@ class LossyEngine:
     ) -> JointOutcomeDistribution:
         """Joint readout distribution at analyzer angles (alpha, beta).
 
-        ``sectors`` restricts the computed entries to one (s_a, s_b) pair;
-        otherwise every outcome reachable below the cutoff is returned.
+        ``sectors`` restricts the computed blocks to one (s_a, s_b) pair;
+        otherwise every outcome sector pair reachable below the cutoff is returned.
         """
         pairs = None if sectors is None else ((HalfInt.of(sectors[0]).twice, HalfInt.of(sectors[1]).twice),)
         kernels, tcut, ok = self._kernels(pairs, policy)
-        entries: dict = {}
-        for (tsa, tsb), t in sorted(kernels.items()):
-            p = _nonnegative(_contract(t, tsa, tsb, alpha, beta), tsa, tsb)
-            sa, sb = HalfInt(tsa), HalfInt(tsb)
-            for ia in range(tsa + 1):
-                for ib in range(tsb + 1):
-                    entries[(sa, HalfInt(2 * ia - tsa), sb, HalfInt(2 * ib - tsb))] = float(p[ia, ib])
         return JointOutcomeDistribution(
-            entries=entries,
+            blocks={k: _nonnegative(_contract(t, *k, alpha, beta), *k) for k, t in sorted(kernels.items())},
             tail_bound=sector_weight_tail(HalfInt(tcut), self.r),
             s_cutoff_used=HalfInt(tcut),
             converged=ok,

@@ -100,18 +100,12 @@ class DensityMatrixLite:
     def from_state(cls, state: TruncatedFockState) -> "DensityMatrixLite":
         na = max((n1 + n2 for (n1, n2, _, _) in state.amplitudes), default=0)
         nb = max((n3 + n4 for (_, _, n3, n4) in state.amplitudes), default=0)
-        basis = [
-            (n1, n2, n3, n4)
-            for n1 in range(na + 1)
-            for n2 in range(na + 1 - n1)
-            for n3 in range(nb + 1)
-            for n4 in range(nb + 1 - n3)
-        ]
+        states_a, states_b = ([(i, j) for i in range(n + 1) for j in range(n + 1 - i)] for n in (na, nb))
+        basis = [a + b for a in states_a for b in states_b]
         index = {t: i for i, t in enumerate(basis)}
         amps = np.asarray(list(state.amplitudes.values()))
         psi = np.zeros(len(basis), dtype=np.result_type(amps, float))
-        for t, a in state.amplitudes.items():
-            psi[index[t]] = a
+        psi[[index[t] for t in state.amplitudes]] = amps
         return cls(basis, np.outer(psi, psi.conj()))
 
     def entry(self, ket: tuple, bra: tuple) -> complex:
@@ -199,48 +193,53 @@ def apply_analyzer(obj, side: str, angle: float) -> DensityMatrixLite:
     """Beamsplitter analyzer on one side; photon number per side conserved.
 
     Alice's rotation treats a1 as the leading mode; Bob's treats b2 as the
-    leading mode, matching his reflected spin convention.
+    leading mode, matching his reflected spin convention.  The basis must be
+    the A-major product of per-side bases that ``from_state`` builds, so the
+    unitary is one side's rotation times the identity on the other side.
     """
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
     dm = _as_dm(obj)
-    lead, other = (0, 1) if side == "A" else (3, 2)
-    u = np.zeros((len(dm.basis), len(dm.basis)))
-    for j, t in enumerate(dm.basis):
-        for kf, kg, w in _rotation_coeffs(t[lead], t[other], float(angle)):
-            out = list(t)
-            out[lead], out[other] = kf, kg
-            u[dm.index[tuple(out)], j] += w
+    states_a = list(dict.fromkeys(t[:2] for t in dm.basis))
+    states_b = list(dict.fromkeys(t[2:] for t in dm.basis))
+    if dm.basis != [a + b for a in states_a for b in states_b]:
+        raise ValueError("basis is not an A-major product of per-side bases")
+    states, lead = (states_a, 0) if side == "A" else (states_b, 1)
+    index = {t: i for i, t in enumerate(states)}
+    rot = np.zeros((len(states), len(states)))
+    for j, t in enumerate(states):
+        for kf, kg, w in _rotation_coeffs(t[lead], t[1 - lead], float(angle)):
+            out = (kf, kg) if lead == 0 else (kg, kf)
+            if out not in index:
+                raise ValueError("basis is not closed under the analyzer rotation")
+            rot[index[out], j] += w
+    u = np.kron(rot, np.eye(len(states_b))) if side == "A" else np.kron(np.eye(len(states_a)), rot)
     return DensityMatrixLite(dm.basis, u @ dm.rho @ u.T)
 
 
-def _bob_projection(n_b1: int, n_b2: int) -> int:
+def _bob_projection(n_b1, n_b2):
     """Twice Bob's spin projection; his convention is m = (n_b2 - n_b1)/2."""
     return n_b2 - n_b1
 
 
 def measure_joint(dm: DensityMatrixLite) -> JointOutcomeDistribution:
-    """Photon-counting readout: diagonal in the occupation basis mapped to
-    (s_a, m_a, s_b, m_b) labels."""
-    entries: dict[tuple[HalfInt, HalfInt, HalfInt, HalfInt], float] = {}
-    t_max = 0
-    for i, (n1, n2, n3, n4) in enumerate(dm.basis):
-        p = float(dm.rho[i, i].real)
-        if p == 0.0:
-            continue
-        key = (
-            HalfInt(n1 + n2),
-            HalfInt(n1 - n2),
-            HalfInt(n3 + n4),
-            HalfInt(_bob_projection(n3, n4)),
-        )
-        entries[key] = entries.get(key, 0.0) + p
-        t_max = max(t_max, n1 + n2, n3 + n4)
-    total = sum(entries.values())
+    """Photon-counting readout: the diagonal in the occupation basis, one
+    block per per-side photon-total pair (2s_a, 2s_b), indexed by the
+    up-mode counts n_a1 and (2s_b + 2m_b)/2."""
+    occ = np.array(dm.basis, dtype=np.int64).reshape(-1, 4)
+    p = dm.rho.diagonal().real
+    occ, p = occ[p != 0.0], p[p != 0.0]
+    tsa, tsb = occ[:, 0] + occ[:, 1], occ[:, 2] + occ[:, 3]
+    col = (tsb + _bob_projection(occ[:, 2], occ[:, 3])) // 2
+    blocks: dict[tuple[int, int], np.ndarray] = {}
+    for ta, tb in sorted(set(zip(tsa.tolist(), tsb.tolist()))):
+        sel = (tsa == ta) & (tsb == tb)
+        blocks[(ta, tb)] = np.zeros((ta + 1, tb + 1))
+        np.add.at(blocks[(ta, tb)], (occ[sel, 0], col[sel]), p[sel])
     return JointOutcomeDistribution(
-        entries=entries,
-        tail_bound=max(0.0, 1.0 - total),
-        s_cutoff_used=HalfInt(t_max),
+        blocks=blocks,
+        tail_bound=max(0.0, 1.0 - sum(p.tolist())),
+        s_cutoff_used=HalfInt(int(max(tsa.max(), tsb.max())) if p.size else 0),
         converged=True,
     )
 
@@ -252,12 +251,9 @@ def simulate_joint(
     beta: float,
     cutoff: int,
     sector_max=None,
-    pi_shift: bool = True,
-    r2: float | None = None,
 ) -> JointOutcomeDistribution:
     """Full pipeline: source, pi shift, four loss channels, analyzers, readout."""
-    state = build_epr2(r, r if r2 is None else r2, cutoff, pi_shift, sector_max)
-    dm = DensityMatrixLite.from_state(state)
+    dm = DensityMatrixLite.from_state(build_epr2(r, r, cutoff, sector_max=sector_max))
     for mode, eta in zip(("a1", "a2", "b1", "b2"), loss.etas()):
         dm = apply_loss(dm, mode, eta)
     dm = apply_analyzer(dm, "A", alpha)

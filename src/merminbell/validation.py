@@ -99,22 +99,18 @@ def oracle_equivalence_report(
     cutoff: int = 4,
     sector_max=HalfInt(4),
     tol: float = 1e-8,
-    include_unequal: bool = True,
 ) -> dict:
     """Closed-form sums vs the Fock oracle on a matched source truncation.
 
     The source sum of both routes is capped at ``sector_max`` so they
     evaluate the same truncated state; agreement is then limited only by
-    floating-point roundoff.
+    floating-point roundoff.  Each efficiency in ``eta_values`` is checked
+    at equal loss, plus one unequal-loss configuration.
     """
     s_cap = HalfInt.of(sector_max)
     policy = TruncationPolicy(s_start=s_cap, max_s=s_cap)
     joint_errors, corr_errors = [], []
-    configs: list[LossConfig] = []
-    for eta in eta_values:
-        configs.append(LossConfig.equal_eta(eta))
-    if include_unequal:
-        configs.append(LossConfig(0.9, 0.7, 0.8, 0.6))
+    configs = [LossConfig.equal_eta(eta) for eta in eta_values] + [LossConfig(0.9, 0.7, 0.8, 0.6)]
     for r in r_values:
         for loss in configs:
             eng = LossyEngine(r, loss)
@@ -122,17 +118,13 @@ def oracle_equivalence_report(
                 want = simulate_joint(r, loss, ang.alpha, ang.beta, cutoff, sector_max=s_cap)
                 got = eng.joint(ang.alpha, ang.beta, policy)
                 where = {"r": r, "etas": list(loss.etas()), "alpha": ang.alpha, "beta": ang.beta}
-                for k in sorted(set(want.entries) | set(got.entries)):
-                    diff = abs(want.entries.get(k, 0.0) - got.entries.get(k, 0.0))
-                    joint_errors.append((diff, {**where, "key": [h.twice for h in k]}))
+                diff, key = want.largest_difference(got)
+                joint_errors.append((diff, {**where, "key": list(key)}))
                 for s_star in half_range(HalfInt(1), s_cap):
-                    p_oracle = want.sector_probability(s_star, s_star)
-                    if p_oracle < 1e-12:
+                    if want.sector_probability(s_star, s_star) < 1e-12:
                         continue
                     c_oracle = want.correlation(sector=(s_star, s_star), conditioned=True)
-                    c_closed, _, _, _ = eng.correlation(
-                        ang.alpha, ang.beta, s_star, policy, conditioned=True
-                    )
+                    c_closed, _, _, _ = eng.correlation(ang.alpha, ang.beta, s_star, policy)
                     corr_errors.append((abs(c_oracle - c_closed), {**where, "s": s_star.value}))
     max_joint, worst_joint = _worst(joint_errors)
     max_corr, worst_corr = _worst(corr_errors)

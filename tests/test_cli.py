@@ -23,7 +23,7 @@ def test_fock_weights_zero_squeezing_single_row(tmp_path):
     out = tmp_path / "w.csv"
     res = _run_cli(["fock-weights", "--r", "0", "--out", str(out)])
     assert res.returncode == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 1
     assert rows[0]["n"] == "0"
     assert float(rows[0]["probability"]) == 1.0
@@ -60,7 +60,7 @@ def test_sweep_theta_rows_and_ordering(tmp_path):
          "--out", str(out)]
     )
     assert res.returncode == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 8
     assert [float(r["eta"]) for r in rows] == [1.0] * 4 + [0.9] * 4
     assert all(r["converged"] == "true" for r in rows)
@@ -93,8 +93,10 @@ def test_surface_cross_section_equals_sweep_eta(tmp_path):
     common = ["--s", "0.5", "1", "--eta", "1.0", "0.9"]
     assert _run_cli(["surface", "--r", "0.2", "0.4"] + common + ["--out", str(surf)]).returncode == 0
     assert _run_cli(["sweep-eta", "--r", "0.2"] + common + ["--out", str(line)]).returncode == 0
-    surf_rows = [r for r in csv.DictReader(surf.open()) if r["r"] == "0.20000000000000001"]
-    line_rows = list(csv.DictReader(line.open()))
+    surf_rows = [
+        r for r in csv.DictReader(surf.read_text().splitlines()) if r["r"] == "0.20000000000000001"
+    ]
+    line_rows = list(csv.DictReader(line.read_text().splitlines()))
     assert surf_rows == line_rows
 
 
@@ -105,8 +107,8 @@ def test_smaller_violation_window_for_higher_spin(tmp_path):
             "--theta-max", "1.2", "--theta-steps", "24"]
     assert _run_cli(["sweep-theta", "--s", "1"] + args + ["--out", str(out1)]).returncode == 0
     assert _run_cli(["sweep-theta", "--s", "2"] + args + ["--out", str(out2)]).returncode == 0
-    win1 = sum(float(r["violation"]) > 0 for r in csv.DictReader(out1.open()))
-    win2 = sum(float(r["violation"]) > 0 for r in csv.DictReader(out2.open()))
+    win1 = sum(float(r["violation"]) > 0 for r in csv.DictReader(out1.read_text().splitlines()))
+    win2 = sum(float(r["violation"]) > 0 for r in csv.DictReader(out2.read_text().splitlines()))
     assert 0 < win2 < win1
 
 
@@ -119,7 +121,7 @@ def test_sweep_eta_spin_ordering_unconditioned(tmp_path):
          "--eta", "1.0", "0.9", "--conventions", "unconditioned", "--out", str(out)]
     )
     assert res.returncode == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     by_eta = {}
     for row in rows:
         by_eta.setdefault(row["eta"], []).append((float(row["s"]), float(row["violation"])))
@@ -181,14 +183,18 @@ def test_mutated_bob_sign_fails_reduction(monkeypatch):
         ["optimize", "--s", "1", "--r", "0.3", "--policy-tol", "nan"],
         ["optimize", "--s", "1", "--r", "0.3", "--policy-max-s", "0.3"],
         ["fock-weights", "--r", "0.3", "--n-max", "-1"],
-        ["optimize", "--s", "1", "--r", "0.3", "--workers", "-2"],
+        ["sweep-theta", "--s", "1", "--r", "0.3", "--eta", "0.9", "--workers", "-2"],
         ["sweep-theta", "--s", "1", "--r", "0.3", "--eta", "0.9", "--theta-steps", "0"],
         ["optimize", "--s", "1", "--r", "0.3", "--conventions", "both"],
+        ["optimize", "--s", "1000", "--r", "0.3"],
+        ["sweep-theta", "--s", "1000", "--r", "0.3", "--eta", "0.9"],
+        ["optimize", "--s", "1", "--r", "0.3", "--policy-max-s", "300"],
     ],
     ids=[
         "s-zero", "s-not-half-integer", "eta-above-one", "r-negative", "base-angle-nan",
         "policy-tol-nan", "policy-max-s-not-half-integer", "n-max-negative", "workers-negative",
-        "theta-steps-zero", "optimize-both-conventions",
+        "theta-steps-zero", "optimize-both-conventions", "optimize-s-above-cap",
+        "sweep-theta-s-above-cap", "policy-max-s-above-cap",
     ],
 )
 def test_bad_input_exits_2_with_usage(argv, capsys):
@@ -198,6 +204,22 @@ def test_bad_input_exits_2_with_usage(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: merminbell")
     assert "is not" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--s", "1", "--r", "0.3", "--workers", "2"],
+        ["validate", "--format", "jsonl"],
+        ["fock-weights", "--r", "0.3", "--policy-tol", "1e-6"],
+    ],
+    ids=["optimize-workers", "validate-format", "fock-weights-policy-tol"],
+)
+def test_flag_a_subcommand_does_not_read_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_main_inprocess_exit_codes(tmp_path, capsys):
@@ -256,9 +278,7 @@ def test_worst_error_locations_name_evaluated_settings():
     loss = LossConfig(*where["etas"])
     want = simulate_joint(0.4, loss, where["alpha"], where["beta"], 3, sector_max=cap)
     got = LossyEngine(0.4, loss).joint(where["alpha"], where["beta"], policy)
-    key = tuple(HalfInt(t) for t in where["key"])
-    assert key in want.entries or key in got.entries
-    assert abs(want.entries.get(key, 0.0) - got.entries.get(key, 0.0)) == rep["max_joint_error"]
+    assert want.largest_difference(got) == (rep["max_joint_error"], tuple(where["key"]))
     where = rep["worst_correlation"]
     loss = LossConfig(*where["etas"])
     s = HalfInt.of(where["s"])

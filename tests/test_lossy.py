@@ -10,6 +10,7 @@ from merminbell.loss import LossConfig
 from merminbell.lossy import (
     DegenerateSectorError,
     InternalConsistencyError,
+    JointOutcomeDistribution,
     LossyEngine,
     TruncationPolicy,
     correlation_alt_bookkeeping,
@@ -32,8 +33,7 @@ CAP_POLICY = TruncationPolicy(s_start=S_CAP, max_s=S_CAP)
 def test_vacuum_source():
     policy = TruncationPolicy(s_start=HalfInt(2), max_s=HalfInt(4))
     dist = lossy_joint_distribution(0.0, LossConfig.equal_eta(0.7), 0.4, -0.2, policy)
-    key = (HalfInt(0), HalfInt(0), HalfInt(0), HalfInt(0))
-    assert dist.entries[key] == pytest.approx(1.0, abs=1e-14)
+    assert dist.blocks[(0, 0)][0, 0] == pytest.approx(1.0, abs=1e-14)
     assert dist.total_mass() == pytest.approx(1.0, abs=1e-14)
     assert dist.converged
     assert lossy_correlation(0.0, LossConfig.equal_eta(0.7), 0.3, 0.9, None, CAP_POLICY) == 0.0
@@ -50,8 +50,8 @@ def test_full_distribution_mass_plus_tail():
         dist = lossy_joint_distribution(0.3, LossConfig.equal_eta(eta), 0.5, -0.8, policy)
         assert dist.converged
         assert dist.total_mass() + dist.tail_bound == pytest.approx(1.0, abs=1e-6)
-        assert all(p >= 0.0 for p in dist.entries.values())
-        assert all(p <= 1.0 for p in dist.entries.values())
+        assert all(p.min() >= 0.0 for p in dist.blocks.values())
+        assert all(p.max() <= 1.0 for p in dist.blocks.values())
 
 
 def test_unrestricted_cutoff_converges_on_mass():
@@ -67,9 +67,9 @@ def test_unrestricted_cutoff_converges_on_mass():
 def test_perfect_detection_supports_equal_sectors():
     policy = TruncationPolicy(s_start=HalfInt(6), max_s=HalfInt(8))
     dist = lossy_joint_distribution(0.4, LossConfig.equal_eta(1.0), 0.9, 0.1, policy)
-    for (sa, _, sb, _), p in dist.entries.items():
-        if p > 1e-14:
-            assert sa == sb
+    for (tsa, tsb), p in dist.blocks.items():
+        if p.max() > 1e-14:
+            assert tsa == tsb
 
 
 # ------------------------------------------------------------- eta=1 limits
@@ -127,7 +127,7 @@ def test_conditioned_pair_probability_matches_ideal_at_eta1():
     mass = dist.total_mass()
     for m in projections(s):
         for mp in projections(s):
-            got = dist.entries[(s, m, s, mp)] / mass
+            got = dist.blocks[(s.twice, s.twice)][(s + m).twice // 2, (s + mp).twice // 2] / mass
             want = ideal_pair_probability(s, m, mp, alpha - beta)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -143,10 +143,7 @@ def test_joint_matches_oracle_equal_eta(r, eta):
     for alpha, beta in ((0.35, -0.9), (1.1, 0.4)):
         want = simulate_joint(r, loss, alpha, beta, cutoff=4, sector_max=S_CAP)
         got = eng.joint(alpha, beta, CAP_POLICY)
-        for k in set(want.entries) | set(got.entries):
-            assert got.entries.get(k, 0.0) == pytest.approx(
-                want.entries.get(k, 0.0), abs=1e-12
-            )
+        assert got.largest_difference(want)[0] <= 1e-12
 
 
 def test_joint_matches_oracle_unequal_eta():
@@ -155,8 +152,7 @@ def test_joint_matches_oracle_unequal_eta():
     eng = LossyEngine(r, loss)
     want = simulate_joint(r, loss, 0.7, -0.4, cutoff=4, sector_max=S_CAP)
     got = eng.joint(0.7, -0.4, CAP_POLICY)
-    for k in set(want.entries) | set(got.entries):
-        assert got.entries.get(k, 0.0) == pytest.approx(want.entries.get(k, 0.0), abs=1e-12)
+    assert got.largest_difference(want)[0] <= 1e-12
 
 
 def test_sector_correlations_match_oracle():
@@ -186,8 +182,7 @@ def test_joint_and_correlations_match_oracle_deeper_cap():
     eng = LossyEngine(r, loss)
     want = simulate_joint(r, loss, 0.55, -1.1, cutoff=5, sector_max=cap)
     got = eng.joint(0.55, -1.1, policy)
-    for k in set(want.entries) | set(got.entries):
-        assert got.entries.get(k, 0.0) == pytest.approx(want.entries.get(k, 0.0), abs=1e-12)
+    assert got.largest_difference(want)[0] <= 1e-12
     for s_star in half_range(HalfInt(1), cap):
         if want.sector_probability(s_star, s_star) < 1e-12:
             continue
@@ -207,6 +202,23 @@ def test_moment_route_equals_operator_route():
         want = dist.correlation(sector=(s_star, s_star), conditioned=True)
         got, _, _, _ = eng.correlation(alpha, beta, s_star, policy)
         assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_largest_difference_visits_readouts_in_label_order():
+    # missing blocks count as zeros; ties go to the first (s_a, m_a, s_b, m_b)
+    a = JointOutcomeDistribution(
+        blocks={(1, 1): np.array([[0.1, 0.4], [0.2, 0.0]]), (2, 0): np.array([[0.5], [0.0], [0.0]])},
+        tail_bound=0.0, s_cutoff_used=HalfInt(2), converged=True,
+    )
+    b = JointOutcomeDistribution(
+        blocks={(1, 1): np.array([[0.1, 0.0], [0.2, 0.1]]), (1, 3): np.full((2, 4), 0.5)},
+        tail_bound=0.0, s_cutoff_used=HalfInt(3), converged=True,
+    )
+    assert a.largest_difference(b) == (0.5, (1, -1, 3, -3))
+    assert b.largest_difference(a) == (0.5, (1, -1, 3, -3))
+    c = JointOutcomeDistribution({(2, 0): np.array([[0.5], [0.0], [0.0]])}, 0.0, HalfInt(2), True)
+    assert a.largest_difference(c) == (0.4, (1, -1, 1, 1))
+    assert a.largest_difference(a) == (0.0, (1, -1, 1, -1))
 
 
 def test_sector_probability_routes_agree():
@@ -236,9 +248,9 @@ def test_monotone_truncation():
         max_s=dist.s_cutoff_used + HalfInt(8),
     )
     dist2 = eng.joint(0.5, -0.5, wider, sectors=(s_star, s_star))
-    for k, v in dist.entries.items():
-        v2 = dist2.entries[k]
-        assert abs(v2 - v) <= rel_tol * max(abs(v2), 1e-300) * 4
+    for key, p in dist.blocks.items():
+        p2 = dist2.blocks[key]
+        assert np.all(np.abs(p2 - p) <= rel_tol * np.maximum(np.abs(p2), 1e-300) * 4)
 
 
 def test_one_kernel_serves_every_angle():
@@ -258,7 +270,12 @@ def test_one_unrestricted_kernel_set_serves_every_angle():
         dists = [eng.joint(alpha, beta, policy) for alpha, beta in ((0.3, -0.4), (0.0, 0.0))]
         assert dists[0].s_cutoff_used == dists[1].s_cutoff_used
         for (alpha, beta), dist in zip(((0.3, -0.4), (0.0, 0.0)), dists):
-            assert LossyEngine(0.5, loss).joint(alpha, beta, policy) == dist
+            again = LossyEngine(0.5, loss).joint(alpha, beta, policy)
+            assert again.blocks.keys() == dist.blocks.keys()
+            assert all(np.array_equal(again.blocks[k], dist.blocks[k]) for k in dist.blocks)
+            assert (again.tail_bound, again.s_cutoff_used, again.converged) == (
+                dist.tail_bound, dist.s_cutoff_used, dist.converged
+            )
 
 
 def test_cutoff_step_bounded_by_sector_probability_step():
@@ -275,7 +292,7 @@ def test_cutoff_step_bounded_by_sector_probability_step():
                     p_lo = eng.joint(alpha, beta, lo, sectors=sectors)
                     p_hi = eng.joint(alpha, beta, hi, sectors=sectors)
                     step = p_hi.total_mass() - p_lo.total_mass()
-                    moved = max(abs(p_hi.entries[k] - p_lo.entries[k]) for k in p_lo.entries)
+                    moved = p_hi.largest_difference(p_lo)[0]
                     assert moved <= step + 1e-15
 
 

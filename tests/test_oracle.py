@@ -139,23 +139,21 @@ def test_loss_before_or_after_analyzer_equal_eta():
     after = apply_loss(apply_loss(apply_analyzer(st, "A", angle), "a1", eta), "a2", eta)
     da = measure_joint(before)
     db = measure_joint(after)
-    keys = set(da.entries) | set(db.entries)
-    for k in keys:
-        assert da.entries.get(k, 0.0) == pytest.approx(db.entries.get(k, 0.0), abs=1e-10)
+    assert da.largest_difference(db)[0] <= 1e-10
 
 
 def test_measure_vacuum():
     st = build_epr2(0.0, 0.0, cutoff=2)
     dist = measure_joint(DensityMatrixLite.from_state(st))
-    key = (HalfInt(0), HalfInt(0), HalfInt(0), HalfInt(0))
-    assert dist.entries == {key: pytest.approx(1.0)}
+    assert dist.blocks.keys() == {(0, 0)}
+    assert dist.blocks[(0, 0)][0, 0] == pytest.approx(1.0)
 
 
 def test_perfect_detection_supports_equal_sectors_only():
     dist = simulate_joint(0.5, LossConfig.equal_eta(1.0), 0.7, -0.3, cutoff=3)
-    for (sa, _, sb, _), p in dist.entries.items():
-        if abs(p) > 1e-14:
-            assert sa == sb
+    for (tsa, tsb), p in dist.blocks.items():
+        if np.abs(p).max() > 1e-14:
+            assert tsa == tsb
 
 
 def test_perfect_detection_anticorrelated_at_common_angle():
@@ -164,9 +162,10 @@ def test_perfect_detection_anticorrelated_at_common_angle():
         dist = simulate_joint(
             0.4, LossConfig.equal_eta(1.0), angle, angle, cutoff=4, sector_max=HalfInt(4)
         )
-        for (sa, ma, sb, mb), p in dist.entries.items():
-            if p > 1e-12 and sa.twice > 0:
-                assert mb == -ma, (sa, ma, sb, mb, p)
+        for (tsa, tsb), p in dist.blocks.items():
+            for i, j in np.argwhere(p > 1e-12):
+                if tsa > 0:
+                    assert 2 * j - tsb == tsa - 2 * i, (tsa, tsb, i, j, p[i, j])
 
 
 def test_trace_conserved_through_full_pipeline():
@@ -239,6 +238,37 @@ def test_complex_amplitudes_stay_supported():
              for x in (lossy.rho.real.copy(), lossy.rho.imag.copy())]
     assert np.max(np.abs(rot.imag)) > 1e-3
     assert np.max(np.abs(rot - (parts[0] + 1j * parts[1]))) <= 1e-14
+
+
+def _dense_analyzer_reference(dm, side, angle):
+    """Analyzer unitary built over every pair of four-mode basis states, then u rho u^T."""
+    lead, other = (0, 1) if side == "A" else (3, 2)
+    u = np.zeros((len(dm.basis), len(dm.basis)))
+    for j, t in enumerate(dm.basis):
+        for kf, kg, w in oracle_mod._rotation_coeffs(t[lead], t[other], angle):
+            out = list(t)
+            out[lead], out[other] = kf, kg
+            u[dm.index[tuple(out)], j] += w
+    return u @ dm.rho @ u.T
+
+
+@pytest.mark.parametrize("sector_max", [None, HalfInt(3)], ids=["uncapped", "sector-capped"])
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_apply_analyzer_matches_dense_reference(sector_max, side):
+    dm = DensityMatrixLite.from_state(build_epr2(0.5, 0.4, cutoff=3, sector_max=sector_max))
+    dm = apply_loss(apply_loss(dm, "a2", 0.7), "b1", 0.6)
+    assert np.array_equal(apply_analyzer(dm, side, 0.77).rho, _dense_analyzer_reference(dm, side, 0.77))
+
+
+def test_apply_analyzer_rejects_basis_not_a_side_product():
+    side_a, side_b = [(0, 0), (1, 0), (0, 1)], [(0, 0), (1, 0)]
+    b_major = [a + b for b in side_b for a in side_a]
+    not_product = [(0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0)]
+    for basis in (b_major, not_product):
+        with pytest.raises(ValueError, match="product"):
+            apply_analyzer(DensityMatrixLite(basis, np.eye(len(basis))), "A", 0.4)
+    with pytest.raises(ValueError, match="closed"):
+        apply_analyzer(DensityMatrixLite([(1, 0, 0, 0)], np.ones((1, 1))), "A", 0.4)
 
 
 def test_source_density_matrix_is_real():
