@@ -348,7 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=_spin, required=True)
     p.add_argument("--r", type=_squeezing, required=True)
     p.add_argument("--eta", type=_efficiency, default=1.0)
-    _add_common(p, "--policy-tol", "--policy-max-s", "--conventions")
+    _add_common(p, "--policy-tol", "--policy-max-s")
+    p.add_argument(
+        "--conventions",
+        choices=("conditioned", "unconditioned"),
+        default="conditioned",
+        help="sector post-selection convention to maximize",
+    )
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("validate", help="run the reduction, oracle, and bookkeeping suites")
@@ -362,21 +368,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "--format")
     p.set_defaults(func=_cmd_fock_weights)
 
+    # errors found after parsing print the subcommand's usage line, as argparse's own do
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "optimize" and args.conventions == "both":
-        parser.error("argument --conventions: 'both' is not accepted by optimize, "
-                     "which maximizes one convention")
+    args, unrecognized = build_parser().parse_known_args(argv)
+    if unrecognized:
+        args.parser.error(f"unrecognized arguments: {' '.join(unrecognized)}")
     if "policy_tol" in args:
         spins = [HalfInt.of(s) for s in (args.s if isinstance(args.s, list) else [args.s])]
         try:
             args.policies = {s: _policy_for(s, args.policy_tol, args.policy_max_s) for s in spins}
         except ValueError as exc:
-            parser.error(f"argument --s/--policy-max-s: that source sum is not allowed ({exc})")
+            args.parser.error(f"argument --s/--policy-max-s: that source sum is not allowed ({exc})")
     try:
         return args.func(args)
     except BrokenPipeError:

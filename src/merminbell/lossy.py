@@ -192,14 +192,24 @@ def _pair_stack(d: np.ndarray, dmax: int) -> np.ndarray:
     return padded[rows] * d
 
 
+def _alice_pairs(t: np.ndarray, tsa: int, alpha: float) -> np.ndarray:
+    """Alice's pair stack EA(alpha) for kernel ``t``."""
+    return _pair_stack(wigner_d_matrix(HalfInt(tsa), alpha), (t.shape[0] - 1) // 2)
+
+
+def _bob_half(t: np.ndarray, tsb: int, beta: float) -> np.ndarray:
+    """Bob's half-contraction T_dl EB_dl(beta); his bra-ket offset is -dl."""
+    return t @ _pair_stack(wigner_d_matrix(HalfInt(tsb), beta), (t.shape[0] - 1) // 2)[::-1]
+
+
+def _join(ea: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """P = sum_dl EA_dl^T X_dl, with X = ``_bob_half``."""
+    return ea.reshape(-1, ea.shape[-1]).T @ x.reshape(-1, x.shape[-1])
+
+
 def _contract(t: np.ndarray, tsa: int, tsb: int, alpha: float, beta: float) -> np.ndarray:
     """Joint probabilities P[m_a, m_b] = sum_dl EA_dl^T T_dl EB_dl of one sector pair."""
-    dmax = (t.shape[0] - 1) // 2
-    ea = _pair_stack(wigner_d_matrix(HalfInt(tsa), alpha), dmax)
-    # Bob's bra-ket offset is -dl
-    eb = _pair_stack(wigner_d_matrix(HalfInt(tsb), beta), dmax)[::-1]
-    x = t @ eb
-    return ea.reshape(-1, tsa + 1).T @ x.reshape(-1, tsb + 1)
+    return _join(_alice_pairs(t, tsa, alpha), _bob_half(t, tsb, beta))
 
 
 def _nonnegative(p: np.ndarray, tsa: int, tsb: int) -> np.ndarray:
@@ -212,20 +222,54 @@ def _nonnegative(p: np.ndarray, tsa: int, tsb: int) -> np.ndarray:
     return np.maximum(p, 0.0)
 
 
-def _moment(t: np.ndarray, tsa: int, tsb: int, alpha: float, beta: float) -> float:
-    """Sector-restricted <S_A,alpha S_B,beta> of a kernel.
+def _moment_parts(t: np.ndarray, tsa: int, tsb: int) -> tuple[float, float]:
+    """Angle-independent sums (zz, ladders) of a kernel's sector-restricted moment.
 
     S_z S_z reads the dl = 0 slice; the S_x S_x ladder terms read dl = +-1,
-    weighted by sqrt(sigma(sigma+1) - mu(mu +- 1)).
+    weighted by sqrt(sigma(sigma+1) - mu(mu +- 1)).  ``_moment`` combines them.
     """
     c = (t.shape[0] - 1) // 2
     mua, lpa, lma = _ladder_weights(tsa)
     mub, lpb, lmb = _ladder_weights(tsb)
-    value = math.cos(alpha) * math.cos(beta) * float(mua @ t[c] @ mub)
-    if c:
-        ladders = float(lpa @ t[c + 1] @ lmb) + float(lma @ t[c - 1] @ lpb)
-        value += math.sin(alpha) * math.sin(beta) / 4.0 * ladders
-    return value
+    zz = float(mua @ t[c] @ mub)
+    ladders = float(lpa @ t[c + 1] @ lmb) + float(lma @ t[c - 1] @ lpb) if c else 0.0
+    return zz, ladders
+
+
+def _moment(parts: tuple[float, float], alpha: float, beta: float) -> float:
+    """Sector-restricted <S_A,alpha S_B,beta> from ``_moment_parts``."""
+    zz, ladders = parts
+    return math.cos(alpha) * math.cos(beta) * zz + math.sin(alpha) * math.sin(beta) / 4.0 * ladders
+
+
+def _lhs_and_mass(p: np.ndarray, s_star: HalfInt, conditioned: bool) -> tuple[float, float]:
+    """(lhs, mass) of the post-selected block P; s <|m_a - m_b|>, divided by the mass if conditioned."""
+    mass = float(p.sum())
+    if mass < 1e-300:
+        raise DegenerateSectorError(f"sector s={s_star} has probability {mass:.3e}")
+    lhs_raw = float((_projection_gaps(s_star.twice) * p).sum())
+    if conditioned:
+        return s_star.value * lhs_raw / mass, mass
+    return s_star.value * lhs_raw, mass
+
+
+def _sector_and_convention(s_star, convention: str) -> tuple[HalfInt, bool]:
+    """(s_star, conditioned) of a post-selected evaluation; ValueError on a bad argument."""
+    if convention not in ("conditioned", "unconditioned"):
+        raise ValueError("convention must be 'conditioned' or 'unconditioned'")
+    s_star = HalfInt.of(s_star)
+    if s_star.twice < 1:
+        raise ValueError("s_star must be at least 1/2")
+    return s_star, convention == "conditioned"
+
+
+def _rhs(parts: tuple[float, float], alpha: float, beta: float, gamma: float, den: float | None) -> float:
+    """<S_A,alpha S_B,gamma> + <S_A,beta S_B,gamma>, each divided by ``den`` unless it is None."""
+    c1 = _moment(parts, alpha, gamma)
+    c2 = _moment(parts, beta, gamma)
+    if den is not None:
+        c1, c2 = c1 / den, c2 / den
+    return c1 + c2
 
 
 @lru_cache(maxsize=None)
@@ -238,6 +282,15 @@ def _ladder_weights(tso: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for v in (mu, lp, lm):
         v.setflags(write=False)
     return mu, lp, lm
+
+
+@lru_cache(maxsize=None)
+def _projection_gaps(ts: int) -> np.ndarray:
+    """|m_a - m_b| over both sides' projections of spin ts/2, read-only."""
+    m = _ladder_weights(ts)[0]
+    gaps = np.abs(m[:, None] - m[None, :])
+    gaps.setflags(write=False)
+    return gaps
 
 
 class LossyEngine:
@@ -381,7 +434,7 @@ class LossyEngine:
         """
         tso = None if s_star is None else HalfInt.of(s_star).twice
         kernels, tcut, ok = self._kernels(None if tso is None else ((tso, tso),), policy)
-        num = sum(_moment(t, tsa, tsb, alpha, beta) for (tsa, tsb), t in kernels.items())
+        num = sum(_moment(_moment_parts(t, tsa, tsb), alpha, beta) for (tsa, tsb), t in kernels.items())
         if tso is None:
             return num, 1.0, HalfInt(tcut), ok
         den = float(kernels[(tso, tso)][tso].sum())
@@ -406,32 +459,16 @@ class LossyEngine:
         probability; the experimentally meaningful per-trial estimate) or
         "unconditioned" (raw sector-restricted sums).
         """
-        if convention not in ("conditioned", "unconditioned"):
-            raise ValueError("convention must be 'conditioned' or 'unconditioned'")
-        s_star = HalfInt.of(s_star)
-        if s_star.twice < 1:
-            raise ValueError("s_star must be at least 1/2")
+        s_star, conditioned = _sector_and_convention(s_star, convention)
         if policy is None:
             policy = TruncationPolicy.for_sector(s_star)
-        conditioned = convention == "conditioned"
         ts = s_star.twice
         kernels, tcut, ok = self._kernels(((ts, ts),), policy)
         t = kernels[(ts, ts)]
         p = _nonnegative(_contract(t, ts, ts, angles.alpha, angles.beta), ts, ts)
-        mass = float(p.sum())
-        if mass < 1e-300:
-            raise DegenerateSectorError(f"sector s={s_star} has probability {mass:.3e}")
-        m = _ladder_weights(ts)[0]
-        lhs_raw = float((np.abs(m[:, None] - m[None, :]) * p).sum())
-        c1 = _moment(t, ts, ts, angles.alpha, angles.gamma)
-        c2 = _moment(t, ts, ts, angles.beta, angles.gamma)
-        if conditioned:
-            den = float(t[ts].sum())
-            c1, c2 = c1 / den, c2 / den
-            lhs = s_star.value * lhs_raw / mass
-        else:
-            lhs = s_star.value * lhs_raw
-        rhs = c1 + c2
+        lhs, mass = _lhs_and_mass(p, s_star, conditioned)
+        den = float(t[ts].sum()) if conditioned else None
+        rhs = _rhs(_moment_parts(t, ts, ts), angles.alpha, angles.beta, angles.gamma, den)
         return ViolationRecord(
             s_star=s_star,
             r=self.r,
@@ -583,7 +620,13 @@ def optimize_angles(
     coefficients and returned in canonical form, theta in (0, pi/2] and
     gamma = 0 (``_theta_optimum``).  Unequal loss uses multi-start
     coordinate descent with golden-section line searches from a fixed start
-    list.  Both are deterministic, so repeated runs return identical triples.
+    list (``_coordinate_descent``).  Its line searches recompute only what
+    they move: a gamma search only the rhs from the kernel's two moment
+    sums, an alpha search Alice's pair stack against Bob's cached
+    half-contraction, a beta search the reverse.  Each point runs the
+    arithmetic of ``mermin_sides`` in its order, so the values, the search
+    path and the result are those of a fresh ``mermin_sides`` per point.
+    Both are deterministic, so repeated runs return identical triples.
     """
     s_star = HalfInt.of(s_star)
     eng = LossyEngine(r, loss)
@@ -646,15 +689,56 @@ def _theta_optimum(
     return record.angles, record
 
 
+def _descent_objective(
+    eng: LossyEngine, s_star: HalfInt, policy: TruncationPolicy, convention: str
+) -> Callable[[float, float, float], float]:
+    """-violation at (alpha, beta, gamma): ``eng.mermin_sides``' value, bit for bit.
+
+    The kernel, its moment parts and the conditioning mass are read once.
+    Three one-entry memos hold what a line search leaves fixed: Alice's pair
+    stack (keyed on alpha), Bob's half-contraction (keyed on beta) and the
+    lhs (keyed on (alpha, beta)).  So a gamma search contracts nothing, an
+    alpha search reuses Bob's half and a beta search Alice's stack.  Every
+    new (alpha, beta) is still clipped and checked by ``_nonnegative`` and
+    ``_lhs_and_mass``.  Each step runs the same floating-point operations in
+    the same order as ``mermin_sides``.  The memos live in this closure and
+    die with it, so no angle-keyed cache outlives one descent.
+    """
+    s_star, conditioned = _sector_and_convention(s_star, convention)
+    ts = s_star.twice
+    t = eng._kernels(((ts, ts),), policy)[0][(ts, ts)]
+    parts = _moment_parts(t, ts, ts)
+    den = float(t[ts].sum()) if conditioned else None
+
+    @lru_cache(maxsize=1)
+    def alice(alpha: float) -> np.ndarray:
+        return _alice_pairs(t, ts, alpha)
+
+    @lru_cache(maxsize=1)
+    def bob(beta: float) -> np.ndarray:
+        return _bob_half(t, ts, beta)
+
+    @lru_cache(maxsize=1)
+    def lhs(alpha: float, beta: float) -> float:
+        return _lhs_and_mass(_nonnegative(_join(alice(alpha), bob(beta)), ts, ts), s_star, conditioned)[0]
+
+    def objective(a: float, b: float, g: float) -> float:
+        return -(_rhs(parts, a, b, g, den) - lhs(a, b))
+
+    return objective
+
+
 def _coordinate_descent(
     eng: LossyEngine, s_star: HalfInt, policy: TruncationPolicy, convention: str
 ) -> tuple[AngleTriple, ViolationRecord]:
-    """Multi-start coordinate descent over (alpha, beta, gamma) with golden-section line searches."""
+    """Multi-start coordinate descent over (alpha, beta, gamma) with golden-section line searches.
 
-    def objective(a: float, b: float, g: float) -> float:
-        angles = AngleTriple(a, b, g)
-        return -eng.mermin_sides(s_star, angles, policy, convention).violation
-
+    The objective is ``_descent_objective``: a gamma search recomputes only
+    the rhs, an alpha search only Alice's side and a beta search only Bob's.
+    It returns the same bits as a fresh ``mermin_sides`` at every point, so
+    the search path and the result are those of calling it every time.
+    """
+    objective = _descent_objective(eng, s_star, policy, convention)
     sv = max(s_star.value, 0.5)
     starts = [theta_triple(t) for t in (0.15 / sv, 0.35 / sv, 0.7 / sv, 1.2 / sv)]
     starts.append(AngleTriple(2.0, -1.2, 0.3))

@@ -150,17 +150,28 @@ def _sx_eigenvectors(ts: int) -> np.ndarray:
     return u
 
 
+@lru_cache(maxsize=None)
+def _quarter_turn_pattern(ts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(projections -s..s, (k - j) % 4 even, (k - j) % 4 >= 2) for spin ts/2, read-only."""
+    m = np.arange(-ts, ts + 1, 2) / 2.0
+    k = np.arange(ts + 1)
+    quarter_turns = (k[None, :] - k[:, None]) % 4
+    even, negated = quarter_turns % 2 == 0, quarter_turns >= 2
+    for v in (m, even, negated):
+        v.setflags(write=False)
+    return m, even, negated
+
+
 @lru_cache(maxsize=8192)
 def _wigner_matrix_cached(ts: int, alpha: float) -> np.ndarray:
     # S_y = D^dagger S_x D with D = diag(i^k), so S_y = V Lambda V^dagger with
     # V = D^dagger U, and d = Re(V exp(-i alpha Lambda) V^dagger) has entries
     # Re(i^(k-j) (C - i S)[j, k]) for C, S = U cos(alpha Lambda), sin(alpha Lambda) U^T
     u = _sx_eigenvectors(ts)
-    phase = alpha * (np.arange(-ts, ts + 1, 2) / 2.0)
-    k = np.arange(ts + 1)
-    quarter_turns = (k[None, :] - k[:, None]) % 4
-    out = np.where(quarter_turns % 2 == 0, (u * np.cos(phase)) @ u.T, (u * np.sin(phase)) @ u.T)
-    out[quarter_turns >= 2] *= -1.0
+    m, even, negated = _quarter_turn_pattern(ts)
+    phase = alpha * m
+    out = np.where(even, (u * np.cos(phase)) @ u.T, (u * np.sin(phase)) @ u.T)
+    out[negated] *= -1.0
     out.setflags(write=False)
     return out
 

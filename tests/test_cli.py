@@ -173,22 +173,22 @@ def test_mutated_bob_sign_fails_reduction(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["optimize", "--s", "0", "--r", "0.3"],
-        ["optimize", "--s", "1.3", "--r", "0.3"],
-        ["optimize", "--s", "1", "--r", "0.3", "--eta", "1.3"],
-        ["optimize", "--s", "1", "--r", "-1"],
-        ["sweep-theta", "--s", "1", "--r", "0.3", "--eta", "0.9", "--base-angle", "nan"],
-        ["optimize", "--s", "1", "--r", "0.3", "--policy-tol", "nan"],
-        ["optimize", "--s", "1", "--r", "0.3", "--policy-max-s", "0.3"],
-        ["fock-weights", "--r", "0.3", "--n-max", "-1"],
-        ["sweep-theta", "--s", "1", "--r", "0.3", "--eta", "0.9", "--workers", "-2"],
-        ["sweep-theta", "--s", "1", "--r", "0.3", "--eta", "0.9", "--theta-steps", "0"],
-        ["optimize", "--s", "1", "--r", "0.3", "--conventions", "both"],
-        ["optimize", "--s", "1000", "--r", "0.3"],
-        ["sweep-theta", "--s", "1000", "--r", "0.3", "--eta", "0.9"],
-        ["optimize", "--s", "1", "--r", "0.3", "--policy-max-s", "300"],
+        (["optimize", "--s", "0", "--r", "0.3"], "is not"),
+        (["optimize", "--s", "1.3", "--r", "0.3"], "is not"),
+        (["optimize", "--s", "1", "--r", "0.3", "--eta", "1.3"], "is not"),
+        (["optimize", "--s", "1", "--r", "-1"], "is not"),
+        (["sweep-theta", "--s", "1", "--r", "0.3", "--eta", "0.9", "--base-angle", "nan"], "is not"),
+        (["optimize", "--s", "1", "--r", "0.3", "--policy-tol", "nan"], "is not"),
+        (["optimize", "--s", "1", "--r", "0.3", "--policy-max-s", "0.3"], "is not"),
+        (["fock-weights", "--r", "0.3", "--n-max", "-1"], "is not"),
+        (["sweep-theta", "--s", "1", "--r", "0.3", "--eta", "0.9", "--workers", "-2"], "is not"),
+        (["sweep-theta", "--s", "1", "--r", "0.3", "--eta", "0.9", "--theta-steps", "0"], "is not"),
+        (["optimize", "--s", "1", "--r", "0.3", "--conventions", "both"], "invalid choice: 'both'"),
+        (["optimize", "--s", "1000", "--r", "0.3"], "is not"),
+        (["sweep-theta", "--s", "1000", "--r", "0.3", "--eta", "0.9"], "is not"),
+        (["optimize", "--s", "1", "--r", "0.3", "--policy-max-s", "300"], "is not"),
     ],
     ids=[
         "s-zero", "s-not-half-integer", "eta-above-one", "r-negative", "base-angle-nan",
@@ -197,13 +197,13 @@ def test_mutated_bob_sign_fails_reduction(monkeypatch):
         "sweep-theta-s-above-cap", "policy-max-s-above-cap",
     ],
 )
-def test_bad_input_exits_2_with_usage(argv, capsys):
+def test_bad_input_exits_2_with_usage(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage: merminbell")
-    assert "is not" in err
+    assert err.startswith(f"usage: merminbell {argv[0]}")
+    assert message in err
 
 
 @pytest.mark.parametrize(
@@ -219,7 +219,9 @@ def test_flag_a_subcommand_does_not_read_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: merminbell {argv[0]}")
+    assert "unrecognized arguments" in err
 
 
 def test_main_inprocess_exit_codes(tmp_path, capsys):

@@ -13,6 +13,7 @@ from merminbell.lossy import (
     JointOutcomeDistribution,
     LossyEngine,
     TruncationPolicy,
+    _descent_objective,
     correlation_alt_bookkeeping,
     lossy_correlation,
     lossy_joint_distribution,
@@ -425,6 +426,53 @@ def test_equal_loss_optimum_is_canonical_and_meets_golden(s, r, eta, convention,
         s, theta_triple(math.pi - theta), convention=convention
     )
     assert abs(mirror.violation - rec.violation) <= 1e-12
+
+
+# ------------------------------------------------------- unequal-loss search
+
+
+UNEQUAL_LOSSES = [LossConfig(0.9, 0.8, 0.85, 0.75), LossConfig(0.9, 0.7, 0.8, 0.6)]
+
+
+@pytest.mark.parametrize("ts", [1, 2, 3, 5])
+@pytest.mark.parametrize("loss", UNEQUAL_LOSSES, ids=["mild", "strong"])
+@pytest.mark.parametrize("convention", ["conditioned", "unconditioned"])
+def test_descent_objective_is_mermin_sides_bit_for_bit(ts, loss, convention):
+    s = HalfInt(ts)
+    policy = TruncationPolicy.for_sector(s)
+    objective = _descent_objective(LossyEngine(0.4, loss), s, policy, convention)
+    fresh = LossyEngine(0.4, loss)
+    a, b, g = 2.0, -1.2, 0.3
+    path = [(a, b, g), (a, b, g)]
+    path += [(a, b, g + d) for d in (0.25, -0.4, 1.1)]  # gamma only
+    path += [(a + d, b, g + 1.1) for d in (0.3, -0.7)]  # alpha only
+    path += [(a - 0.7, b + d, g + 1.1) for d in (0.2, 2.5)]  # beta only
+    path += [(a, b, g), (a - 0.7, b + 0.2, -3.0), (a + 0.3, b, 0.5)]  # revisits
+    for point in path:
+        want = -fresh.mermin_sides(s, AngleTriple(*point), policy, convention).violation
+        assert objective(*point) == want, point
+
+
+@pytest.mark.parametrize(
+    "s,r,loss,convention,golden",
+    [
+        (1, 0.3, UNEQUAL_LOSSES[0], "conditioned",
+         (2.407762562054086, -1.287447999763562, 0.5508939078365614, 0.16214799256689671)),
+        (1.5, 0.4, UNEQUAL_LOSSES[1], "unconditioned",
+         (2.3876331125780252, -1.1563874989560006, 0.5444642233309805, 0.00025965909395815915)),
+        (2, 0.3, UNEQUAL_LOSSES[0], "conditioned",
+         (2.2320312857679157, -1.1951120175220562, 0.4931294811503362, 0.20337743797913638)),
+    ],
+)
+def test_unequal_loss_optimum_meets_golden(s, r, loss, convention, golden):
+    # golden (alpha, beta, gamma, violation): the descent that evaluated mermin_sides
+    # afresh at every point.  Another BLAS build may round differently and move the
+    # line-search path, so angles are held to 1e-6 and the violation to 1e-12.
+    angles, rec = optimize_angles(s, r, loss, convention=convention)
+    fresh = LossyEngine(r, loss).mermin_sides(s, angles, convention=convention)
+    assert fresh.violation == rec.violation
+    assert np.allclose([angles.alpha, angles.beta, angles.gamma], golden[:3], rtol=0, atol=1e-6)
+    assert abs(rec.violation - golden[3]) <= 1e-12
 
 
 # ------------------------------------------------------------- conventions

@@ -4,6 +4,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from merminbell import numerics
 from merminbell.loss import log_thinning
 from merminbell.numerics import (
     HalfInt,
@@ -278,6 +279,25 @@ def test_wigner_invalid_labels():
         wigner_d(1, 1.5, 0, 0.3)
     with pytest.raises(ValueError):
         wigner_d(1, 2, 0, 0.3)
+
+
+def _wigner_matrix_reference(ts, alpha):
+    # the block builder before its per-spin pattern cache, verbatim
+    u = numerics._sx_eigenvectors(ts)
+    phase = alpha * (np.arange(-ts, ts + 1, 2) / 2.0)
+    k = np.arange(ts + 1)
+    quarter_turns = (k[None, :] - k[:, None]) % 4
+    out = np.where(quarter_turns % 2 == 0, (u * np.cos(phase)) @ u.T, (u * np.sin(phase)) @ u.T)
+    out[quarter_turns >= 2] *= -1.0
+    return out
+
+
+@pytest.mark.parametrize("ts", [*range(1, 10), 40, 120, 400])
+def test_wigner_block_unchanged_by_pattern_cache(ts):
+    for alpha in (-9.0, -math.pi, -0.3, 0.0, 1e-3, 1.1, math.pi / 2, 2 * math.pi + 0.4, 13.0):
+        d = wigner_d_matrix(HalfInt(ts), alpha)
+        assert np.array_equal(d, _wigner_matrix_reference(ts, alpha)), alpha
+        assert not d.flags.writeable
 
 
 def test_wigner_matrix_cached_and_readonly():
