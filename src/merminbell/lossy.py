@@ -188,8 +188,15 @@ def _pair_stack(d: np.ndarray, dmax: int) -> np.ndarray:
     n = d.shape[0]
     padded = np.zeros((n + 2 * dmax, n))
     padded[dmax : dmax + n] = d
+    return padded[_pair_rows(n, dmax)] * d
+
+
+@lru_cache(maxsize=None)
+def _pair_rows(n: int, dmax: int) -> np.ndarray:
+    """Row grid i + dl + dmax of ``_pair_stack``'s padded block, read-only."""
     rows = np.arange(n)[None, :] + np.arange(2 * dmax + 1)[:, None]
-    return padded[rows] * d
+    rows.setflags(write=False)
+    return rows
 
 
 def _alice_pairs(t: np.ndarray, tsa: int, alpha: float) -> np.ndarray:

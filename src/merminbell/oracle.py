@@ -4,22 +4,30 @@ Everything here works directly on photon occupation amplitudes of the four
 optical modes (a1, a2, b1, b2): explicit state preparation, Kraus-sum loss
 channels, beamsplitter analyzer unitaries, and photon-counting readout.  No
 spin algebra is shared with the analytic modules; agreement between the two
-routes is the package's core correctness check.  A loss Kraus operator sends
-each basis state to exactly one basis state (n -> n - k on its mode), so it
-is applied as a weighted index map, not a dense product; the density matrix
-is real unless the input state has a complex amplitude.
+routes is the package's core correctness check.  The density matrix is real
+unless the input state has a complex amplitude.
 
-The working basis holds every occupation with per-side photon totals up to
-the totals present in the initial state, which is closed under both loss
-(totals decrease) and analyzer rotations (totals conserved), so channels
-stay exactly trace preserving despite the truncation.
+The working basis is the A-major product of per-side bases, each holding
+every occupation with that side's photon total up to the total present in
+the initial state.  It is closed under both loss (totals decrease) and
+analyzer rotations (totals conserved), so channels stay exactly trace
+preserving despite the truncation.
+
+Every channel acts on one side, so it views the dim x dim density matrix as
+a tensor with a ket and a bra axis per side and touches only its own side's
+two axes.  A loss Kraus operator sends each side state to exactly one side
+state (n -> n - k on its mode), so it is applied as a weighted index map;
+an analyzer is one side-sized rotation block applied by batched matmul, so
+no dim x dim product is formed.  ``simulate_joint`` keeps the lossy state of
+the last setting, since the source and the loss channels do not depend on
+the analyzer angles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -93,8 +101,11 @@ class DensityMatrixLite:
 
     def __init__(self, basis: list[tuple[int, int, int, int]], rho: np.ndarray):
         self.basis = basis
-        self.index = {t: i for i, t in enumerate(basis)}
         self.rho = rho
+
+    @cached_property
+    def index(self) -> dict[tuple[int, int, int, int], int]:
+        return {t: i for i, t in enumerate(self.basis)}
 
     @classmethod
     def from_state(cls, state: TruncatedFockState) -> "DensityMatrixLite":
@@ -126,25 +137,44 @@ def _as_dm(obj) -> DensityMatrixLite:
     raise TypeError("expected a TruncatedFockState or DensityMatrixLite")
 
 
+def _sides(dm: DensityMatrixLite) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Alice's and Bob's bases, of which ``dm.basis`` must be the A-major product."""
+    states_a = list(dict.fromkeys(t[:2] for t in dm.basis))
+    states_b = list(dict.fromkeys(t[2:] for t in dm.basis))
+    if dm.basis != [a + b for a in states_a for b in states_b]:
+        raise ValueError("basis is not an A-major product of per-side bases")
+    return states_a, states_b
+
+
+def _side_view(m: np.ndarray, sides, side: int) -> np.ndarray:
+    """A dim x dim matrix as a view with axes (other ket, other bra, side ket,
+    side bra), so that ``side`` (0 for A, 1 for B) owns the last two axes."""
+    da, db = len(sides[0]), len(sides[1])
+    t = m.reshape(da, db, da, db)
+    return t.transpose(1, 3, 0, 2) if side == 0 else t.transpose(0, 2, 1, 3)
+
+
 def apply_loss(obj, mode: str, eta: float) -> DensityMatrixLite:
     """Kraus-sum loss channel on one mode: k photons lost with amplitude
     sqrt(C(n,k)) eta^((n-k)/2) (1-eta)^(k/2).
 
-    The k-photon Kraus operator sends each state with n >= k to its copy with
-    n - k photons, so K rho K^T is a weighted copy of a sub-block of rho.
+    The k-photon Kraus operator sends each state of the mode's side with
+    n >= k to its copy with n - k photons, so K rho K^T is a weighted copy of
+    a sub-block along that side's two axes.  The basis must be the A-major
+    product of per-side bases that ``from_state`` builds.
     """
     if mode not in _MODE_POS:
         raise ValueError(f"unknown mode {mode!r}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     dm = _as_dm(obj)
-    occ = np.array(dm.basis, dtype=np.int64).reshape(-1, 4)
-    n = occ[:, _MODE_POS[mode]]
-    # occupations as mixed-radix keys: losing k photons subtracts k * place
-    places = (int(occ.max()) + 1) ** np.arange(3, -1, -1, dtype=np.int64)
-    keys = occ @ places
-    order = np.argsort(keys)
+    sides = _sides(dm)
+    side, pos = divmod(_MODE_POS[mode], 2)
+    states = sides[side]
+    index = {t: i for i, t in enumerate(states)}
+    n = np.array([t[pos] for t in states])
     new = np.zeros_like(dm.rho)
+    src, dst = _side_view(dm.rho, sides, side), _side_view(new, sides, side)
     for k in range(n.max() + 1 if eta < 1.0 else 1):
         table = [0.0] * k + [
             math.sqrt(math.comb(m, k)) * eta ** ((m - k) / 2.0) * (1.0 - eta) ** (k / 2.0)
@@ -152,11 +182,11 @@ def apply_loss(obj, mode: str, eta: float) -> DensityMatrixLite:
         ]
         w = np.array(table)[n]
         cols = np.flatnonzero(w)
-        target = keys[cols] - k * places[_MODE_POS[mode]]
-        rows = order[np.searchsorted(keys, target, sorter=order) % len(keys)]
-        if not np.array_equal(keys[rows], target):
+        lowered = [states[c][:pos] + (states[c][pos] - k,) + states[c][pos + 1 :] for c in cols]
+        if not all(t in index for t in lowered):
             raise ValueError("basis is not closed under photon loss")
-        new[np.ix_(rows, rows)] += w[cols, None] * dm.rho[np.ix_(cols, cols)] * w[None, cols]
+        rows = np.array([index[t] for t in lowered], dtype=np.intp)
+        dst[..., rows[:, None], rows] += w[cols, None] * src[..., cols[:, None], cols] * w[cols]
     return DensityMatrixLite(dm.basis, new)
 
 
@@ -195,16 +225,14 @@ def apply_analyzer(obj, side: str, angle: float) -> DensityMatrixLite:
     Alice's rotation treats a1 as the leading mode; Bob's treats b2 as the
     leading mode, matching his reflected spin convention.  The basis must be
     the A-major product of per-side bases that ``from_state`` builds, so the
-    unitary is one side's rotation times the identity on the other side.
+    unitary is one side's rotation block acting on that side's two axes.
     """
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
     dm = _as_dm(obj)
-    states_a = list(dict.fromkeys(t[:2] for t in dm.basis))
-    states_b = list(dict.fromkeys(t[2:] for t in dm.basis))
-    if dm.basis != [a + b for a in states_a for b in states_b]:
-        raise ValueError("basis is not an A-major product of per-side bases")
-    states, lead = (states_a, 0) if side == "A" else (states_b, 1)
+    sides = _sides(dm)
+    lead = 0 if side == "A" else 1
+    states = sides[lead]
     index = {t: i for i, t in enumerate(states)}
     rot = np.zeros((len(states), len(states)))
     for j, t in enumerate(states):
@@ -213,8 +241,11 @@ def apply_analyzer(obj, side: str, angle: float) -> DensityMatrixLite:
             if out not in index:
                 raise ValueError("basis is not closed under the analyzer rotation")
             rot[index[out], j] += w
-    u = np.kron(rot, np.eye(len(states_b))) if side == "A" else np.kron(np.eye(len(states_a)), rot)
-    return DensityMatrixLite(dm.basis, u @ dm.rho @ u.T)
+    # rot rho rot^T as one side-sized product per (ket, bra) of the other
+    # side: small enough that BLAS keeps it on the calling thread
+    new = np.empty(dm.rho.shape, dtype=np.result_type(rot, dm.rho))
+    np.matmul(rot @ _side_view(dm.rho, sides, lead), rot.T, out=_side_view(new, sides, lead))
+    return DensityMatrixLite(dm.basis, new)
 
 
 def _bob_projection(n_b1, n_b2):
@@ -253,9 +284,19 @@ def simulate_joint(
     sector_max=None,
 ) -> JointOutcomeDistribution:
     """Full pipeline: source, pi shift, four loss channels, analyzers, readout."""
-    dm = DensityMatrixLite.from_state(build_epr2(r, r, cutoff, sector_max=sector_max))
-    for mode, eta in zip(("a1", "a2", "b1", "b2"), loss.etas()):
-        dm = apply_loss(dm, mode, eta)
-    dm = apply_analyzer(dm, "A", alpha)
+    s_max = None if sector_max is None else HalfInt.of(sector_max)
+    dm = apply_analyzer(_lossy_state(r, loss.etas(), cutoff, s_max), "A", alpha)
     dm = apply_analyzer(dm, "B", beta)
     return measure_joint(dm)
+
+
+@lru_cache(maxsize=1)
+def _lossy_state(r: float, etas: tuple[float, ...], cutoff: int, sector_max) -> DensityMatrixLite:
+    """Source, pi shift and the four loss channels: the angle-independent
+    part of ``simulate_joint``, kept for the last setting.  Its ``rho`` is
+    shared by every later call, so it is read-only."""
+    dm = DensityMatrixLite.from_state(build_epr2(r, r, cutoff, sector_max=sector_max))
+    for mode, eta in zip(("a1", "a2", "b1", "b2"), etas):
+        dm = apply_loss(dm, mode, eta)
+    dm.rho.setflags(write=False)
+    return dm

@@ -257,7 +257,73 @@ def _dense_analyzer_reference(dm, side, angle):
 def test_apply_analyzer_matches_dense_reference(sector_max, side):
     dm = DensityMatrixLite.from_state(build_epr2(0.5, 0.4, cutoff=3, sector_max=sector_max))
     dm = apply_loss(apply_loss(dm, "a2", 0.7), "b1", 0.6)
-    assert np.array_equal(apply_analyzer(dm, side, 0.77).rho, _dense_analyzer_reference(dm, side, 0.77))
+    # the per-side product sums in another order than the dense one
+    got = apply_analyzer(dm, side, 0.77).rho
+    assert np.max(np.abs(got - _dense_analyzer_reference(dm, side, 0.77))) <= 1e-15
+
+
+def _side_states(total):
+    return [(i, j) for i in range(total + 1) for j in range(total + 1 - i)]
+
+
+def test_per_side_channels_match_dense_references_with_unequal_sides():
+    # 10 states on A and 3 on B: a swapped side axis cannot pass unnoticed
+    basis = [a + b for a in _side_states(3) for b in _side_states(1)]
+    x = np.random.default_rng(7).standard_normal((len(basis), len(basis)))
+    dm = DensityMatrixLite(basis, (x + x.T) / (2 * len(basis)))
+    for mode, eta in zip(("a1", "a2", "b1", "b2"), (0.37, 0.8, 0.55, 0.0)):
+        got = apply_loss(dm, mode, eta).rho
+        assert np.max(np.abs(got - _dense_loss_reference(dm, mode, eta))) <= 1e-15, mode
+    for side in ("A", "B"):
+        got = apply_analyzer(dm, side, 0.77).rho
+        assert np.max(np.abs(got - _dense_analyzer_reference(dm, side, 0.77))) <= 1e-15, side
+
+
+def test_index_is_built_only_when_read():
+    dm = apply_loss(DensityMatrixLite.from_state(build_epr2(0.5, 0.4, cutoff=2)), "a1", 0.6)
+    assert "index" not in vars(dm)
+    assert dm.entry((0, 0, 0, 0), (0, 0, 0, 0)) == dm.rho[0, 0]
+    assert dm.index[(0, 0, 0, 0)] == 0
+
+
+def _pipeline_by_hand(r, loss, alpha, beta, cutoff, sector_max):
+    dm = DensityMatrixLite.from_state(build_epr2(r, r, cutoff, sector_max=sector_max))
+    for mode, eta in zip(("a1", "a2", "b1", "b2"), loss.etas()):
+        dm = apply_loss(dm, mode, eta)
+    return measure_joint(apply_analyzer(apply_analyzer(dm, "A", alpha), "B", beta))
+
+
+def _same_blocks(got, want):
+    return got.blocks.keys() == want.blocks.keys() and all(
+        np.array_equal(got.blocks[k], want.blocks[k]) for k in want.blocks
+    )
+
+
+def test_lossy_state_cache_serves_every_angle_pair():
+    loss, cap = LossConfig(0.9, 0.7, 0.8, 0.6), HalfInt(2)
+    hits = oracle_mod._lossy_state.cache_info().hits
+    for alpha, beta in ((0.6, -0.9), (1.3, 0.2), (0.6, -0.9)):
+        got = simulate_joint(0.4, loss, alpha, beta, cutoff=4, sector_max=cap)
+        assert _same_blocks(got, _pipeline_by_hand(0.4, loss, alpha, beta, 4, cap))
+    assert oracle_mod._lossy_state.cache_info().hits - hits >= 2
+    cached = oracle_mod._lossy_state(0.4, loss.etas(), 4, cap)
+    with pytest.raises(ValueError, match="read-only"):
+        cached.rho[0, 0] = 0.5
+
+
+def test_lossy_state_cache_never_returns_another_setting():
+    settings = [
+        (0.4, LossConfig(0.9, 0.7, 0.8, 0.6)),
+        (0.4, LossConfig(0.9, 0.7, 0.6, 0.8)),
+        (0.5, LossConfig(0.9, 0.7, 0.6, 0.8)),
+        (0.4, LossConfig(0.9, 0.7, 0.8, 0.6)),
+    ]
+    results = []
+    for r, loss in settings:
+        got = simulate_joint(r, loss, 0.6, -0.9, cutoff=3, sector_max=HalfInt(2))
+        assert _same_blocks(got, _pipeline_by_hand(r, loss, 0.6, -0.9, 3, HalfInt(2)))
+        results.append(got)
+    assert not any(_same_blocks(results[i], results[i + 1]) for i in range(3))
 
 
 def test_apply_analyzer_rejects_basis_not_a_side_product():
@@ -267,6 +333,8 @@ def test_apply_analyzer_rejects_basis_not_a_side_product():
     for basis in (b_major, not_product):
         with pytest.raises(ValueError, match="product"):
             apply_analyzer(DensityMatrixLite(basis, np.eye(len(basis))), "A", 0.4)
+        with pytest.raises(ValueError, match="product"):
+            apply_loss(DensityMatrixLite(basis, np.eye(len(basis))), "b1", 0.4)
     with pytest.raises(ValueError, match="closed"):
         apply_analyzer(DensityMatrixLite([(1, 0, 0, 0)], np.ones((1, 1))), "A", 0.4)
 
