@@ -33,9 +33,6 @@ from .lossy import (
     LossyEngine,
     TruncationPolicy,
     ViolationRecord,
-    lossy_correlation,
-    lossy_joint_distribution,
-    lossy_mermin_sides,
     optimize_angles,
     sweep,
 )
@@ -77,9 +74,6 @@ __all__ = [
     "ideal_mermin_sides",
     "ideal_pair_probability",
     "ladder_coeff",
-    "lossy_correlation",
-    "lossy_joint_distribution",
-    "lossy_mermin_sides",
     "min_output_spin",
     "modes_to_spin",
     "optimize_angles",

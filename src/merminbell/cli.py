@@ -16,6 +16,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+from .ideal import AngleTriple, theta_triple
 from .loss import LossConfig
 from .lossy import (
     DegenerateSectorError,
@@ -23,9 +24,8 @@ from .lossy import (
     LossyEngine,
     TruncationPolicy,
     ViolationRecord,
-    _failure_record,
+    _evaluate,
     optimize_angles,
-    sweep,
 )
 from .numerics import HalfInt
 from .source import fock_weight_distribution
@@ -124,36 +124,32 @@ def _policy_for(s_star: HalfInt, tol: float, max_s: float | None) -> TruncationP
 
 
 def _theta_task(payload: dict) -> list[dict]:
+    """Rows of one efficiency, theta-major: every convention reads one engine's kernel."""
     s_star = HalfInt(payload["ts"])
-    r, eta = payload["r"], payload["eta"]
+    eng = LossyEngine(payload["r"], LossConfig.equal_eta(payload["eta"]))
     rows = []
-    for conv in payload["conventions"]:
-        recs = sweep(
-            [s_star], [r], [eta], payload["thetas"],
-            policy=payload["policy"], convention=conv, base_angle=payload["base"],
-        )
-        for theta, rec in zip(payload["thetas"], recs):
-            rows.append(_record_row(rec, eta, theta))
-    if len(payload["conventions"]) > 1:
-        # interleave so rows stay grouped per theta
-        half = len(rows) // 2
-        rows = [row for pair in zip(rows[:half], rows[half:]) for row in pair]
+    for theta in payload["thetas"]:
+        angles = theta_triple(theta, payload["base"])
+        for conv in payload["conventions"]:
+            rec = _evaluate(eng, s_star, angles, payload["policy"], conv)
+            rows.append(_record_row(rec, payload["eta"], theta))
     return rows
 
 
 def _eta_task(payload: dict) -> list[dict]:
+    """Rows of one (s, r) at its eta=1 optimal angles; a failed optimum flags every row."""
     s_star = HalfInt(payload["ts"])
     r, policy = payload["r"], payload["policy"]
-    angles, _ = optimize_angles(s_star, r, LossConfig.equal_eta(1.0), policy)
+    failure = None
+    try:
+        angles, _ = optimize_angles(s_star, r, LossConfig.equal_eta(1.0), policy)
+    except (DegenerateSectorError, InternalConsistencyError) as exc:
+        angles, failure = AngleTriple(math.nan, math.nan, math.nan), exc
     rows = []
     for eta in payload["etas"]:
         eng = LossyEngine(r, LossConfig.equal_eta(eta))
         for conv in payload["conventions"]:
-            try:
-                rec = eng.mermin_sides(s_star, angles, policy, conv)
-            except (DegenerateSectorError, InternalConsistencyError) as exc:
-                rec = _failure_record(s_star, r, eng.loss, angles, conv, exc)
-            rows.append(_record_row(rec, eta))
+            rows.append(_record_row(_evaluate(eng, s_star, angles, policy, conv, failure), eta))
     return rows
 
 

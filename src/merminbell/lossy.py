@@ -13,6 +13,11 @@ post-selected pair, or every pair reachable below the cutoff) are converged
 once per truncation policy; the joint distribution, both correlations and
 the left side at any analyzer setting are contractions of them.
 
+The methods of ``LossyEngine`` (``joint``, ``correlation``,
+``mermin_sides``) are the only way to evaluate a point; one engine serves
+every point at its (r, loss) setting.  ``sweep`` and ``optimize_angles``
+build on them.
+
 Bob's spin convention is m_B = (n_B2 - n_B1)/2, so his "up" mode is the
 second one; the per-side weight tables are generic in (w, w') and the
 two sides differ only in which detector efficiency feeds which mode and in
@@ -40,9 +45,6 @@ __all__ = [
     "DegenerateSectorError",
     "InternalConsistencyError",
     "LossyEngine",
-    "lossy_joint_distribution",
-    "lossy_correlation",
-    "lossy_mermin_sides",
     "sweep",
     "optimize_angles",
     "correlation_alt_bookkeeping",
@@ -359,7 +361,7 @@ class LossyEngine:
             out[dl + dmax] = -blk if dl % 2 else blk
         return out
 
-    def _kernels(self, pairs: tuple | None, policy: TruncationPolicy):
+    def _kernels(self, pairs: tuple | None, policy: TruncationPolicy | None):
         """Converged kernels ({(tsa, tsb): T}, cutoff, converged) of outcome sector pairs.
 
         T[dl + dmax, mu_a, mu_b] sums the source-sector blocks up to the
@@ -367,13 +369,17 @@ class LossyEngine:
         once per (pairs, policy) and every angle contracts it.  ``pairs``
         None takes every pair reachable below the cutoff.  The cutoff grows
         until a step changes the probability the kernels hold by at most
-        ``policy.rel_tol`` relative.
+        ``policy.rel_tol`` relative.  ``policy`` None is
+        ``TruncationPolicy.for_sector`` of the largest spin in ``pairs``
+        (0 for every pair), and shares its cache entry.
         """
+        t_floor = max(max(p) for p in pairs) if pairs else 0
+        if policy is None:
+            policy = TruncationPolicy.for_sector(HalfInt(t_floor))
         key = (pairs, policy)
         got = self._kernel_cache.get(key)
         if got is not None:
             return got
-        t_floor = max(max(p) for p in pairs) if pairs else 0
         t_max = max(policy.max_s.twice, t_floor)
         tcut = max(policy.s_start.twice, t_floor)
         ok = tcut >= t_max and sector_weight_tail(HalfInt(tcut), self.r) == 0.0
@@ -464,11 +470,10 @@ class LossyEngine:
 
         ``convention`` is "conditioned" (both sides divided by the sector
         probability; the experimentally meaningful per-trial estimate) or
-        "unconditioned" (raw sector-restricted sums).
+        "unconditioned" (raw sector-restricted sums).  ``policy`` None is
+        ``TruncationPolicy.for_sector(s_star)``.
         """
         s_star, conditioned = _sector_and_convention(s_star, convention)
-        if policy is None:
-            policy = TruncationPolicy.for_sector(s_star)
         ts = s_star.twice
         kernels, tcut, ok = self._kernels(((ts, ts),), policy)
         t = kernels[(ts, ts)]
@@ -491,52 +496,32 @@ class LossyEngine:
         )
 
 
-# ------------------------------------------------------------- functional API
-
-
-def lossy_joint_distribution(
-    r: float,
-    loss: LossConfig,
-    alpha: float,
-    beta: float,
-    policy: TruncationPolicy,
-    sectors: tuple | None = None,
-) -> JointOutcomeDistribution:
-    return LossyEngine(r, loss).joint(alpha, beta, policy, sectors=sectors)
-
-
-def lossy_correlation(
-    r: float,
-    loss: LossConfig,
-    alpha: float,
-    beta: float,
-    s_star=None,
-    policy: TruncationPolicy | None = None,
-    conditioned: bool = True,
-) -> float:
-    if policy is None:
-        policy = TruncationPolicy.for_sector(s_star if s_star is not None else HalfInt(0))
-    value, _, _, _ = LossyEngine(r, loss).correlation(alpha, beta, s_star, policy, conditioned)
-    return value
-
-
-def lossy_mermin_sides(
+def _evaluate(
+    eng: LossyEngine,
     s_star,
-    r: float,
-    loss: LossConfig,
     angles: AngleTriple,
-    policy: TruncationPolicy | None = None,
-    convention: str = "conditioned",
+    policy: TruncationPolicy | None,
+    convention: str,
+    failure: Exception | None = None,
 ) -> ViolationRecord:
-    return LossyEngine(r, loss).mermin_sides(s_star, angles, policy, convention)
+    """``eng.mermin_sides``, or a record flagged with the error it raised.
 
-
-def _failure_record(s_star, r, loss, angles, convention, exc) -> ViolationRecord:
+    A ``DegenerateSectorError`` or ``InternalConsistencyError`` becomes a
+    record with NaN sides, ``converged`` false and the error text in
+    ``error``, so one bad point does not abort a grid.  ``failure``, an
+    error already raised where the point's angles were sought, flags the
+    point without evaluating it.
+    """
+    if failure is None:
+        try:
+            return eng.mermin_sides(s_star, angles, policy, convention)
+        except (DegenerateSectorError, InternalConsistencyError) as exc:
+            failure = exc
     nan = float("nan")
     return ViolationRecord(
         s_star=HalfInt.of(s_star),
-        r=r,
-        loss=loss,
+        r=eng.r,
+        loss=eng.loss,
         angles=angles,
         lhs=nan,
         rhs=nan,
@@ -545,7 +530,7 @@ def _failure_record(s_star, r, loss, angles, convention, exc) -> ViolationRecord
         s_cutoff_used=HalfInt(0),
         converged=False,
         convention=convention,
-        error=f"{type(exc).__name__}: {exc}",
+        error=f"{type(failure).__name__}: {failure}",
     )
 
 
@@ -570,24 +555,14 @@ def sweep(
     t_list = [float(t) for t in thetas]
     if not (s_list and r_list and e_list and t_list):
         raise ValueError("sweep grid must be nonempty on every axis")
-    out: list[ViolationRecord] = []
-    engines: dict[tuple[float, float], LossyEngine] = {}
-    for s_star in s_list:
-        pol = policy if policy is not None else TruncationPolicy.for_sector(s_star)
-        for r in r_list:
-            for eta in e_list:
-                eng = engines.get((r, eta))
-                if eng is None:
-                    eng = LossyEngine(r, LossConfig.equal_eta(eta))
-                    engines[(r, eta)] = eng
-                for theta in t_list:
-                    angles = theta_triple(theta, base_angle)
-                    try:
-                        rec = eng.mermin_sides(s_star, angles, pol, convention)
-                    except (DegenerateSectorError, InternalConsistencyError) as exc:
-                        rec = _failure_record(s_star, r, eng.loss, angles, convention, exc)
-                    out.append(rec)
-    return out
+    engines = {(r, eta): LossyEngine(r, LossConfig.equal_eta(eta)) for r in r_list for eta in e_list}
+    return [
+        _evaluate(engines[(r, eta)], s_star, theta_triple(theta, base_angle), policy, convention)
+        for s_star in s_list
+        for r in r_list
+        for eta in e_list
+        for theta in t_list
+    ]
 
 
 def _golden_min(f: Callable[[float], float], a: float, b: float, tol: float) -> tuple[float, float]:
@@ -637,15 +612,13 @@ def optimize_angles(
     """
     s_star = HalfInt.of(s_star)
     eng = LossyEngine(r, loss)
-    if policy is None:
-        policy = TruncationPolicy.for_sector(s_star)
     if loss.equal:
         return _theta_optimum(eng, s_star, policy, convention)
     return _coordinate_descent(eng, s_star, policy, convention)
 
 
 def _theta_optimum(
-    eng: LossyEngine, s_star: HalfInt, policy: TruncationPolicy, convention: str
+    eng: LossyEngine, s_star: HalfInt, policy: TruncationPolicy | None, convention: str
 ) -> tuple[AngleTriple, ViolationRecord]:
     """Maximum of the violation along ``theta_triple(theta)`` from its Fourier coefficients.
 
@@ -697,7 +670,7 @@ def _theta_optimum(
 
 
 def _descent_objective(
-    eng: LossyEngine, s_star: HalfInt, policy: TruncationPolicy, convention: str
+    eng: LossyEngine, s_star: HalfInt, policy: TruncationPolicy | None, convention: str
 ) -> Callable[[float, float, float], float]:
     """-violation at (alpha, beta, gamma): ``eng.mermin_sides``' value, bit for bit.
 
@@ -736,7 +709,7 @@ def _descent_objective(
 
 
 def _coordinate_descent(
-    eng: LossyEngine, s_star: HalfInt, policy: TruncationPolicy, convention: str
+    eng: LossyEngine, s_star: HalfInt, policy: TruncationPolicy | None, convention: str
 ) -> tuple[AngleTriple, ViolationRecord]:
     """Multi-start coordinate descent over (alpha, beta, gamma) with golden-section line searches.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .ideal import AngleTriple, ideal_mermin_sides
+from .ideal import AngleTriple, ideal_mermin_sides, theta_triple
 from .loss import LossConfig
 from .lossy import (
     LossyEngine,
@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 _PI = math.pi
+# the fixed gates: eta=1 reduction, and agreement with the Fock oracle
+_REDUCTION_TOL = 1e-9
+_ORACLE_TOL = 1e-8
 
 REDUCTION_TRIPLES: tuple[AngleTriple, ...] = (
     AngleTriple(0.3, -0.7, 0.1),
@@ -61,7 +64,6 @@ def eta1_reduction_report(
     s_values: Iterable = (HalfInt(1), HalfInt(2), HalfInt(3), HalfInt(4), HalfInt(5)),
     r_values: Iterable[float] = (0.2, 0.5),
     triples: Iterable[AngleTriple] = REDUCTION_TRIPLES,
-    tol: float = 1e-9,
 ) -> dict:
     """Perfect-detection reduction: lossy sides must equal the ideal forms."""
     lhs_errors, rhs_errors = [], []
@@ -80,14 +82,14 @@ def eta1_reduction_report(
                 rhs_errors.append((abs(got.rhs - want.rhs), where))
     max_lhs, worst_lhs = _worst(lhs_errors)
     max_rhs, worst_rhs = _worst(rhs_errors)
-    passed = max_lhs <= tol and max_rhs <= tol
+    passed = max_lhs <= _REDUCTION_TOL and max_rhs <= _REDUCTION_TOL
     return {
         "name": "eta1_reduction",
         "max_lhs_error": max_lhs,
         "max_rhs_error": max_rhs,
         "worst_lhs": worst_lhs,
         "worst_rhs": worst_rhs,
-        "tolerance": tol,
+        "tolerance": _REDUCTION_TOL,
         "passed": passed,
     }
 
@@ -98,7 +100,6 @@ def oracle_equivalence_report(
     triples: Iterable[AngleTriple] = ORACLE_TRIPLES,
     cutoff: int = 4,
     sector_max=HalfInt(4),
-    tol: float = 1e-8,
 ) -> dict:
     """Closed-form sums vs the Fock oracle on a matched source truncation.
 
@@ -128,14 +129,14 @@ def oracle_equivalence_report(
                     corr_errors.append((abs(c_oracle - c_closed), {**where, "s": s_star.value}))
     max_joint, worst_joint = _worst(joint_errors)
     max_corr, worst_corr = _worst(corr_errors)
-    passed = max_joint <= tol and max_corr <= tol
+    passed = max_joint <= _ORACLE_TOL and max_corr <= _ORACLE_TOL
     return {
         "name": "oracle_equivalence",
         "max_joint_error": max_joint,
         "max_correlation_error": max_corr,
         "worst_joint": worst_joint,
         "worst_correlation": worst_corr,
-        "tolerance": tol,
+        "tolerance": _ORACLE_TOL,
         "passed": passed,
     }
 
@@ -146,7 +147,6 @@ def exponent_adjudication_report(
     angles: tuple[float, float] = (0.7, -0.4),
     cutoff: int = 4,
     sector_max=HalfInt(2),
-    tol: float = 1e-8,
 ) -> dict:
     """Adjudicate the two loss-exponent bookkeepings for the correlations.
 
@@ -178,15 +178,15 @@ def exponent_adjudication_report(
                 "projection_dependent_form": alt,
             }
         )
-    confirmed = "sector_energy_form" if derived_err <= tol else "none"
+    confirmed = "sector_energy_form" if derived_err <= _ORACLE_TOL else "none"
     return {
         "name": "exponent_adjudication",
         "rows": rows,
         "sector_energy_form_max_error": derived_err,
         "projection_dependent_form_max_error": alt_err,
         "confirmed": confirmed,
-        "tolerance": tol,
-        "passed": confirmed == "sector_energy_form" and alt_err > 10 * tol,
+        "tolerance": _ORACLE_TOL,
+        "passed": confirmed == "sector_energy_form" and alt_err > 10 * _ORACLE_TOL,
     }
 
 
@@ -197,8 +197,6 @@ def convention_comparison_rows(
     theta: float = 0.25,
 ) -> list[dict]:
     """Violation under both post-selection conventions, side by side."""
-    from .ideal import theta_triple
-
     rows = []
     for eta in eta_values:
         eng = LossyEngine(r, LossConfig.equal_eta(eta))

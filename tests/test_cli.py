@@ -100,6 +100,64 @@ def test_surface_cross_section_equals_sweep_eta(tmp_path):
     assert surf_rows == line_rows
 
 
+def _main_rows(tmp_path, argv, name="rows.csv"):
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == 0
+    return list(csv.DictReader(out.read_text().splitlines()))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-theta", "--s", "1", "--r", "0.4", "--eta", "1.0", "0.9", "--theta-steps", "3"],
+        ["sweep-eta", "--s", "0.5", "1", "--r", "0.4", "--eta", "1.0", "0.9", "0.8"],
+    ],
+    ids=["sweep-theta", "sweep-eta"],
+)
+def test_conventions_both_interleaves_single_runs(tmp_path, argv):
+    # theta- or eta-major, conditioned first: row 2k and 2k + 1 are row k of
+    # the two single-convention runs
+    cond = _main_rows(tmp_path, argv + ["--conventions", "conditioned"], "c.csv")
+    uncond = _main_rows(tmp_path, argv + ["--conventions", "unconditioned"], "u.csv")
+    both = _main_rows(tmp_path, argv + ["--conventions", "both"], "b.csv")
+    assert len(both) == 2 * len(cond) == 2 * len(uncond)
+    for k, (c, u) in enumerate(zip(cond, uncond)):
+        assert both[2 * k] == {**c, "convention": "conditioned"}
+        assert both[2 * k + 1] == {**u, "convention": "unconditioned"}
+
+
+def test_one_kernel_serves_both_conventions(tmp_path, monkeypatch):
+    from merminbell.lossy import LossyEngine
+
+    engines = []
+    init = LossyEngine.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        engines.append(self)
+
+    monkeypatch.setattr(LossyEngine, "__init__", recording_init)
+    argv = ["sweep-theta", "--s", "1", "--r", "0.4", "--eta", "1.0", "0.9",
+            "--theta-steps", "5", "--conventions", "both"]
+    assert len(_main_rows(tmp_path, argv)) == 20
+    # one post-selected kernel per efficiency, whatever the conventions
+    assert sum(len(eng._kernel_cache) for eng in engines) == 2
+
+
+def test_failed_eta1_optimum_flags_only_its_rows(tmp_path):
+    # at r=0 the post-selected sector is empty, so its eta=1 optimum fails;
+    # the rest of the grid must still be evaluated
+    rows = _main_rows(tmp_path, ["surface", "--s", "1", "--r", "0", "0.3", "--eta", "1", "0.9"], "a.csv")
+    alone = _main_rows(tmp_path, ["surface", "--s", "1", "--r", "0.3", "--eta", "1", "0.9"], "b.csv")
+    assert [row for row in rows if row["r"] != "0"] == alone
+    failed = [row for row in rows if row["r"] == "0"]
+    assert [row["eta"] for row in failed] == ["1", "0.90000000000000002"]
+    for row in failed:
+        assert row["error"].startswith("DegenerateSectorError")
+        assert row["converged"] == "false"
+        assert row["alpha"] == row["violation"] == "nan"
+
+
 def test_smaller_violation_window_for_higher_spin(tmp_path):
     out1 = tmp_path / "s1.csv"
     out2 = tmp_path / "s2.csv"

@@ -15,9 +15,6 @@ from merminbell.lossy import (
     TruncationPolicy,
     _descent_objective,
     correlation_alt_bookkeeping,
-    lossy_correlation,
-    lossy_joint_distribution,
-    lossy_mermin_sides,
     optimize_angles,
     sweep,
 )
@@ -33,22 +30,22 @@ CAP_POLICY = TruncationPolicy(s_start=S_CAP, max_s=S_CAP)
 
 def test_vacuum_source():
     policy = TruncationPolicy(s_start=HalfInt(2), max_s=HalfInt(4))
-    dist = lossy_joint_distribution(0.0, LossConfig.equal_eta(0.7), 0.4, -0.2, policy)
+    dist = LossyEngine(0.0, LossConfig.equal_eta(0.7)).joint(0.4, -0.2, policy)
     assert dist.blocks[(0, 0)][0, 0] == pytest.approx(1.0, abs=1e-14)
     assert dist.total_mass() == pytest.approx(1.0, abs=1e-14)
     assert dist.converged
-    assert lossy_correlation(0.0, LossConfig.equal_eta(0.7), 0.3, 0.9, None, CAP_POLICY) == 0.0
+    assert LossyEngine(0.0, LossConfig.equal_eta(0.7)).correlation(0.3, 0.9, None, CAP_POLICY)[0] == 0.0
 
 
 def test_degenerate_sector_raises():
     with pytest.raises(DegenerateSectorError):
-        lossy_mermin_sides(HalfInt(2), 0.0, LossConfig.equal_eta(0.9), theta_triple(0.3))
+        LossyEngine(0.0, LossConfig.equal_eta(0.9)).mermin_sides(HalfInt(2), theta_triple(0.3))
 
 
 def test_full_distribution_mass_plus_tail():
     policy = TruncationPolicy(s_start=HalfInt(8), max_s=HalfInt(24), rel_tol=1e-9)
     for eta in (1.0, 0.8, 0.5):
-        dist = lossy_joint_distribution(0.3, LossConfig.equal_eta(eta), 0.5, -0.8, policy)
+        dist = LossyEngine(0.3, LossConfig.equal_eta(eta)).joint(0.5, -0.8, policy)
         assert dist.converged
         assert dist.total_mass() + dist.tail_bound == pytest.approx(1.0, abs=1e-6)
         assert all(p.min() >= 0.0 for p in dist.blocks.values())
@@ -59,7 +56,7 @@ def test_unrestricted_cutoff_converges_on_mass():
     # the full distribution stops on the probability it holds, so a converged
     # run has lost no more than rel_tol to the sectors beyond its cutoff
     policy = TruncationPolicy(s_start=HalfInt(2), max_s=HalfInt(20), rel_tol=1e-6)
-    dist = lossy_joint_distribution(0.5, LossConfig.equal_eta(0.8), 0.3, -0.4, policy)
+    dist = LossyEngine(0.5, LossConfig.equal_eta(0.8)).joint(0.3, -0.4, policy)
     assert dist.converged
     assert dist.tail_bound <= policy.rel_tol
     assert dist.total_mass() + dist.tail_bound == pytest.approx(1.0, abs=1e-12)
@@ -67,7 +64,7 @@ def test_unrestricted_cutoff_converges_on_mass():
 
 def test_perfect_detection_supports_equal_sectors():
     policy = TruncationPolicy(s_start=HalfInt(6), max_s=HalfInt(8))
-    dist = lossy_joint_distribution(0.4, LossConfig.equal_eta(1.0), 0.9, 0.1, policy)
+    dist = LossyEngine(0.4, LossConfig.equal_eta(1.0)).joint(0.9, 0.1, policy)
     for (tsa, tsb), p in dist.blocks.items():
         if p.max() > 1e-14:
             assert tsa == tsb
@@ -122,9 +119,7 @@ def test_conditioned_pair_probability_matches_ideal_at_eta1():
     r, alpha, beta = 0.5, 0.9, 0.25
     s = HalfInt(3)
     policy = TruncationPolicy(s_start=s, max_s=s + HalfInt(2))
-    dist = lossy_joint_distribution(
-        r, LossConfig.equal_eta(1.0), alpha, beta, policy, sectors=(s, s)
-    )
+    dist = LossyEngine(r, LossConfig.equal_eta(1.0)).joint(alpha, beta, policy, sectors=(s, s))
     mass = dist.total_mass()
     for m in projections(s):
         for mp in projections(s):
@@ -299,8 +294,8 @@ def test_cutoff_step_bounded_by_sector_probability_step():
 
 def test_nonconvergence_flagged_not_raised():
     policy = TruncationPolicy(s_start=HalfInt(2), max_s=HalfInt(3), rel_tol=1e-12)
-    dist = lossy_joint_distribution(
-        0.9, LossConfig.equal_eta(0.5), 0.3, -0.3, policy, sectors=(HalfInt(1), HalfInt(1))
+    dist = LossyEngine(0.9, LossConfig.equal_eta(0.5)).joint(
+        0.3, -0.3, policy, sectors=(HalfInt(1), HalfInt(1))
     )
     assert not dist.converged
     assert dist.tail_bound > 0
@@ -322,7 +317,7 @@ def test_sweep_singleton_matches_direct_call():
     recs = sweep([HalfInt(2)], [0.4], [0.9], [0.3])
     assert len(recs) == 1
     rec = recs[0]
-    direct = lossy_mermin_sides(HalfInt(2), 0.4, LossConfig.equal_eta(0.9), theta_triple(0.3))
+    direct = LossyEngine(0.4, LossConfig.equal_eta(0.9)).mermin_sides(HalfInt(2), theta_triple(0.3))
     assert rec.lhs == direct.lhs
     assert rec.rhs == direct.rhs
     assert rec.violation == direct.violation
@@ -345,6 +340,14 @@ def test_sweep_flags_failures():
     assert len(recs) == 1
     assert recs[0].error is not None
     assert not recs[0].converged
+
+
+def test_default_policy_shares_the_for_sector_kernel():
+    eng = LossyEngine(0.4, LossConfig.equal_eta(0.9))
+    s = HalfInt(2)
+    default = eng.mermin_sides(s, theta_triple(0.3))
+    assert eng.mermin_sides(s, theta_triple(0.3), TruncationPolicy.for_sector(s)) == default
+    assert len(eng._kernel_cache) == 1
 
 
 # ----------------------------------------------------------------- optimizer
