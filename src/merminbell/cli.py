@@ -25,6 +25,7 @@ from .lossy import (
     TruncationPolicy,
     ViolationRecord,
     _evaluate,
+    _optimize,
     optimize_angles,
 )
 from .numerics import HalfInt
@@ -137,25 +138,33 @@ def _theta_task(payload: dict) -> list[dict]:
 
 
 def _eta_task(payload: dict) -> list[dict]:
-    """Rows of one (s, r) at its eta=1 optimal angles; a failed optimum flags every row."""
+    """Rows of one (s, r) at its eta=1 optimal angles; a failed optimum flags every row.
+
+    The eta=1 row reads the kernel its optimization converged.
+    """
     s_star = HalfInt(payload["ts"])
     r, policy = payload["r"], payload["policy"]
+    ideal = LossyEngine(r, LossConfig.equal_eta(1.0))
     failure = None
     try:
-        angles, _ = optimize_angles(s_star, r, LossConfig.equal_eta(1.0), policy)
+        angles, _ = _optimize(ideal, s_star, policy, "conditioned")
     except (DegenerateSectorError, InternalConsistencyError) as exc:
         angles, failure = AngleTriple(math.nan, math.nan, math.nan), exc
     rows = []
     for eta in payload["etas"]:
-        eng = LossyEngine(r, LossConfig.equal_eta(eta))
+        eng = ideal if eta == 1.0 else LossyEngine(r, LossConfig.equal_eta(eta))
         for conv in payload["conventions"]:
             rows.append(_record_row(_evaluate(eng, s_star, angles, policy, conv, failure), eta))
     return rows
 
 
 def _dispatch(task, payloads: list[dict], workers: int) -> list[dict]:
-    """Rows of every payload, in payload order (``pool.map`` keeps submission order)."""
-    if workers <= 1 or len(payloads) <= 1:
+    """Rows of every payload, in payload order (``pool.map`` keeps submission order).
+
+    No more processes are started than there are payloads.
+    """
+    workers = min(workers, len(payloads))
+    if workers <= 1:
         return [row for payload in payloads for row in task(payload)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return [row for rows in pool.map(task, payloads) for row in rows]

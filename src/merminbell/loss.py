@@ -6,8 +6,9 @@ On a single mode this turns |n><n'| into a ladder of |k><k+n'-n| terms with
 square-rooted binomial weights; on a mode pair the channel factorizes, and
 the combined term ladder can be relabeled by the surviving effective spin
 (sigma, mu).  Every weight is built from one log-domain binomial thinning,
-``log_thinning``; ``log_weight_table`` is the per-side table of it that the
-lossy engine reads and that ``decohere_spin_op`` takes its weights from.
+``log_thinning``; ``log_weight_table`` is the per-side table of it that
+``decohere_spin_op`` takes its weights from and whose exp(L / 2) the lossy
+engine reads.
 Out-of-range binomial coefficients are exact zeros (-inf in the log
 domain), which is what enforces every summation bound.
 """
@@ -132,8 +133,10 @@ def log_weight_table(ts: int, tso: int, eta_up: float, eta_dn: float) -> np.ndar
     the down mode; column mu keeps mu up and tso - mu down photons.
     exp(L[w, mu]) is the probability of that transition, and the
     coherence |w><w + dw| reaches |mu><mu + dw| with weight
-    exp((L[w, mu] + L[w + dw, mu + dw]) / 2), since both carry the same
-    lost-photon counts.
+    exp((L[w, mu] + L[w + dw, mu + dw]) / 2) = h[w, mu] h[w + dw, mu + dw],
+    h = exp(L / 2), since both carry the same lost-photon counts.  The lossy
+    engine caches h per (ts, tso, eta_up, eta_dn) and builds its kernels from
+    those products.
     """
     n_up = np.arange(ts + 1)[:, None]
     k_up = np.arange(tso + 1)[None, :]

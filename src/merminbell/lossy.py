@@ -2,10 +2,11 @@
 
 The source emits two effective spins in the singlet of every sector s with
 weight w_s = (2s+1) tanh(r)^(4s) / cosh(r)^4.  Loss maps each side's
-|s w><s w'| onto surviving spins sigma <= s; the weights come from the
-per-side log tables of ``loss.log_weight_table``, products of two per-mode
-binomial thinnings.  Analyzer rotations contract those weights with pairs of
-rotation-matrix elements.
+|s w><s w'| onto surviving spins sigma <= s with weight h[w, mu] h[w', mu'],
+h = exp(L / 2) of that side's ``loss.log_weight_table``.  The h tables are
+cached across engines, so a source sector's kernel is one batched product
+over all bra-ket offsets, and a sector with an all-zero table is skipped.
+Analyzer rotations contract the kernels with pairs of rotation-matrix elements.
 Everything is accumulated sector by sector so the infinite source sum can be
 cut off dynamically, with an exact geometric bound on the discarded weight.
 The angle-independent kernels of the computed outcome sector pairs (one
@@ -174,31 +175,32 @@ class ViolationRecord:
     error: str | None = None
 
 
-def _pair_weights(logw: np.ndarray, dw: int) -> np.ndarray:
-    """W[w, mu] = exp((logw[w, mu] + logw[w + dw, mu + dw]) / 2); zero off the table."""
-    out = np.zeros_like(logw)
-    nw, nmu = logw.shape
-    w0, w1 = max(0, -dw), min(nw, nw - dw)
-    m0, m1 = max(0, -dw), min(nmu, nmu - dw)
-    if w1 > w0 and m1 > m0:
-        out[w0:w1, m0:m1] = np.exp(0.5 * (logw[w0:w1, m0:m1] + logw[w0 + dw : w1 + dw, m0 + dw : m1 + dw]))
-    return out
+def _shifted(h: np.ndarray, dmax: int, step: int) -> np.ndarray:
+    """Read-only view V[dl + dmax, i, j] = h[i + dl, j + step * dl] of one zero-padded copy of ``h``."""
+    n, m = h.shape
+    pad = dmax * abs(step)
+    padded = np.zeros((n + 2 * dmax, m + 2 * pad), dtype=h.dtype)
+    padded[dmax : dmax + n, pad : pad + m] = h
+    s0, s1 = padded.strides
+    padded.flags.writeable = False
+    return np.ndarray((2 * dmax + 1, n, m), h.dtype, padded, (pad - step * dmax) * s1, (s0 + step * s1, s0, s1))
+
+
+@lru_cache(maxsize=256)
+def _amplitudes(ts: int, tso: int, eta_up: float, eta_dn: float) -> np.ndarray:
+    """Read-only h = exp(L / 2) of ``loss.log_weight_table``.
+
+    A coherence's weight is h[w, mu] h[w + dw, mu + dw].  h holds no squeezing,
+    so every engine and both sides at these efficiencies share it.
+    """
+    h = np.exp(0.5 * log_weight_table(ts, tso, eta_up, eta_dn))
+    h.setflags(write=False)
+    return h
 
 
 def _pair_stack(d: np.ndarray, dmax: int) -> np.ndarray:
     """E[dl + dmax, i, a] = d[i + dl, a] * d[i, a]; zero where i + dl is off the block."""
-    n = d.shape[0]
-    padded = np.zeros((n + 2 * dmax, n))
-    padded[dmax : dmax + n] = d
-    return padded[_pair_rows(n, dmax)] * d
-
-
-@lru_cache(maxsize=None)
-def _pair_rows(n: int, dmax: int) -> np.ndarray:
-    """Row grid i + dl + dmax of ``_pair_stack``'s padded block, read-only."""
-    rows = np.arange(n)[None, :] + np.arange(2 * dmax + 1)[:, None]
-    rows.setflags(write=False)
-    return rows
+    return _shifted(d, dmax, 0) * d
 
 
 def _alice_pairs(t: np.ndarray, tsa: int, alpha: float) -> np.ndarray:
@@ -314,7 +316,6 @@ class LossyEngine:
             raise ValueError("squeezing parameter must be finite and nonnegative")
         self.r = float(r)
         self.loss = loss
-        self._logw_cache: dict = {}
         self._kernel_cache: dict = {}
 
     # ---------------------------------------------------------------- weights
@@ -333,32 +334,25 @@ class LossyEngine:
             return self.loss.eta_a1, self.loss.eta_a2
         return self.loss.eta_b2, self.loss.eta_b1
 
-    def _logw(self, side: str, ts: int, tso: int) -> np.ndarray:
-        """``loss.log_weight_table`` of one side, from spin ts/2 to tso/2, cached per engine."""
-        key = (side, ts, tso)
-        got = self._logw_cache.get(key)
-        if got is None:
-            got = log_weight_table(ts, tso, *self._side_etas(side))
-            got.setflags(write=False)
-            self._logw_cache[key] = got
-        return got
-
     # --------------------------------------------------------- joint outcomes
 
-    def _t_sector(self, tsa: int, tsb: int, ts: int) -> np.ndarray:
-        """Angle-independent kernel T[dw_idx, mu_a, mu_b] of one source sector ts >= tsa, tsb.
+    def _t_sector(self, tsa: int, tsb: int, ts: int) -> np.ndarray | None:
+        """Angle-independent kernel T[dl + dmax, mu_a, mu_b] of one source sector ts >= tsa, tsb.
 
-        T[dw][i, j] = sign(dw) tau^4 sum_w WA(w, dw)[i] WB(-w, -dw)[j], where
-        the sign (-1)^(w'-w) is what remains of the singlet phases.
+        T[dl] = (-1)^dl tau^4 EA_dl^T EB_dl, one batched product: EA_dl[w, mu] =
+        h[w, mu] h[w + dl, mu + dl] of Alice's table, EB_dl the same of Bob's at
+        row ts - w and offset -dl; (-1)^dl is what remains of the singlet phases.
+        None when the sector adds nothing (an all-zero table, or tau = 0).
         """
+        tau4 = math.exp(2.0 * self._log_tau2(ts))
+        ha = _amplitudes(ts, tsa, *self._side_etas("a"))
+        hb = _amplitudes(ts, tsb, *self._side_etas("b"))[::-1]
+        if tau4 == 0.0 or not (ha.any() and hb.any()):
+            return None
         dmax = min(tsa, tsb)
-        lt2 = self._log_tau2(ts)
-        la = self._logw("a", ts, tsa) + lt2
-        lb = self._logw("b", ts, tsb) + lt2
-        out = np.empty((2 * dmax + 1, tsa + 1, tsb + 1))
-        for dl in range(-dmax, dmax + 1):
-            blk = _pair_weights(la, dl).T @ _pair_weights(lb, -dl)[::-1]
-            out[dl + dmax] = -blk if dl % 2 else blk
+        out = np.matmul((ha * _shifted(ha, dmax, 1)).transpose(0, 2, 1), hb * _shifted(hb, dmax, -1))
+        out *= tau4
+        out[1 - dmax % 2 :: 2] *= -1.0
         return out
 
     def _kernels(self, pairs: tuple | None, policy: TruncationPolicy | None):
@@ -389,13 +383,9 @@ class LossyEngine:
             for ts in range(applied + 1, tcut + 1):
                 live = pairs if pairs else [(a, b) for a in range(ts + 1) for b in range(ts + 1)]
                 for tsa, tsb in live:
-                    if max(tsa, tsb) > ts:
-                        continue
-                    t = kernels.get((tsa, tsb))
-                    if t is None:
-                        dmax = min(tsa, tsb)
-                        t = kernels[(tsa, tsb)] = np.zeros((2 * dmax + 1, tsa + 1, tsb + 1))
-                    t += self._t_sector(tsa, tsb, ts)
+                    t = self._t_sector(tsa, tsb, ts) if max(tsa, tsb) <= ts else None
+                    if t is not None and kernels.setdefault((tsa, tsb), t) is not t:
+                        kernels[(tsa, tsb)] += t
             applied = tcut
             mass = sum(float(t[min(tsa, tsb)].sum()) for (tsa, tsb), t in kernels.items())
             if prev is not None:
@@ -403,6 +393,12 @@ class LossyEngine:
             if ok or tcut >= t_max:
                 break
             prev, tcut = mass, min(tcut + 2, t_max)
+        # every reachable pair, in the order the cutoff reaches it; a pair no sector fed is zero
+        reach = pairs if pairs else [(a, b) for a in range(tcut + 1) for b in range(tcut + 1)]
+        kernels = {
+            (a, b): kernels[(a, b)] if (a, b) in kernels else np.zeros((2 * min(a, b) + 1, a + 1, b + 1))
+            for a, b in sorted(reach, key=max)
+        }
         for t in kernels.values():
             t.setflags(write=False)
         got = self._kernel_cache[key] = (kernels, tcut, ok)
@@ -610,11 +606,14 @@ def optimize_angles(
     path and the result are those of a fresh ``mermin_sides`` per point.
     Both are deterministic, so repeated runs return identical triples.
     """
-    s_star = HalfInt.of(s_star)
-    eng = LossyEngine(r, loss)
-    if loss.equal:
-        return _theta_optimum(eng, s_star, policy, convention)
-    return _coordinate_descent(eng, s_star, policy, convention)
+    return _optimize(LossyEngine(r, loss), HalfInt.of(s_star), policy, convention)
+
+
+def _optimize(
+    eng: LossyEngine, s_star: HalfInt, policy: TruncationPolicy | None, convention: str
+) -> tuple[AngleTriple, ViolationRecord]:
+    """``optimize_angles`` on an existing engine, whose kernel the caller may read again."""
+    return (_theta_optimum if eng.loss.equal else _coordinate_descent)(eng, s_star, policy, convention)
 
 
 def _theta_optimum(
@@ -785,11 +784,12 @@ def correlation_alt_bookkeeping(
         # The loss exponent is (1-eta)^(2 * 2m) away from the tables'.
         z = u = d = np.zeros(ts + 1)
         for tso in range(ts + 1):
-            logw = eng._logw("a", ts, tso)
+            h = _amplitudes(ts, tso, eta, eta)
+            lower, same, upper = h * _shifted(h, 1, 1)
             mu, lp, lm = _ladder_weights(tso)
-            z = z + np.exp(logw) @ mu
-            u = u + _pair_weights(logw, 1) @ lp
-            d = d + _pair_weights(logw, -1) @ lm
+            z = z + same @ mu
+            u = u + upper @ lp
+            d = d + lower @ lm
         prefactor = np.exp(lt4 + 2.0 * ln_1m * (2 * np.arange(ts + 1) - ts))
         zz = prefactor @ (z * z)
         ladders = prefactor @ (eta * eta * u * u + d * d / (eta * eta))

@@ -107,6 +107,25 @@ class DensityMatrixLite:
     def index(self) -> dict[tuple[int, int, int, int], int]:
         return {t: i for i, t in enumerate(self.basis)}
 
+    @cached_property
+    def sides(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """Alice's and Bob's bases, of which ``basis`` must be the A-major product.
+
+        Derived at most once per basis: ``from_state`` sets them and every
+        channel hands them on.  ValueError if ``basis`` is no such product.
+        """
+        states_a = list(dict.fromkeys(t[:2] for t in self.basis))
+        states_b = list(dict.fromkeys(t[2:] for t in self.basis))
+        if self.basis != [a + b for a in states_a for b in states_b]:
+            raise ValueError("basis is not an A-major product of per-side bases")
+        return states_a, states_b
+
+    def _with_rho(self, rho: np.ndarray) -> "DensityMatrixLite":
+        """``rho`` over this basis, sharing its per-side bases."""
+        out = DensityMatrixLite(self.basis, rho)
+        out.sides = self.sides
+        return out
+
     @classmethod
     def from_state(cls, state: TruncatedFockState) -> "DensityMatrixLite":
         na = max((n1 + n2 for (n1, n2, _, _) in state.amplitudes), default=0)
@@ -117,7 +136,9 @@ class DensityMatrixLite:
         amps = np.asarray(list(state.amplitudes.values()))
         psi = np.zeros(len(basis), dtype=np.result_type(amps, float))
         psi[[index[t] for t in state.amplitudes]] = amps
-        return cls(basis, np.outer(psi, psi.conj()))
+        dm = cls(basis, np.outer(psi, psi.conj()))
+        dm.sides = states_a, states_b
+        return dm
 
     def entry(self, ket: tuple, bra: tuple) -> complex:
         return self.rho[self.index[tuple(ket)], self.index[tuple(bra)]]
@@ -135,15 +156,6 @@ def _as_dm(obj) -> DensityMatrixLite:
     if isinstance(obj, DensityMatrixLite):
         return obj
     raise TypeError("expected a TruncatedFockState or DensityMatrixLite")
-
-
-def _sides(dm: DensityMatrixLite) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Alice's and Bob's bases, of which ``dm.basis`` must be the A-major product."""
-    states_a = list(dict.fromkeys(t[:2] for t in dm.basis))
-    states_b = list(dict.fromkeys(t[2:] for t in dm.basis))
-    if dm.basis != [a + b for a in states_a for b in states_b]:
-        raise ValueError("basis is not an A-major product of per-side bases")
-    return states_a, states_b
 
 
 def _side_view(m: np.ndarray, sides, side: int) -> np.ndarray:
@@ -168,7 +180,7 @@ def apply_loss(obj, mode: str, eta: float) -> DensityMatrixLite:
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     dm = _as_dm(obj)
-    sides = _sides(dm)
+    sides = dm.sides
     side, pos = divmod(_MODE_POS[mode], 2)
     states = sides[side]
     index = {t: i for i, t in enumerate(states)}
@@ -187,7 +199,7 @@ def apply_loss(obj, mode: str, eta: float) -> DensityMatrixLite:
             raise ValueError("basis is not closed under photon loss")
         rows = np.array([index[t] for t in lowered], dtype=np.intp)
         dst[..., rows[:, None], rows] += w[cols, None] * src[..., cols[:, None], cols] * w[cols]
-    return DensityMatrixLite(dm.basis, new)
+    return dm._with_rho(new)
 
 
 @lru_cache(maxsize=None)
@@ -230,7 +242,7 @@ def apply_analyzer(obj, side: str, angle: float) -> DensityMatrixLite:
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
     dm = _as_dm(obj)
-    sides = _sides(dm)
+    sides = dm.sides
     lead = 0 if side == "A" else 1
     states = sides[lead]
     index = {t: i for i, t in enumerate(states)}
@@ -245,7 +257,7 @@ def apply_analyzer(obj, side: str, angle: float) -> DensityMatrixLite:
     # side: small enough that BLAS keeps it on the calling thread
     new = np.empty(dm.rho.shape, dtype=np.result_type(rot, dm.rho))
     np.matmul(rot @ _side_view(dm.rho, sides, lead), rot.T, out=_side_view(new, sides, lead))
-    return DensityMatrixLite(dm.basis, new)
+    return dm._with_rho(new)
 
 
 def _bob_projection(n_b1, n_b2):

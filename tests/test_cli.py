@@ -144,6 +144,43 @@ def test_one_kernel_serves_both_conventions(tmp_path, monkeypatch):
     assert sum(len(eng._kernel_cache) for eng in engines) == 2
 
 
+def test_eta1_row_reads_the_optimized_kernel(tmp_path, monkeypatch):
+    from merminbell.lossy import LossyEngine
+
+    argv = ["surface", "--s", "1", "--r", "0.3", "--eta", "1", "0.9"]
+    before = _main_rows(tmp_path, argv, "before.csv")
+    engines = []
+    init = LossyEngine.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        engines.append(self)
+
+    monkeypatch.setattr(LossyEngine, "__init__", recording_init)
+    assert _main_rows(tmp_path, argv, "after.csv") == before
+    # the eta=1 optimization and the eta=0.9 row; the eta=1 row reuses the first
+    assert [eng.loss.eta_a1 for eng in engines] == [1.0, 0.9]
+
+
+def test_dispatch_starts_no_more_workers_than_payloads(tmp_path, monkeypatch):
+    import merminbell.cli as cli_mod
+
+    started = []
+
+    class RecordingPool(cli_mod.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
+    argv = ["sweep-theta", "--s", "1", "--r", "0.4", "--theta-steps", "3"]
+    serial = _main_rows(tmp_path, argv + ["--eta", "1.0", "0.9"], "serial.csv")
+    assert _main_rows(tmp_path, argv + ["--eta", "1.0", "0.9", "--workers", "4"], "pool.csv") == serial
+    assert started == [2]
+    _main_rows(tmp_path, argv + ["--eta", "0.9", "--workers", "4"], "one.csv")
+    assert started == [2]
+
+
 def test_failed_eta1_optimum_flags_only_its_rows(tmp_path):
     # at r=0 the post-selected sector is empty, so its eta=1 optimum fails;
     # the rest of the grid must still be evaluated

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from merminbell import numerics
+from merminbell import lossy, numerics
 from merminbell.ideal import AngleTriple, ideal_correlation, ideal_mermin_sides, theta_triple
-from merminbell.loss import LossConfig
+from merminbell.loss import LossConfig, log_weight_table
 from merminbell.lossy import (
     DegenerateSectorError,
     InternalConsistencyError,
@@ -20,6 +20,7 @@ from merminbell.lossy import (
 )
 from merminbell.numerics import HalfInt, half_range
 from merminbell.oracle import simulate_joint
+from merminbell.source import sector_weight_tail
 
 S_CAP = HalfInt(4)  # matched-truncation cap (s <= 2) for oracle comparisons
 CAP_POLICY = TruncationPolicy(s_start=S_CAP, max_s=S_CAP)
@@ -68,6 +69,121 @@ def test_perfect_detection_supports_equal_sectors():
     for (tsa, tsb), p in dist.blocks.items():
         if p.max() > 1e-14:
             assert tsa == tsb
+
+
+# ------------------------------------------------------------ kernel build
+
+
+def _reference_kernels(r, loss, pairs, policy):
+    """The kernels built offset by offset: zeroed kernels, exp of log pair weights, every source sector."""
+
+    def log_tau2(ts):
+        if ts and r == 0.0:
+            return -math.inf
+        return (ts * math.log(math.tanh(r)) if ts else 0.0) - 2.0 * math.log(math.cosh(r))
+
+    def pair_weights(logw, dw):
+        out = np.zeros_like(logw)
+        nw, nmu = logw.shape
+        w0, w1, m0, m1 = max(0, -dw), min(nw, nw - dw), max(0, -dw), min(nmu, nmu - dw)
+        if w1 > w0 and m1 > m0:
+            out[w0:w1, m0:m1] = np.exp(0.5 * (logw[w0:w1, m0:m1] + logw[w0 + dw : w1 + dw, m0 + dw : m1 + dw]))
+        return out
+
+    def t_sector(tsa, tsb, ts):
+        dmax = min(tsa, tsb)
+        la = log_weight_table(ts, tsa, loss.eta_a1, loss.eta_a2) + log_tau2(ts)
+        lb = log_weight_table(ts, tsb, loss.eta_b2, loss.eta_b1) + log_tau2(ts)
+        blocks = [pair_weights(la, dl).T @ pair_weights(lb, -dl)[::-1] for dl in range(-dmax, dmax + 1)]
+        return np.array([-b if dl % 2 else b for dl, b in zip(range(-dmax, dmax + 1), blocks)])
+
+    t_floor = max(max(p) for p in pairs) if pairs else 0
+    t_max, tcut = max(policy.max_s.twice, t_floor), max(policy.s_start.twice, t_floor)
+    ok = tcut >= t_max and sector_weight_tail(HalfInt(tcut), r) == 0.0
+    kernels, applied, prev = {}, -1, None
+    while True:
+        for ts in range(applied + 1, tcut + 1):
+            for tsa, tsb in pairs or [(a, b) for a in range(ts + 1) for b in range(ts + 1)]:
+                if max(tsa, tsb) <= ts:
+                    shape = (2 * min(tsa, tsb) + 1, tsa + 1, tsb + 1)
+                    kernels.setdefault((tsa, tsb), np.zeros(shape))[...] += t_sector(tsa, tsb, ts)
+        applied = tcut
+        mass = sum(float(t[min(k)].sum()) for k, t in kernels.items())
+        if prev is not None:
+            ok = abs(mass - prev) / max(abs(mass), abs(prev), 1e-300) <= policy.rel_tol
+        if ok or tcut >= t_max:
+            return kernels, tcut, ok
+        prev, tcut = mass, min(tcut + 2, t_max)
+
+
+KERNEL_LOSSES = {
+    "equal": LossConfig.equal_eta(0.8),
+    "unequal": LossConfig(0.9, 0.6, 0.8, 0.7),
+    "dark-and-perfect": LossConfig(0.0, 0.7, 1.0, 0.5),
+    "perfect": LossConfig.equal_eta(1.0),
+}
+
+
+@pytest.mark.parametrize("r", [0.0, 0.05, 0.9])
+@pytest.mark.parametrize("loss", KERNEL_LOSSES.values(), ids=KERNEL_LOSSES.keys())
+@pytest.mark.parametrize(
+    "pairs, policy",
+    [
+        (((4, 4),), TruncationPolicy.for_sector(HalfInt(4))),
+        (((2, 5),), TruncationPolicy(s_start=HalfInt(3), max_s=HalfInt(9), rel_tol=1e-9)),
+        (((3, 1),), TruncationPolicy(s_start=HalfInt(2), max_s=HalfInt(2))),
+        (None, TruncationPolicy(s_start=HalfInt(1), max_s=HalfInt(6), rel_tol=1e-6)),
+    ],
+    ids=["post-selected", "tsa<tsb", "tsa>tsb-capped", "unrestricted"],
+)
+def test_kernels_equal_offset_by_offset_reference(r, loss, pairs, policy):
+    kernels, tcut, ok = LossyEngine(r, loss)._kernels(pairs, policy)
+    want, want_cut, want_ok = _reference_kernels(r, loss, pairs, policy)
+    assert (tcut, ok) == (want_cut, want_ok)
+    assert list(kernels) == list(want)
+    for key, t in kernels.items():
+        assert t.shape == want[key].shape
+        assert np.abs(t - want[key]).max() <= 1e-13 * np.abs(want[key]).max()
+        assert not t.flags.writeable
+
+
+def test_perfect_detection_builds_one_source_sector(monkeypatch):
+    # at eta=1 every table from a larger source spin is zero, so only ts = 2s* adds to the kernel
+    built = []
+    t_sector = LossyEngine._t_sector
+
+    def recording(self, tsa, tsb, ts):
+        t = t_sector(self, tsa, tsb, ts)
+        if t is not None:
+            built.append(ts)
+        return t
+
+    monkeypatch.setattr(LossyEngine, "_t_sector", recording)
+    rec = LossyEngine(0.4, LossConfig.equal_eta(1.0)).mermin_sides(HalfInt(4), theta_triple(0.3))
+    assert rec.converged and rec.s_cutoff_used == HalfInt(10)
+    assert built == [4]
+
+
+def test_amplitude_tables_are_shared_and_read_only():
+    h = lossy._amplitudes(5, 3, 0.9, 0.6)
+    assert h is lossy._amplitudes(5, 3, 0.9, 0.6)
+    np.testing.assert_array_equal(h, np.exp(0.5 * log_weight_table(5, 3, 0.9, 0.6)))
+    with pytest.raises(ValueError, match="read-only"):
+        h[0, 0] = 1.0
+    view = lossy._shifted(h, 2, 1)
+    assert view.shape == (5, 6, 4) and view[3, 1, 1] == h[2, 2] and view[0, 0, 0] == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        view[2, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("n, dmax", [(1, 0), (2, 1), (5, 2), (9, 4), (9, 8)])
+def test_pair_stack_equals_gathered_reference(n, dmax):
+    d = np.random.default_rng(n + dmax).standard_normal((n, n))
+    padded = np.zeros((n + 2 * dmax, n))
+    padded[dmax : dmax + n] = d
+    want = padded[np.arange(n)[None, :] + np.arange(2 * dmax + 1)[:, None]] * d
+    got = lossy._pair_stack(d, dmax)
+    assert got.shape == want.shape and np.array_equal(got, want)
 
 
 # ------------------------------------------------------------- eta=1 limits

@@ -339,6 +339,16 @@ def test_apply_analyzer_rejects_basis_not_a_side_product():
         apply_analyzer(DensityMatrixLite([(1, 0, 0, 0)], np.ones((1, 1))), "A", 0.4)
 
 
+def test_side_bases_are_derived_once_per_basis():
+    dm = DensityMatrixLite.from_state(build_epr2(0.5, 0.4, cutoff=2))
+    out = apply_analyzer(apply_loss(dm, "a1", 0.6), "B", 0.3)
+    assert out.sides is dm.sides
+    assert out.basis == [a + b for a in out.sides[0] for b in out.sides[1]]
+    given = DensityMatrixLite(list(dm.basis), dm.rho)
+    assert apply_loss(given, "b2", 0.7).sides is given.sides
+    assert given.sides == dm.sides
+
+
 def test_source_density_matrix_is_real():
     dm = DensityMatrixLite.from_state(build_epr2(0.5, 0.5, cutoff=3))
     assert dm.rho.dtype == np.float64
