@@ -42,8 +42,8 @@ for t in (1, 2, 3, 4):
 print("\nfull-trace correlation, three routes (eta = 0.5):")
 loss = LossConfig.equal_eta(0.5)
 ref = simulate_joint(0.4, loss, 0.7, -0.4, cutoff=4, sector_max=HalfInt(2)).correlation()
-eng = LossyEngine(0.4, loss)
-derived, _, _, _ = eng.correlation(0.7, -0.4, None, TruncationPolicy(s_start=HalfInt(2), max_s=HalfInt(2)))
+cap = TruncationPolicy(s_start=HalfInt(2), max_s=HalfInt(2))
+derived = LossyEngine(0.4, loss).joint(0.7, -0.4, cap).correlation()
 alt = correlation_alt_bookkeeping(0.4, 0.5, 0.7, -0.4, HalfInt(2))
 print(f"  oracle:                      {ref:+.12f}")
 print(f"  sector-energy bookkeeping:   {derived:+.12f}   <- confirmed")

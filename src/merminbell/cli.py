@@ -113,14 +113,6 @@ def _record_row(rec: ViolationRecord, eta: float, theta: float | None = None) ->
     return row
 
 
-def _policy_for(s_star: HalfInt, tol: float, max_s: float | None) -> TruncationPolicy:
-    if max_s is None:
-        return TruncationPolicy.for_sector(s_star, rel_tol=tol)
-    t_max = HalfInt.of(max_s).twice
-    t_start = min(s_star.twice + 4, t_max)
-    return TruncationPolicy(s_start=HalfInt(t_start), max_s=HalfInt(t_max), rel_tol=tol)
-
-
 # ------------------------------------------------------------- worker tasks
 
 
@@ -386,7 +378,7 @@ def main(argv=None) -> int:
     if "policy_tol" in args:
         spins = [HalfInt.of(s) for s in (args.s if isinstance(args.s, list) else [args.s])]
         try:
-            args.policies = {s: _policy_for(s, args.policy_tol, args.policy_max_s) for s in spins}
+            args.policies = {s: TruncationPolicy.for_sector(s, args.policy_tol, args.policy_max_s) for s in spins}
         except ValueError as exc:
             args.parser.error(f"argument --s/--policy-max-s: that source sum is not allowed ({exc})")
     try:

@@ -11,8 +11,9 @@ Everything is accumulated sector by sector so the infinite source sum can be
 cut off dynamically, with an exact geometric bound on the discarded weight.
 The angle-independent kernels of the computed outcome sector pairs (one
 post-selected pair, or every pair reachable below the cutoff) are converged
-once per truncation policy; the joint distribution, both correlations and
-the left side at any analyzer setting are contractions of them.
+once per truncation policy; the joint distribution, the post-selected
+correlation and the left side at any analyzer setting are contractions of
+them.  The full-trace correlation needs no kernel: it is exact in closed form.
 
 The methods of ``LossyEngine`` (``joint``, ``correlation``,
 ``mermin_sides``) are the only way to evaluate a point; one engine serves
@@ -92,10 +93,11 @@ class TruncationPolicy:
             raise ValueError(f"max_s is capped at {_MAX_SOURCE_TWICE / 2:.0f}")
 
     @classmethod
-    def for_sector(cls, s_star, rel_tol: float = 1e-6) -> "TruncationPolicy":
-        """Default policy for a post-selected sector: start at s_star + 2, cap at s_star + 15."""
+    def for_sector(cls, s_star, rel_tol: float = 1e-6, max_s=None) -> "TruncationPolicy":
+        """Policy for a post-selected sector: start at s_star + 2, clamped to ``max_s`` (None: s_star + 15)."""
         t = HalfInt.of(s_star).twice
-        return cls(s_start=HalfInt(t + 4), max_s=HalfInt(t + 30), rel_tol=rel_tol)
+        t_max = t + 30 if max_s is None else HalfInt.of(max_s).twice
+        return cls(s_start=HalfInt(min(t + 4, t_max)), max_s=HalfInt(t_max), rel_tol=rel_tol)
 
 
 @dataclass
@@ -128,7 +130,9 @@ class JointOutcomeDistribution:
         keys = self.blocks if sector is None else [(HalfInt.of(sector[0]).twice, HalfInt.of(sector[1]).twice)]
         num = den = 0.0
         for tsa, tsb in keys:
-            p = self.blocks.get((tsa, tsb), np.zeros((tsa + 1, tsb + 1)))
+            p = self.blocks.get((tsa, tsb))
+            if p is None:
+                continue
             num += float(_ladder_weights(tsa)[0] @ p @ _ladder_weights(tsb)[0])
             den += float(p.sum())
         if not conditioned:
@@ -432,26 +436,31 @@ class LossyEngine:
         alpha: float,
         beta: float,
         s_star,
-        policy: TruncationPolicy,
-        conditioned: bool = True,
-    ) -> tuple[float, float, HalfInt, bool]:
-        """<S_A,alpha S_B,beta>, post-selected on sigma_a = sigma_b = s_star.
+        policy: TruncationPolicy | None = None,
+    ) -> tuple[float, float, HalfInt | None, bool]:
+        """<S_A,alpha S_B,beta> as (value, sector_probability, cutoff_used, converged).
 
-        With ``s_star`` None the full (unconditioned) trace over all
-        surviving sectors is returned and the sector probability is 1.
-        Returns (value, sector_probability, cutoff_used, converged).
+        Post-selected on sigma_a = sigma_b = s_star and divided by the sector
+        probability.  With ``s_star`` None it is the exact full trace, (value,
+        1.0, None, True): loss scales a_i^dag a_j by sqrt(eta_i eta_j), and
+        n_a1 = n_b1, n_a2 = n_b2 are independent thermal counts of mean
+        sinh(r)^2.  That takes no policy (``ValueError``); the moment of a
+        capped source sum is ``joint(alpha, beta, policy).correlation()``.
         """
-        tso = None if s_star is None else HalfInt.of(s_star).twice
-        kernels, tcut, ok = self._kernels(None if tso is None else ((tso, tso),), policy)
-        num = sum(_moment(_moment_parts(t, tsa, tsb), alpha, beta) for (tsa, tsb), t in kernels.items())
-        if tso is None:
-            return num, 1.0, HalfInt(tcut), ok
-        den = float(kernels[(tso, tso)][tso].sum())
-        if conditioned:
-            if den < 1e-300:
-                raise DegenerateSectorError(f"sector s={HalfInt(tso)} has probability {den:.3e}")
-            return num / den, den, HalfInt(tcut), ok
-        return num, den, HalfInt(tcut), ok
+        if s_star is None:
+            if policy is not None:
+                raise ValueError("the full-trace correlation is exact; a capped one is joint(...).correlation()")
+            n, (a1, a2, b1, b2) = math.sinh(self.r) ** 2, self.loss.etas()
+            zz = 0.25 * ((a1 * b2 + a2 * b1) * n * n - (a1 * b1 + a2 * b2) * (2.0 * n * n + n))
+            ladders = -math.sqrt(a1 * a2 * b1 * b2) * math.sinh(2.0 * self.r) ** 2 / 2.0
+            return _moment((zz, ladders), alpha, beta), 1.0, None, True
+        tso = HalfInt.of(s_star).twice
+        kernels, tcut, ok = self._kernels(((tso, tso),), policy)
+        t = kernels[(tso, tso)]
+        den = float(t[tso].sum())
+        if den < 1e-300:
+            raise DegenerateSectorError(f"sector s={HalfInt(tso)} has probability {den:.3e}")
+        return _moment(_moment_parts(t, tso, tso), alpha, beta) / den, den, HalfInt(tcut), ok
 
     # ------------------------------------------------------- inequality sides
 

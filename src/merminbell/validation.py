@@ -165,8 +165,7 @@ def exponent_adjudication_report(
         loss = LossConfig.equal_eta(eta)
         dist = simulate_joint(r, loss, alpha, beta, cutoff, sector_max=s_cap)
         reference = dist.correlation()
-        eng = LossyEngine(r, loss)
-        derived, _, _, _ = eng.correlation(alpha, beta, None, policy)
+        derived = LossyEngine(r, loss).joint(alpha, beta, policy).correlation()
         alt = correlation_alt_bookkeeping(r, eta, alpha, beta, s_cap)
         derived_err = max(derived_err, abs(derived - reference))
         alt_err = max(alt_err, abs(alt - reference))

@@ -35,7 +35,8 @@ def test_vacuum_source():
     assert dist.blocks[(0, 0)][0, 0] == pytest.approx(1.0, abs=1e-14)
     assert dist.total_mass() == pytest.approx(1.0, abs=1e-14)
     assert dist.converged
-    assert LossyEngine(0.0, LossConfig.equal_eta(0.7)).correlation(0.3, 0.9, None, CAP_POLICY)[0] == 0.0
+    assert LossyEngine(0.0, LossConfig.equal_eta(0.7)).joint(0.3, 0.9, CAP_POLICY).correlation() == 0.0
+    assert LossyEngine(0.0, LossConfig.equal_eta(0.7)).correlation(0.3, 0.9, None)[0] == 0.0
 
 
 def test_degenerate_sector_raises():
@@ -316,6 +317,68 @@ def test_moment_route_equals_operator_route():
         assert got == pytest.approx(want, abs=1e-9)
 
 
+def test_correlation_of_a_missing_sector_is_empty():
+    p = np.array([[0.1, 0.2, 0.0], [0.0, 0.3, 0.1], [0.05, 0.0, 0.25]])
+    dist = JointOutcomeDistribution({(2, 2): p}, 0.0, HalfInt(2), True)
+    assert dist.correlation(sector=(0.5, 0.5)) == 0.0
+    with pytest.raises(DegenerateSectorError):
+        dist.correlation(sector=(0.5, 0.5), conditioned=True)
+    m = np.array([-1.0, 0.0, 1.0])
+    assert dist.correlation(sector=(1, 1)) == dist.correlation() == float(m @ p @ m)
+
+
+# ---------------------------------------------------------- full-trace moment
+
+FULL_TRACE_LOSSES = {
+    "equal": LossConfig.equal_eta(0.8),
+    "unequal": LossConfig(0.6, 0.95, 0.7, 0.8),
+    "dark-and-perfect": LossConfig(0.0, 0.7, 1.0, 0.5),
+}
+FULL_TRACE_ANGLES = [(0.0, math.pi / 2), (0.7, -0.4), (1.3, 2.1), (-2.5, 0.9)]
+
+
+@pytest.mark.parametrize("r", [0.3, 0.5])
+@pytest.mark.parametrize("loss", FULL_TRACE_LOSSES.values(), ids=FULL_TRACE_LOSSES.keys())
+def test_full_trace_closed_form_matches_converged_joint(r, loss):
+    # the value vanishes at alpha = 0, beta = pi/2, so the bound is absolute, on the scale sinh(2r)^2/8
+    deep = LossyEngine(r, loss)
+    policy = TruncationPolicy(s_start=HalfInt(2), max_s=HalfInt(40), rel_tol=1e-14)
+    eng = LossyEngine(r, loss)
+    for alpha, beta in FULL_TRACE_ANGLES:
+        value, probability, cutoff, converged = eng.correlation(alpha, beta, None)
+        assert (probability, cutoff, converged) == (1.0, None, True)
+        dist = deep.joint(alpha, beta, policy)
+        assert dist.converged
+        assert abs(value - dist.correlation()) <= 1e-12 * math.sinh(2 * r) ** 2 / 8
+    assert eng._kernel_cache == {}
+
+
+@pytest.mark.parametrize("loss", FULL_TRACE_LOSSES.values(), ids=FULL_TRACE_LOSSES.keys())
+def test_full_trace_closed_form_matches_oracle(loss):
+    # at r = 0.05 four photons per mode leave a truncation error near 1e-13
+    eng = LossyEngine(0.05, loss)
+    for alpha, beta in FULL_TRACE_ANGLES:
+        want = simulate_joint(0.05, loss, alpha, beta, 4).correlation()
+        assert abs(eng.correlation(alpha, beta, None)[0] - want) <= 1e-12
+
+
+@pytest.mark.parametrize("r, eta", [(0.3, 0.8), (0.9, 0.5), (1.4, 1.0), (0.7, 0.0)])
+def test_full_trace_closed_form_at_equal_loss(r, eta):
+    eng = LossyEngine(r, LossConfig.equal_eta(eta))
+    scale = math.sinh(2 * r) ** 2 / 8
+    for alpha, beta in FULL_TRACE_ANGLES:
+        want = -(eta**2) * scale * math.cos(alpha - beta)
+        assert abs(eng.correlation(alpha, beta, None)[0] - want) <= 1e-15 * scale
+
+
+def test_full_trace_takes_no_policy():
+    # a capped full-trace moment is the joint distribution's, never a silently exact value
+    eng = LossyEngine(0.4, LossConfig.equal_eta(0.8))
+    with pytest.raises(ValueError, match="joint"):
+        eng.correlation(0.3, 0.9, None, CAP_POLICY)
+    assert eng._kernel_cache == {}
+
+
 def test_largest_difference_visits_readouts_in_label_order():
     # missing blocks count as zeros; ties go to the first (s_a, m_a, s_b, m_b)
     a = JointOutcomeDistribution(
@@ -464,6 +527,34 @@ def test_default_policy_shares_the_for_sector_kernel():
     default = eng.mermin_sides(s, theta_triple(0.3))
     assert eng.mermin_sides(s, theta_triple(0.3), TruncationPolicy.for_sector(s)) == default
     assert len(eng._kernel_cache) == 1
+
+
+def _old_cli_policy(s_star, tol, max_s):
+    # the command line's rule before it moved into for_sector
+    if max_s is None:
+        return TruncationPolicy.for_sector(s_star, rel_tol=tol)
+    t_max = HalfInt.of(max_s).twice
+    t_start = min(s_star.twice + 4, t_max)
+    return TruncationPolicy(s_start=HalfInt(t_start), max_s=HalfInt(t_max), rel_tol=tol)
+
+
+@pytest.mark.parametrize("ts", [1, 2, 4, 7])
+@pytest.mark.parametrize("max_s", [None, 0.5, 1.5, 3, 4.5, 20, 200])
+def test_for_sector_cap_clamps_the_start(ts, max_s):
+    # caps below, at and above s_star + 2
+    s = HalfInt(ts)
+    got = TruncationPolicy.for_sector(s, 1e-7, max_s)
+    assert got == _old_cli_policy(s, 1e-7, max_s)
+    assert got.s_start.twice == min(ts + 4, got.max_s.twice)
+    if max_s is None:
+        assert (got.s_start, got.max_s) == (HalfInt(ts + 4), HalfInt(ts + 30))
+
+
+def test_for_sector_rejects_a_cap_above_the_engine_limit():
+    with pytest.raises(ValueError, match="capped"):
+        TruncationPolicy.for_sector(HalfInt(2), 1e-6, 200.5)
+    with pytest.raises(ValueError, match="capped"):
+        TruncationPolicy.for_sector(HalfInt(390))
 
 
 # ----------------------------------------------------------------- optimizer
@@ -621,7 +712,7 @@ def test_alt_bookkeeping_rejected_by_oracle():
     for eta in (0.5, 0.8):
         loss = LossConfig.equal_eta(eta)
         reference = simulate_joint(r, loss, alpha, beta, cutoff=4, sector_max=cap).correlation()
-        derived, _, _, _ = LossyEngine(r, loss).correlation(alpha, beta, None, policy)
+        derived = LossyEngine(r, loss).joint(alpha, beta, policy).correlation()
         alt = correlation_alt_bookkeeping(r, eta, alpha, beta, cap)
         assert derived == pytest.approx(reference, abs=1e-10)
         assert abs(alt - reference) > 1e-3
