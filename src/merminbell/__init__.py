@@ -3,8 +3,11 @@
 Two two-mode squeezers produce a pair of effective spins in a singlet
 state; photon-number-resolving detection behind lossy paths measures
 rotated spin components.  This package evaluates the resulting
-counterfactual inequality exactly, under arbitrary per-detector loss,
-and validates every closed form against a brute-force Fock simulation.
+counterfactual inequality exactly, under arbitrary loss on each of the
+four optical paths, and validates every closed form against a
+brute-force Fock simulation.  The loss sits on the source modes before
+the analyzers (see ``LossConfig``); it equals detector inefficiency after
+the analyzer only when it is equal within each side.
 """
 
 from .ideal import (

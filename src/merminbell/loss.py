@@ -42,7 +42,15 @@ _LGF = np.array([math.lgamma(i + 1.0) for i in range(804)])
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Per-detector transmissivities for the four optical paths."""
+    """Transmissivities of the four optical paths a1, a2, b1, b2.
+
+    Both routes, the engine and the Fock oracle, apply them as path loss on
+    the source modes, before the analyzers.  That equals detector
+    inefficiency after the analyzer only when the loss is equal within each
+    side (eta_a1 == eta_a2 and eta_b1 == eta_b2), where it commutes with the
+    analyzer rotation; detector efficiencies after the analyzer are
+    ROADMAP.md item 8.
+    """
 
     eta_a1: float
     eta_a2: float

@@ -15,12 +15,20 @@ preserving despite the truncation.
 
 Every channel acts on one side, so it views the dim x dim density matrix as
 a tensor with a ket and a bra axis per side and touches only its own side's
-two axes.  A loss Kraus operator sends each side state to exactly one side
-state (n -> n - k on its mode), so it is applied as a weighted index map;
-an analyzer is one side-sized rotation block applied by batched matmul, so
-no dim x dim product is formed.  ``simulate_joint`` keeps the lossy state of
-the last setting, since the source and the loss channels do not depend on
-the analyzer angles.
+two axes.  What depends only on a side's basis is built once and cached,
+read-only and in bounded caches: the analyzer's side-sized rotation block
+per (side basis, leading mode, angle), per (side basis, mode) the index
+maps that send each side state to its copy with k photons fewer, and per
+basis the readout's block cells.  A loss
+channel is then a scale of the side's axes by eta^(n/2) (no photon lost)
+plus, per k >= 1, one gathered and weighted sub-block added at the lowered
+indices; an analyzer is, per state of the other side's ket, one side-sized
+product on the ket axis and one batch of them on the bra axis.  No
+temporary is larger than the density matrix, no dim x dim product is
+formed, and every product stays small enough that BLAS keeps it on the
+calling thread.  ``simulate_joint`` keeps the lossy state of the last
+setting, since the source and the loss channels do not depend on the
+analyzer angles.
 """
 
 from __future__ import annotations
@@ -108,14 +116,14 @@ class DensityMatrixLite:
         return {t: i for i, t in enumerate(self.basis)}
 
     @cached_property
-    def sides(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    def sides(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
         """Alice's and Bob's bases, of which ``basis`` must be the A-major product.
 
         Derived at most once per basis: ``from_state`` sets them and every
         channel hands them on.  ValueError if ``basis`` is no such product.
         """
-        states_a = list(dict.fromkeys(t[:2] for t in self.basis))
-        states_b = list(dict.fromkeys(t[2:] for t in self.basis))
+        states_a = tuple(dict.fromkeys(t[:2] for t in self.basis))
+        states_b = tuple(dict.fromkeys(t[2:] for t in self.basis))
         if self.basis != [a + b for a in states_a for b in states_b]:
             raise ValueError("basis is not an A-major product of per-side bases")
         return states_a, states_b
@@ -130,7 +138,7 @@ class DensityMatrixLite:
     def from_state(cls, state: TruncatedFockState) -> "DensityMatrixLite":
         na = max((n1 + n2 for (n1, n2, _, _) in state.amplitudes), default=0)
         nb = max((n3 + n4 for (_, _, n3, n4) in state.amplitudes), default=0)
-        states_a, states_b = ([(i, j) for i in range(n + 1) for j in range(n + 1 - i)] for n in (na, nb))
+        states_a, states_b = (tuple((i, j) for i in range(n + 1) for j in range(n + 1 - i)) for n in (na, nb))
         basis = [a + b for a in states_a for b in states_b]
         index = {t: i for i, t in enumerate(basis)}
         amps = np.asarray(list(state.amplitudes.values()))
@@ -158,11 +166,10 @@ def _as_dm(obj) -> DensityMatrixLite:
     raise TypeError("expected a TruncatedFockState or DensityMatrixLite")
 
 
-def _side_view(m: np.ndarray, sides, side: int) -> np.ndarray:
-    """A dim x dim matrix as a view with axes (other ket, other bra, side ket,
-    side bra), so that ``side`` (0 for A, 1 for B) owns the last two axes."""
-    da, db = len(sides[0]), len(sides[1])
-    t = m.reshape(da, db, da, db)
+def _side_view(t: np.ndarray, side: int) -> np.ndarray:
+    """The (A ket, B ket, A bra, B bra) tensor as a view with axes (other ket,
+    other bra, side ket, side bra), so that ``side`` (0 for A, 1 for B) owns
+    the last two axes."""
     return t.transpose(1, 3, 0, 2) if side == 0 else t.transpose(0, 2, 1, 3)
 
 
@@ -181,28 +188,59 @@ def apply_loss(obj, mode: str, eta: float) -> DensityMatrixLite:
         raise ValueError("eta must lie in [0, 1]")
     dm = _as_dm(obj)
     sides = dm.sides
+    if eta == 1.0:  # only the k = 0 operator, the identity
+        return dm._with_rho(dm.rho.copy())
     side, pos = divmod(_MODE_POS[mode], 2)
-    states = sides[side]
+    n, maps = _lowering_maps(sides[side], pos)
+    rho = dm.rho.reshape(len(sides[0]), len(sides[1]), len(sides[0]), len(sides[1]))
+    # k = 0 keeps every state: scale the side's ket and bra axes by eta^(n/2)
+    w = _loss_weights(eta, 0, len(maps))[n]
+    new = rho * _along(w, side)
+    new *= _along(w, side + 2)
+    src, dst = _side_view(rho, side), _side_view(new, side)
+    for k, (cols, rows) in enumerate(maps, start=1):
+        w = _loss_weights(eta, k, len(maps))[n[cols]]
+        part = src[..., cols[:, None], cols]
+        part *= w[:, None]
+        part *= w
+        dst[..., rows[:, None], rows] += part
+    return dm._with_rho(new.reshape(dm.rho.shape))
+
+
+def _along(w: np.ndarray, axis: int) -> np.ndarray:
+    """``w`` shaped to broadcast along one axis of the four-axis tensor."""
+    return w.reshape([-1 if ax == axis else 1 for ax in range(4)])
+
+
+def _loss_weights(eta: float, k: int, n_max: int) -> np.ndarray:
+    """Amplitude of losing k photons from n, for n = 0 .. n_max (0 below k)."""
+    return np.array([0.0] * k + [
+        math.sqrt(math.comb(m, k)) * eta ** ((m - k) / 2.0) * (1.0 - eta) ** (k / 2.0)
+        for m in range(k, n_max + 1)
+    ])
+
+
+@lru_cache(maxsize=32)
+def _lowering_maps(states: tuple, pos: int) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """The mode's photon count per side state, and for k = 1, 2, .. the
+    (cols, rows) pair of side-state indices that losing k photons from the
+    mode at ``pos`` sends cols[i] to rows[i].  Read-only arrays."""
     index = {t: i for i, t in enumerate(states)}
-    n = np.array([t[pos] for t in states])
-    new = np.zeros_like(dm.rho)
-    src, dst = _side_view(dm.rho, sides, side), _side_view(new, sides, side)
-    for k in range(n.max() + 1 if eta < 1.0 else 1):
-        table = [0.0] * k + [
-            math.sqrt(math.comb(m, k)) * eta ** ((m - k) / 2.0) * (1.0 - eta) ** (k / 2.0)
-            for m in range(k, n.max() + 1)
-        ]
-        w = np.array(table)[n]
-        cols = np.flatnonzero(w)
+    counts = [t[pos] for t in states]
+    n = np.array(counts, dtype=np.intp)
+    maps = []
+    for k in range(1, max(counts, default=0) + 1):
+        cols = np.flatnonzero(n >= k)
         lowered = [states[c][:pos] + (states[c][pos] - k,) + states[c][pos + 1 :] for c in cols]
         if not all(t in index for t in lowered):
             raise ValueError("basis is not closed under photon loss")
         rows = np.array([index[t] for t in lowered], dtype=np.intp)
-        dst[..., rows[:, None], rows] += w[cols, None] * src[..., cols[:, None], cols] * w[cols]
-    return dm._with_rho(new)
+        maps.append((cols, rows))
+    for a in (n, *(a for pair in maps for a in pair)):
+        a.setflags(write=False)
+    return n, tuple(maps)
 
 
-@lru_cache(maxsize=None)
 def _rotation_coeffs(nf: int, ng: int, angle: float) -> tuple[tuple[int, int, float], ...]:
     """Amplitudes of U|nf, ng> for the two-mode analyzer rotation.
 
@@ -231,6 +269,22 @@ def _rotation_coeffs(nf: int, ng: int, angle: float) -> tuple[tuple[int, int, fl
     return tuple((kf, kg, w) for (kf, kg), w in acc.items() if w != 0.0)
 
 
+@lru_cache(maxsize=64)
+def _rotation_block(states: tuple, lead: int, angle: float) -> np.ndarray:
+    """The analyzer unitary on one side's basis, leading mode at ``lead``.
+    Read-only."""
+    index = {t: i for i, t in enumerate(states)}
+    rot = np.zeros((len(states), len(states)))
+    for j, t in enumerate(states):
+        for kf, kg, w in _rotation_coeffs(t[lead], t[1 - lead], angle):
+            out = (kf, kg) if lead == 0 else (kg, kf)
+            if out not in index:
+                raise ValueError("basis is not closed under the analyzer rotation")
+            rot[index[out], j] += w
+    rot.setflags(write=False)
+    return rot
+
+
 def apply_analyzer(obj, side: str, angle: float) -> DensityMatrixLite:
     """Beamsplitter analyzer on one side; photon number per side conserved.
 
@@ -244,20 +298,23 @@ def apply_analyzer(obj, side: str, angle: float) -> DensityMatrixLite:
     dm = _as_dm(obj)
     sides = dm.sides
     lead = 0 if side == "A" else 1
-    states = sides[lead]
-    index = {t: i for i, t in enumerate(states)}
-    rot = np.zeros((len(states), len(states)))
-    for j, t in enumerate(states):
-        for kf, kg, w in _rotation_coeffs(t[lead], t[1 - lead], float(angle)):
-            out = (kf, kg) if lead == 0 else (kg, kf)
-            if out not in index:
-                raise ValueError("basis is not closed under the analyzer rotation")
-            rot[index[out], j] += w
-    # rot rho rot^T as one side-sized product per (ket, bra) of the other
-    # side: small enough that BLAS keeps it on the calling thread
-    new = np.empty(dm.rho.shape, dtype=np.result_type(rot, dm.rho))
-    np.matmul(rot @ _side_view(dm.rho, sides, lead), rot.T, out=_side_view(new, sides, lead))
-    return dm._with_rho(new)
+    rot = _rotation_block(sides[lead], lead, float(angle))
+    da, db = len(sides[0]), len(sides[1])
+    dim = da * db
+    rho = dm.rho.reshape(da, db, da, db)
+    new = np.empty(rho.shape, dtype=np.result_type(rot, rho))
+    # rot rho rot^T one slice of the other side's ket at a time: the ket
+    # product is one side-sized product, the bra product one batch of them,
+    # so BLAS stays on the calling thread and no temporary outgrows a slice
+    if lead == 0:
+        for b in range(db):
+            half = rot @ rho[:, b].reshape(da, dim)
+            np.matmul(rot, half.reshape(da, da, db), out=new[:, b])
+    else:
+        for a in range(da):
+            half = rot @ rho[a].reshape(db, dim)
+            np.matmul(half.reshape(dim, db), rot.T, out=new[a].reshape(dim, db))
+    return dm._with_rho(new.reshape(dm.rho.shape))
 
 
 def _bob_projection(n_b1, n_b2):
@@ -268,23 +325,39 @@ def _bob_projection(n_b1, n_b2):
 def measure_joint(dm: DensityMatrixLite) -> JointOutcomeDistribution:
     """Photon-counting readout: the diagonal in the occupation basis, one
     block per per-side photon-total pair (2s_a, 2s_b), indexed by the
-    up-mode counts n_a1 and (2s_b + 2m_b)/2."""
-    occ = np.array(dm.basis, dtype=np.int64).reshape(-1, 4)
+    up-mode counts n_a1 and (2s_b + 2m_b)/2.  A pair whose probabilities
+    are all zero has no block."""
     p = dm.rho.diagonal().real
-    occ, p = occ[p != 0.0], p[p != 0.0]
-    tsa, tsb = occ[:, 0] + occ[:, 1], occ[:, 2] + occ[:, 3]
-    col = (tsb + _bob_projection(occ[:, 2], occ[:, 3])) // 2
     blocks: dict[tuple[int, int], np.ndarray] = {}
-    for ta, tb in sorted(set(zip(tsa.tolist(), tsb.tolist()))):
-        sel = (tsa == ta) & (tsb == tb)
-        blocks[(ta, tb)] = np.zeros((ta + 1, tb + 1))
-        np.add.at(blocks[(ta, tb)], (occ[sel, 0], col[sel]), p[sel])
+    for (ta, tb), at, cells in _readout_cells(tuple(dm.basis)):
+        q = p[at]
+        if q.any():
+            blocks[(ta, tb)] = np.zeros((ta + 1, tb + 1))
+            blocks[(ta, tb)][cells] = q + 0.0  # + 0.0 turns -0.0 into 0.0
     return JointOutcomeDistribution(
         blocks=blocks,
         tail_bound=max(0.0, 1.0 - sum(p.tolist())),
-        s_cutoff_used=HalfInt(int(max(tsa.max(), tsb.max())) if p.size else 0),
+        s_cutoff_used=HalfInt(max((max(k) for k in blocks), default=0)),
         converged=True,
     )
+
+
+@lru_cache(maxsize=8)
+def _readout_cells(basis: tuple) -> tuple[tuple[tuple[int, int], np.ndarray, tuple[np.ndarray, np.ndarray]], ...]:
+    """Per photon-total pair (2s_a, 2s_b), in sorted order: the positions in
+    ``basis`` of its states and their (row, column) cells in its block.
+    Read-only arrays."""
+    occ = np.array(basis, dtype=np.int64).reshape(-1, 4)
+    tsa, tsb = occ[:, 0] + occ[:, 1], occ[:, 2] + occ[:, 3]
+    col = (tsb + _bob_projection(occ[:, 2], occ[:, 3])) // 2
+    out = []
+    for ta, tb in sorted(set(zip(tsa.tolist(), tsb.tolist()))):
+        at = np.flatnonzero((tsa == ta) & (tsb == tb))
+        cells = occ[at, 0], col[at]
+        for a in (at, *cells):
+            a.setflags(write=False)
+        out.append(((ta, tb), at, cells))
+    return tuple(out)
 
 
 def simulate_joint(

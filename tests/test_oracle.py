@@ -374,3 +374,65 @@ def test_oracle_imports_nothing_from_the_analytic_route():
         elif isinstance(node, ast.Import):
             assert all(alias.name.split(".")[0] != "merminbell" for alias in node.names)
     assert names == {"LossConfig", "JointOutcomeDistribution", "HalfInt"}
+
+
+def _oracle_caches():
+    return {name: f for name, f in vars(oracle_mod).items() if hasattr(f, "cache_info")}
+
+
+def test_every_oracle_cache_is_bounded_over_a_many_angle_sweep():
+    caches = _oracle_caches()
+    assert {"_lossy_state", "_rotation_block", "_lowering_maps", "_readout_cells"} <= caches.keys()
+    assert all(f.cache_info().maxsize is not None for f in caches.values())
+    loss = LossConfig(0.9, 0.7, 0.8, 0.6)
+    for i in range(80):  # 160 distinct (side, angle) keys over two bases
+        simulate_joint(0.3 + 0.1 * (i % 2), loss, 0.01 * i, -0.013 * i, cutoff=1 + i % 2)
+    for name, f in caches.items():
+        info = f.cache_info()
+        assert info.currsize <= info.maxsize, name
+    assert caches["_rotation_block"].cache_info().currsize == caches["_rotation_block"].cache_info().maxsize
+
+
+def test_warm_caches_serve_another_basis_without_mixing_it_up():
+    # warm on the equal-sided source basis, then the 10 x 3 basis at the same angle and eta
+    warm = apply_loss(DensityMatrixLite.from_state(build_epr2(0.5, 0.4, cutoff=2)), "b1", 0.6)
+    for side in ("A", "B"):
+        apply_analyzer(warm, side, 0.77)
+    for mode in ("a1", "a2", "b1", "b2"):
+        apply_loss(warm, mode, 0.37)
+    basis = [a + b for a in _side_states(3) for b in _side_states(1)]
+    x = np.random.default_rng(11).standard_normal((len(basis), len(basis)))
+    dm = DensityMatrixLite(basis, (x + x.T) / (2 * len(basis)))
+    for mode in ("a1", "a2", "b1", "b2"):
+        got = apply_loss(dm, mode, 0.37).rho
+        assert np.max(np.abs(got - _dense_loss_reference(dm, mode, 0.37))) <= 1e-15, mode
+    for side in ("A", "B"):
+        got = apply_analyzer(dm, side, 0.77).rho
+        assert np.max(np.abs(got - _dense_analyzer_reference(dm, side, 0.77))) <= 1e-15, side
+
+
+def test_cached_side_operators_are_read_only():
+    states = tuple(_side_states(2))
+    n, maps = oracle_mod._lowering_maps(states, 1)
+    basis = tuple(a + b for a in states for b in states)
+    (_, at, cells), *_ = oracle_mod._readout_cells(basis)
+    for arr in (oracle_mod._rotation_block(states, 0, 0.4), n, *maps[0], at, *cells):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+
+
+def test_cold_and_warm_channels_agree_bit_for_bit():
+    dm = DensityMatrixLite.from_state(build_epr2(0.5, 0.4, cutoff=3))
+
+    def run():
+        out = apply_loss(apply_loss(dm, "a2", 0.7), "b1", 0.55)
+        out = apply_analyzer(apply_analyzer(out, "A", 0.9), "B", -1.3)
+        return out.rho, measure_joint(out)
+
+    for f in _oracle_caches().values():
+        f.cache_clear()
+    cold_rho, cold_joint = run()
+    warm_rho, warm_joint = run()
+    assert oracle_mod._rotation_block.cache_info().hits >= 2
+    assert np.array_equal(cold_rho, warm_rho)
+    assert _same_blocks(warm_joint, cold_joint)
