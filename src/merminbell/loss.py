@@ -72,6 +72,11 @@ class LossConfig:
     def equal(self) -> bool:
         return self.eta_a1 == self.eta_a2 == self.eta_b1 == self.eta_b2
 
+    @property
+    def equal_within_sides(self) -> bool:
+        """eta_a1 == eta_a2 and eta_b1 == eta_b2: each side's loss commutes with its analyzer."""
+        return self.eta_a1 == self.eta_a2 and self.eta_b1 == self.eta_b2
+
     def etas(self) -> tuple[float, float, float, float]:
         return (self.eta_a1, self.eta_a2, self.eta_b1, self.eta_b2)
 

@@ -598,22 +598,13 @@ def optimize_angles(
 ) -> tuple[AngleTriple, ViolationRecord]:
     """Maximize the violation over the analyzer triple.
 
-    At equal loss the correlations depend only on angle differences, so the
-    optimum lies on the ``theta_triple`` family with base 0 (rhs is largest
-    at gamma = (alpha + beta)/2 for any alpha - beta, and lhs depends on
-    alpha - beta alone).  Along that family the violation is a
-    trigonometric polynomial of degree 4s in theta, which 8s + 1 samples
-    on one cached kernel determine exactly; its maximum is read from the
-    coefficients and returned in canonical form, theta in (0, pi/2] and
-    gamma = 0 (``_theta_optimum``).  Unequal loss uses multi-start
-    coordinate descent with golden-section line searches from a fixed start
-    list (``_coordinate_descent``).  Its line searches recompute only what
-    they move: a gamma search only the rhs from the kernel's two moment
-    sums, an alpha search Alice's pair stack against Bob's cached
-    half-contraction, a beta search the reverse.  Each point runs the
-    arithmetic of ``mermin_sides`` in its order, so the values, the search
-    path and the result are those of a fresh ``mermin_sides`` per point.
-    Both are deterministic, so repeated runs return identical triples.
+    Loss equal within each side commutes with the analyzers, so the optimum
+    lies on the ``theta_triple`` family, where the violation is a degree-4s
+    trigonometric polynomial in theta; ``_theta_optimum`` reads its maximum
+    from 8s + 1 samples and returns theta in (0, pi/2], gamma = 0.  Other loss
+    runs the multi-start coordinate descent of ``_coordinate_descent`` on an
+    exact 2-D interpolant of the lhs.  Both check their interpolant against
+    the returned record and are deterministic.
     """
     return _optimize(LossyEngine(r, loss), HalfInt.of(s_star), policy, convention)
 
@@ -622,7 +613,7 @@ def _optimize(
     eng: LossyEngine, s_star: HalfInt, policy: TruncationPolicy | None, convention: str
 ) -> tuple[AngleTriple, ViolationRecord]:
     """``optimize_angles`` on an existing engine, whose kernel the caller may read again."""
-    return (_theta_optimum if eng.loss.equal else _coordinate_descent)(eng, s_star, policy, convention)
+    return (_theta_optimum if eng.loss.equal_within_sides else _coordinate_descent)(eng, s_star, policy, convention)
 
 
 def _theta_optimum(
@@ -680,39 +671,49 @@ def _theta_optimum(
 def _descent_objective(
     eng: LossyEngine, s_star: HalfInt, policy: TruncationPolicy | None, convention: str
 ) -> Callable[[float, float, float], float]:
-    """-violation at (alpha, beta, gamma): ``eng.mermin_sides``' value, bit for bit.
+    """-violation at (alpha, beta, gamma), the lhs read from its exact 2-D interpolant.
 
-    The kernel, its moment parts and the conditioning mass are read once.
-    Three one-entry memos hold what a line search leaves fixed: Alice's pair
-    stack (keyed on alpha), Bob's half-contraction (keyed on beta) and the
-    lhs (keyed on (alpha, beta)).  So a gamma search contracts nothing, an
-    alpha search reuses Bob's half and a beta search Alice's stack.  Every
-    new (alpha, beta) is still clipped and checked by ``_nonnegative`` and
-    ``_lhs_and_mass``.  Each step runs the same floating-point operations in
-    the same order as ``mermin_sides``.  The memos live in this closure and
-    die with it, so no angle-keyed cache outlives one descent.
+    Each entry of d(alpha) has frequencies -s..s and P is bilinear in the two
+    pair stacks, so the lhs is a trigonometric polynomial of degree 2s in each
+    angle.  A 2-D FFT of its (4s + 1)^2 samples at angles 2 pi k / (4s + 1),
+    each checked by ``_nonnegative`` and ``_lhs_and_mass``, gives every
+    coefficient C; lhs = Re(e^{ik alpha} C e^{ik beta}).  One-entry memos hold
+    the row (keyed on alpha), the column (on beta) and the lhs (on both), so
+    a gamma search reads only the rhs of the kernel's moment parts.  The rhs
+    and the violation are formed as in ``mermin_sides``; ``objective.lhs`` is
+    the interpolated lhs at (alpha, beta).
     """
     s_star, conditioned = _sector_and_convention(s_star, convention)
     ts = s_star.twice
     t = eng._kernels(((ts, ts),), policy)[0][(ts, ts)]
     parts = _moment_parts(t, ts, ts)
     den = float(t[ts].sum()) if conditioned else None
+    n = 2 * ts + 1
+    grid = 2.0 * math.pi * np.arange(n) / n
+    halves = [_bob_half(t, ts, b) for b in grid]
+    samples = [
+        [_lhs_and_mass(_nonnegative(_join(ea, x), ts, ts), s_star, conditioned)[0] for x in halves]
+        for ea in (_alice_pairs(t, ts, a) for a in grid)
+    ]
+    coef = np.fft.fft2(samples) / (n * n)
+    k = np.fft.ifftshift(np.arange(-ts, ts + 1))
 
     @lru_cache(maxsize=1)
-    def alice(alpha: float) -> np.ndarray:
-        return _alice_pairs(t, ts, alpha)
+    def row(alpha: float) -> np.ndarray:
+        return np.exp(1j * alpha * k) @ coef
 
     @lru_cache(maxsize=1)
-    def bob(beta: float) -> np.ndarray:
-        return _bob_half(t, ts, beta)
+    def col(beta: float) -> np.ndarray:
+        return np.exp(1j * beta * k)
 
     @lru_cache(maxsize=1)
     def lhs(alpha: float, beta: float) -> float:
-        return _lhs_and_mass(_nonnegative(_join(alice(alpha), bob(beta)), ts, ts), s_star, conditioned)[0]
+        return float((row(alpha) @ col(beta)).real)
 
     def objective(a: float, b: float, g: float) -> float:
         return -(_rhs(parts, a, b, g, den) - lhs(a, b))
 
+    objective.lhs = lhs
     return objective
 
 
@@ -721,16 +722,14 @@ def _coordinate_descent(
 ) -> tuple[AngleTriple, ViolationRecord]:
     """Multi-start coordinate descent over (alpha, beta, gamma) with golden-section line searches.
 
-    The objective is ``_descent_objective``: a gamma search recomputes only
-    the rhs, an alpha search only Alice's side and a beta search only Bob's.
-    It returns the same bits as a fresh ``mermin_sides`` at every point, so
-    the search path and the result are those of calling it every time.
+    The objective is ``_descent_objective``; the record is a fresh ``mermin_sides``, and an
+    objective more than ``_INTERPOLANT_TOL`` off it raises ``InternalConsistencyError``.
     """
     objective = _descent_objective(eng, s_star, policy, convention)
     sv = max(s_star.value, 0.5)
     starts = [theta_triple(t) for t in (0.15 / sv, 0.35 / sv, 0.7 / sv, 1.2 / sv)]
     starts.append(AngleTriple(2.0, -1.2, 0.3))
-    best: tuple[float, tuple[float, float, float]] | None = None
+    best = (math.inf, (math.nan,) * 3)
     for st in starts:
         x = [st.alpha, st.beta, st.gamma]
         fx = objective(*x)
@@ -748,11 +747,15 @@ def _coordinate_descent(
                 if fv < fx:
                     x[i], fx = xv, fv
             width *= 0.45
-        if best is None or fx < best[0]:
+        if fx < best[0]:
             best = (fx, tuple(x))
-    assert best is not None
     angles = AngleTriple(*best[1])
     record = eng.mermin_sides(s_star, angles, policy, convention)
+    gap = abs(best[0] + record.violation)
+    if not gap <= _INTERPOLANT_TOL:
+        raise InternalConsistencyError(
+            f"lhs is not a trigonometric polynomial of degree {s_star.twice}: interpolant off by {gap:.3e} at {angles}"
+        )
     return angles, record
 
 

@@ -22,6 +22,9 @@ def test_loss_config_validation_and_flags():
     cfg = LossConfig(0.9, 0.9, 0.9, 0.9)
     assert cfg.equal
     assert not LossConfig(0.9, 0.8, 0.9, 0.9).equal
+    assert cfg.equal_within_sides and LossConfig(0.9, 0.9, 0.7, 0.7).equal_within_sides
+    assert not LossConfig(0.9, 0.7, 0.9, 0.7).equal_within_sides
+    assert not LossConfig(0.9, 0.9, 0.8, 0.7).equal_within_sides
     assert LossConfig.equal_eta(0.5).etas() == (0.5, 0.5, 0.5, 0.5)
     with pytest.raises(ValueError):
         LossConfig(1.1, 0.5, 0.5, 0.5)

@@ -644,23 +644,88 @@ def test_equal_loss_optimum_is_canonical_and_meets_golden(s, r, eta, convention,
 UNEQUAL_LOSSES = [LossConfig(0.9, 0.8, 0.85, 0.75), LossConfig(0.9, 0.7, 0.8, 0.6)]
 
 
-@pytest.mark.parametrize("ts", [1, 2, 3, 5])
-@pytest.mark.parametrize("loss", UNEQUAL_LOSSES, ids=["mild", "strong"])
-@pytest.mark.parametrize("convention", ["conditioned", "unconditioned"])
-def test_descent_objective_is_mermin_sides_bit_for_bit(ts, loss, convention):
-    s = HalfInt(ts)
-    policy = TruncationPolicy.for_sector(s)
-    objective = _descent_objective(LossyEngine(0.4, loss), s, policy, convention)
-    fresh = LossyEngine(0.4, loss)
+def _objective_path():
+    """Gamma-only, alpha-only and beta-only moves and revisits, as a line search makes them."""
     a, b, g = 2.0, -1.2, 0.3
     path = [(a, b, g), (a, b, g)]
     path += [(a, b, g + d) for d in (0.25, -0.4, 1.1)]  # gamma only
     path += [(a + d, b, g + 1.1) for d in (0.3, -0.7)]  # alpha only
     path += [(a - 0.7, b + d, g + 1.1) for d in (0.2, 2.5)]  # beta only
     path += [(a, b, g), (a - 0.7, b + 0.2, -3.0), (a + 0.3, b, 0.5)]  # revisits
+    return path
+
+
+@pytest.mark.parametrize("ts", [1, 2, 3, 5])
+@pytest.mark.parametrize("loss", UNEQUAL_LOSSES, ids=["mild", "strong"])
+@pytest.mark.parametrize("convention", ["conditioned", "unconditioned"])
+def test_descent_objective_is_mermin_sides_bit_for_bit(ts, loss, convention):
+    # given its interpolated lhs, the objective forms rhs and violation exactly as mermin_sides does
+    s = HalfInt(ts)
+    policy = TruncationPolicy.for_sector(s)
+    objective = _descent_objective(LossyEngine(0.4, loss), s, policy, convention)
+    fresh = LossyEngine(0.4, loss)
+    for point in _objective_path():
+        rec = fresh.mermin_sides(s, AngleTriple(*point), policy, convention)
+        assert objective(*point) == -(rec.rhs - objective.lhs(point[0], point[1])), point
+
+
+@pytest.mark.parametrize("ts", [1, 2, 3, 5])
+@pytest.mark.parametrize("loss", UNEQUAL_LOSSES, ids=["mild", "strong"])
+@pytest.mark.parametrize("convention", ["conditioned", "unconditioned"])
+def test_descent_objective_matches_mermin_sides(ts, loss, convention):
+    # the lhs comes from an interpolant, so agreement is to roundoff, not bit for bit
+    s = HalfInt(ts)
+    policy = TruncationPolicy.for_sector(s)
+    objective = _descent_objective(LossyEngine(0.4, loss), s, policy, convention)
+    fresh = LossyEngine(0.4, loss)
+    path = _objective_path()
+    path += [tuple(p) for p in np.random.default_rng(ts).uniform(-2 * math.pi, 2 * math.pi, (20, 3))]
     for point in path:
-        want = -fresh.mermin_sides(s, AngleTriple(*point), policy, convention).violation
-        assert objective(*point) == want, point
+        rec = fresh.mermin_sides(s, AngleTriple(*point), policy, convention)
+        assert abs(objective(*point) + rec.violation) <= 1e-12 * max(1.0, abs(rec.lhs)), point
+
+
+@pytest.mark.parametrize("ts", [1, 2, 3, 5])
+@pytest.mark.parametrize("loss", UNEQUAL_LOSSES, ids=["mild", "strong"])
+@pytest.mark.parametrize("convention", ["conditioned", "unconditioned"])
+def test_lhs_is_trigonometric_polynomial_of_degree_2s_in_each_angle(ts, loss, convention):
+    # twice the samples per angle the descent's interpolant reads: every
+    # coefficient above degree 2s = ts in alpha or in beta must vanish
+    s = HalfInt(ts)
+    n = 4 * ts + 1
+    grid = 2 * math.pi * np.arange(n) / n
+    eng = LossyEngine(0.4, loss)
+    f = np.array(
+        [[eng.mermin_sides(s, AngleTriple(a, b, 0.0), convention=convention).lhs for b in grid] for a in grid]
+    )
+    coef = np.abs(np.fft.fft2(f)) / n**2
+    high = np.abs(np.fft.fftfreq(n, 1.0 / n)) > ts + 0.5
+    assert coef[high].max() <= 1e-12 * np.abs(f).max()
+    assert coef[:, high].max() <= 1e-12 * np.abs(f).max()
+
+
+def test_descent_interpolant_off_the_record_is_an_internal_error(monkeypatch):
+    fft2 = np.fft.fft2
+
+    def shifted(samples):
+        out = fft2(samples)
+        out[0, 0] += 1e-6 * out.size  # every interpolated lhs moves by 1e-6
+        return out
+
+    monkeypatch.setattr(lossy.np.fft, "fft2", shifted)
+    with pytest.raises(InternalConsistencyError, match="interpolant off by"):
+        optimize_angles(HalfInt(2), 0.3, UNEQUAL_LOSSES[0])
+
+
+@pytest.mark.parametrize("ts", [2, 4, 6])
+@pytest.mark.parametrize("loss", [LossConfig(0.9, 0.9, 0.7, 0.7), LossConfig(0.6, 0.6, 0.95, 0.95)])
+def test_loss_equal_within_sides_takes_the_theta_search(ts, loss):
+    # each side's loss commutes with its analyzer, so the 1-D search is exact
+    s = HalfInt(ts)
+    angles, rec = optimize_angles(s, 0.4, loss)
+    assert angles.gamma == 0.0 and angles.beta == -angles.alpha
+    _, descent = lossy._coordinate_descent(LossyEngine(0.4, loss), s, None, "conditioned")
+    assert rec.violation >= descent.violation - 1e-12
 
 
 @pytest.mark.parametrize(
