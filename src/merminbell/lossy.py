@@ -15,6 +15,16 @@ once per truncation policy; the joint distribution, the post-selected
 correlation and the left side at any analyzer setting are contractions of
 them.  The full-trace correlation needs no kernel: it is exact in closed form.
 
+Matrix products are kept within OpenBLAS's single-thread size (M N K <=
+2^18) where their shapes allow, so that BLAS runs them on the calling thread
+and results do not depend on its thread count: ``_join`` sums runs of
+bra-ket offsets that each fit, and the rotation blocks, Bob's
+half-contraction and the kernel build are one product per spin or per
+offset.  Out of that reach, and possibly threaded: every per-offset product
+from s = 32 on, and a kernel-build product (2s_a + 1)(2s + 1)(2s_b + 1)
+above 2^18 for a source sector s below the cutoff, which at eta < 1 can
+come a few spins earlier.
+
 The methods of ``LossyEngine`` (``joint``, ``correlation``,
 ``mermin_sides``) are the only way to evaluate a point; one engine serves
 every point at its (r, loss) setting.  ``sweep`` and ``optimize_angles``
@@ -58,6 +68,8 @@ _MAX_SOURCE_TWICE = 400
 _OVERSAMPLE = 64
 _NEWTON_STEPS = 8
 _INTERPOLANT_TOL = 1e-9
+# OpenBLAS runs a gemm with M*N*K <= 65536 * GEMM_MULTITHREAD_THRESHOLD (4) on the calling thread
+_SINGLE_THREAD_MACS = 2**18
 
 
 class DegenerateSectorError(RuntimeError):
@@ -218,8 +230,20 @@ def _bob_half(t: np.ndarray, tsb: int, beta: float) -> np.ndarray:
 
 
 def _join(ea: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """P = sum_dl EA_dl^T X_dl, with X = ``_bob_half``."""
-    return ea.reshape(-1, ea.shape[-1]).T @ x.reshape(-1, x.shape[-1])
+    """P = sum_dl EA_dl^T X_dl, with X = ``_bob_half``.
+
+    The flattened product, split into the fewest runs of offsets whose
+    products stay within ``_SINGLE_THREAD_MACS`` multiply-adds each and
+    summed in offset order, so that BLAS keeps every product on the calling
+    thread; when the whole product fits, it is one product.
+    """
+    n_off, rows, a = ea.shape
+    b = x.shape[-1]
+    run = max(1, _SINGLE_THREAD_MACS // (rows * a * b))
+    out = ea[:run].reshape(-1, a).T @ x[:run].reshape(-1, b)
+    for lo in range(run, n_off, run):
+        out += ea[lo : lo + run].reshape(-1, a).T @ x[lo : lo + run].reshape(-1, b)
+    return out
 
 
 def _contract(t: np.ndarray, tsa: int, tsb: int, alpha: float, beta: float) -> np.ndarray:

@@ -1,20 +1,27 @@
 """Exact half-integer labels, exact binomials and stable rotation blocks.
 
 Rotation blocks d(beta) = exp(-i beta S_y) come from one cached
-eigendecomposition S_y = V Lambda V^dagger per spin, with the exact
-eigenvalues -s..s: d(beta) = Re(V exp(-i beta Lambda) V^dagger) (Feng, Wang,
-Yang & Jin, Phys. Rev. E 92, 043307 (2015)).  V is taken from the real
-symmetric S_x, which a diagonal phase matrix maps onto S_y, so only real
-arithmetic is needed.  Unlike the explicit alternating factorial sum, which
-cancels catastrophically beyond 2s ~ 60, this stays unitary to rounding at
-every spin the engine accepts.  The eigenvectors are checked for
-orthogonality once per spin, since an orthogonal V makes every d(beta)
-unitary to rounding.
+eigenbasis S_y = V Lambda V^dagger per spin, with the exact eigenvalues
+-s..s: d(beta) = Re(V exp(-i beta Lambda) V^dagger) (Feng, Wang, Yang & Jin,
+Phys. Rev. E 92, 043307 (2015)).  V is taken from the real symmetric S_x,
+which a diagonal phase matrix maps onto S_y, so only real arithmetic is
+needed.  S_x is tridiagonal, so its eigenvectors need no LAPACK call: each
+column's top entry is known in closed form, 2^(-s) sqrt(C(2s, s + lambda)),
+a three-term recurrence carries it down to the middle row, and the
+reflection m -> -m, which commutes with S_x, fills the lower half.  Every
+operation stays on the calling thread.  Unlike the explicit alternating
+factorial sum, which cancels catastrophically beyond 2s ~ 60, this stays
+unitary to rounding at every spin the engine accepts.  The eigenvectors are
+checked for orthogonality once per spin, since an orthogonal V makes every
+d(beta) unitary to rounding.  Built blocks are kept, read-only, in a
+least-recently-used cache bounded by their total size in bytes.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -135,13 +142,38 @@ def wigner_d(s, m1, m2, alpha: float) -> float:
     return float(_wigner_matrix_cached(ts, float(alpha))[(ts + t1) // 2, (ts + t2) // 2])
 
 
-@lru_cache(maxsize=None)
-def _sx_eigenvectors(ts: int) -> np.ndarray:
-    """Real eigenvectors of S_x for spin ts/2, columns by ascending eigenvalue -s..s."""
+def _sx_basis(ts: int) -> np.ndarray:
+    """Unit eigenvectors of S_x for spin ts/2, columns by ascending eigenvalue -s..s.
+
+    Column c (eigenvalue lambda = c - s) starts from its closed-form top
+    entry u[2s] = 2^(-s) sqrt(C(2s, c)) and runs the eigenvalue equation
+    h[k-1] u[k-1] = lambda u[k] - h[k] u[k+1] down to the middle row, with
+    h[k] = <k+1|S_x|k>; towards the middle the recurrence follows the
+    growing solution.  The lower half is u[2s-k] = (-1)^(2s-c) u[k].
+    """
     s = ts / 2.0
     m = np.arange(-ts, ts, 2) / 2.0
-    half_raising = 0.5 * np.sqrt(s * (s + 1) - m * (m + 1))  # <m+1|S_x|m>
-    _, u = np.linalg.eigh(np.diag(half_raising, -1) + np.diag(half_raising, 1))
+    h = np.append(0.5 * np.sqrt(s * (s + 1) - m * (m + 1)), 0.0)  # h[k] = <k+1|S_x|k>, h[2s] = 0
+    lam = np.arange(-ts, ts + 1, 2) / 2.0
+    log_top = math.lgamma(ts + 1) - ts * math.log(2.0)
+    u = np.zeros((ts + 2, ts + 1))
+    u[ts] = [math.exp(0.5 * (log_top - math.lgamma(c + 1) - math.lgamma(ts - c + 1))) for c in range(ts + 1)]
+    mid = (ts + 1) // 2
+    for k in range(ts, mid, -1):
+        u[k - 1] = (lam * u[k] - h[k] * u[k + 1]) / h[k - 1]
+    u = u[: ts + 1]
+    parity = np.where((ts - np.arange(ts + 1)) % 2 == 0, 1.0, -1.0)
+    u[:mid] = parity * u[ts:ts - mid:-1]
+    if ts % 2 == 0:
+        u[mid, parity < 0] = 0.0
+    u /= np.sqrt(np.einsum("kc,kc->c", u, u))
+    return u
+
+
+@lru_cache(maxsize=None)
+def _sx_eigenvectors(ts: int) -> np.ndarray:
+    """``_sx_basis(ts)``, checked for orthogonality within 1e-10."""
+    u = _sx_basis(ts)
     defect = float(np.max(np.abs(u.T @ u - np.eye(ts + 1))))
     if not defect <= 1e-10:
         raise InternalConsistencyError(
@@ -162,8 +194,7 @@ def _quarter_turn_pattern(ts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return m, even, negated
 
 
-@lru_cache(maxsize=8192)
-def _wigner_matrix_cached(ts: int, alpha: float) -> np.ndarray:
+def _wigner_block(ts: int, alpha: float) -> np.ndarray:
     # S_y = D^dagger S_x D with D = diag(i^k), so S_y = V Lambda V^dagger with
     # V = D^dagger U, and d = Re(V exp(-i alpha Lambda) V^dagger) has entries
     # Re(i^(k-j) (C - i S)[j, k]) for C, S = U cos(alpha Lambda), sin(alpha Lambda) U^T
@@ -174,6 +205,36 @@ def _wigner_matrix_cached(ts: int, alpha: float) -> np.ndarray:
     out[negated] *= -1.0
     out.setflags(write=False)
     return out
+
+
+# built blocks by (2s, angle), least recently used first; their nbytes sum to _wigner_bytes
+_WIGNER_CACHE_BYTES = 64 * 2**20
+_wigner_cache: OrderedDict[tuple[int, float], np.ndarray] = OrderedDict()
+_wigner_bytes = 0
+_wigner_lock = threading.Lock()
+
+
+def _wigner_matrix_cached(ts: int, alpha: float) -> np.ndarray:
+    """Read-only block of ``_wigner_block``; the cache drops its oldest blocks past ``_WIGNER_CACHE_BYTES``."""
+    global _wigner_bytes
+    key = (ts, alpha)
+    with _wigner_lock:
+        out = _wigner_cache.get(key)
+        if out is not None:
+            _wigner_cache.move_to_end(key)
+            return out
+        out = _wigner_cache[key] = _wigner_block(ts, alpha)
+        _wigner_bytes += out.nbytes
+        while _wigner_bytes > _WIGNER_CACHE_BYTES:
+            _wigner_bytes -= _wigner_cache.popitem(last=False)[1].nbytes
+    return out
+
+
+def _wigner_cache_clear() -> None:
+    global _wigner_bytes
+    with _wigner_lock:
+        _wigner_cache.clear()
+        _wigner_bytes = 0
 
 
 def wigner_d_matrix(s, alpha: float) -> np.ndarray:

@@ -187,6 +187,27 @@ def test_pair_stack_equals_gathered_reference(n, dmax):
     assert got.shape == want.shape and np.array_equal(got, want)
 
 
+def _join_operands(tsa, tsb, seed):
+    rng = np.random.default_rng(seed)
+    n_off = 2 * min(tsa, tsb) + 1
+    return rng.standard_normal((n_off, tsa + 1, tsa + 1)), rng.standard_normal((n_off, tsa + 1, tsb + 1))
+
+
+def test_join_is_one_flattened_product_up_to_spin_7():
+    for tsa in range(15):
+        for tsb in range(15):
+            ea, x = _join_operands(tsa, tsb, 15 * tsa + tsb)
+            want = ea.reshape(-1, tsa + 1).T @ x.reshape(-1, tsb + 1)
+            assert np.array_equal(lossy._join(ea, x), want), (tsa, tsb)
+
+
+@pytest.mark.parametrize("tsa, tsb", [(60, 60), (60, 41), (41, 60), (60, 0)])
+def test_join_splits_large_spin_into_offset_runs(tsa, tsb):
+    ea, x = _join_operands(tsa, tsb, tsa + tsb)
+    want = sum(e.T @ xi for e, xi in zip(ea, x))
+    assert np.max(np.abs(lossy._join(ea, x) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 # ------------------------------------------------------------- eta=1 limits
 
 
@@ -800,15 +821,17 @@ def test_alt_bookkeeping_golden_values(r, eta, alpha, beta, cap, want):
 
 
 def test_non_orthogonal_rotation_basis_is_an_internal_error(monkeypatch):
-    eigh = np.linalg.eigh
+    exact_basis = numerics._sx_basis
 
-    def perturbed(a):
-        w, u = eigh(a)
-        return w, u * (1.0 + 1e-8)
+    def perturbed(ts):
+        # a defect after normalising, which no column scaling removes
+        u = exact_basis(ts)
+        u[0, 0] += 1e-8
+        return u
 
     numerics._sx_eigenvectors.cache_clear()
-    numerics._wigner_matrix_cached.cache_clear()
-    monkeypatch.setattr(numerics.np.linalg, "eigh", perturbed)
+    numerics._wigner_cache_clear()
+    monkeypatch.setattr(numerics, "_sx_basis", perturbed)
     try:
         engine = LossyEngine(0.3, LossConfig.equal_eta(0.9))
         with pytest.raises(InternalConsistencyError, match="orthogonality defect"):
@@ -819,7 +842,7 @@ def test_non_orthogonal_rotation_basis_is_an_internal_error(monkeypatch):
     finally:
         monkeypatch.undo()
         numerics._sx_eigenvectors.cache_clear()
-        numerics._wigner_matrix_cached.cache_clear()
+        numerics._wigner_cache_clear()
     assert engine.mermin_sides(HalfInt(2), theta_triple(0.2)).error is None
 
     # an angle curve of higher degree than 4s fails the optimizer's interpolant check

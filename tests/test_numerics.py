@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -298,6 +300,79 @@ def test_wigner_block_unchanged_by_pattern_cache(ts):
         d = wigner_d_matrix(HalfInt(ts), alpha)
         assert np.array_equal(d, _wigner_matrix_reference(ts, alpha)), alpha
         assert not d.flags.writeable
+
+
+BASIS_SPINS = [*range(13), 59, 60, 61, 120, 399, 400]
+
+
+def _sx_matrix(ts):
+    m = np.arange(-ts, ts, 2) / 2.0
+    h = 0.5 * np.sqrt(ts / 2.0 * (ts / 2.0 + 1) - m * (m + 1))
+    return np.diag(h, -1) + np.diag(h, 1)
+
+
+@pytest.mark.parametrize("ts", BASIS_SPINS)
+def test_recurrence_basis_diagonalises_sx(ts):
+    u = numerics._sx_basis(ts)
+    lam = np.arange(-ts, ts + 1, 2) / 2.0
+    assert np.max(np.abs((u * lam) @ u.T - _sx_matrix(ts)), initial=0.0) <= 1e-14 * max(1.0, ts / 2.0)
+    assert np.max(np.abs(u.T @ u - np.eye(ts + 1))) <= 1e-14
+    assert np.array_equal(numerics._sx_eigenvectors(ts), u)
+
+
+@pytest.mark.parametrize("ts", BASIS_SPINS)
+def test_wigner_block_matches_lapack_eigenbasis(ts):
+    # d = Re(D^dagger V exp(-i alpha Lambda) V^T D), D = diag(i^k), V from LAPACK's eigh of S_x
+    _, v = np.linalg.eigh(_sx_matrix(ts))
+    lam = np.arange(-ts, ts + 1, 2) / 2.0
+    phase = 1j ** np.arange(ts + 1)
+    for alpha in (-2.2, 0.37, 1.3, math.pi, 5.9):
+        want = (phase.conj()[:, None] * ((v * np.exp(-1j * alpha * lam)) @ v.T) * phase[None, :]).real
+        assert np.max(np.abs(wigner_d_matrix(HalfInt(ts), alpha) - want)) <= 1e-13, alpha
+
+
+def test_wigner_cache_bounded_by_bytes(monkeypatch):
+    assert numerics._WIGNER_CACHE_BYTES == 64 * 2**20
+    block = 101 * 101 * 8
+    numerics._wigner_cache_clear()
+    monkeypatch.setattr(numerics, "_WIGNER_CACHE_BYTES", 10 * block)
+    try:
+        first = wigner_d_matrix(HalfInt(100), 0.0)
+        for i in range(1, 25):
+            wigner_d_matrix(HalfInt(100), 0.01 * i)
+            assert wigner_d_matrix(HalfInt(100), 0.0) is first  # a hit keeps the block recent
+        cached = numerics._wigner_cache
+        assert sum(d.nbytes for d in cached.values()) == numerics._wigner_bytes == 10 * block
+        assert list(cached) == [(100, 0.01 * i) for i in range(16, 25)] + [(100, 0.0)]
+        wigner_d_matrix(HalfInt(0), 0.3)  # a small block evicts a large one
+        assert numerics._wigner_bytes == 9 * block + 8 and (100, 0.16) not in cached
+    finally:
+        monkeypatch.undo()
+        numerics._wigner_cache_clear()
+
+
+def test_wigner_cache_byte_count_survives_threads(monkeypatch):
+    budget = 6 * 21 * 21 * 8
+    numerics._wigner_cache_clear()
+    monkeypatch.setattr(numerics, "_WIGNER_CACHE_BYTES", budget)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def work(k):
+            for i in range(200):
+                wigner_d_matrix(HalfInt(20 - 4 * (i % 2)), 0.01 * ((7 * i + k) % 31))
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert sum(d.nbytes for d in numerics._wigner_cache.values()) == numerics._wigner_bytes <= budget
+    finally:
+        sys.setswitchinterval(switch)
+        monkeypatch.undo()
+        numerics._wigner_cache_clear()
 
 
 def test_wigner_matrix_cached_and_readonly():
