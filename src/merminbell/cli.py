@@ -51,6 +51,11 @@ SWEEP_COLUMNS = [
 
 ETA_COLUMNS = [c for c in SWEEP_COLUMNS if c != "theta"]
 
+OPTIMIZE_KEYS = [
+    "s", "r", "eta", "alpha", "beta", "gamma", "lhs", "rhs", "violation",
+    "sector_probability", "converged", "s_cutoff_used",
+]
+
 
 def _fmt(v) -> str:
     if isinstance(v, bool):
@@ -215,22 +220,9 @@ def _cmd_eta_grid(args) -> int:
 def _cmd_optimize(args) -> int:
     s_star = HalfInt.of(args.s)
     loss = LossConfig.equal_eta(args.eta)
-    angles, rec = optimize_angles(s_star, args.r, loss, args.policies[s_star], args.conventions)
-    report = {
-        "s": s_star.value,
-        "r": args.r,
-        "eta": args.eta,
-        "alpha": angles.alpha,
-        "beta": angles.beta,
-        "gamma": angles.gamma,
-        "lhs": rec.lhs,
-        "rhs": rec.rhs,
-        "violation": rec.violation,
-        "sector_probability": rec.sector_probability,
-        "converged": rec.converged,
-        "s_cutoff_used": rec.s_cutoff_used.value,
-    }
-    _write_report(report, args.out)
+    _, rec = optimize_angles(s_star, args.r, loss, args.policies[s_star], args.conventions)
+    row = _record_row(rec, args.eta)
+    _write_report({key: row[key] for key in OPTIMIZE_KEYS}, args.out)
     return 0
 
 

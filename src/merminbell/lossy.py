@@ -175,7 +175,11 @@ class JointOutcomeDistribution:
 
 @dataclass
 class ViolationRecord:
-    """One evaluated point of the inequality."""
+    """One evaluated point of the inequality.
+
+    ``sector_probability`` is P(s_a = s_b = s_star) to ``s_cutoff_used``, the sector kernel's trace: the same at
+    every angle and in both conventions.  Conditioned sides are divided by it; a flagged record holds 0.0.
+    """
 
     s_star: HalfInt
     r: float
@@ -281,15 +285,9 @@ def _moment(parts: tuple[float, float], alpha: float, beta: float) -> float:
     return math.cos(alpha) * math.cos(beta) * zz + math.sin(alpha) * math.sin(beta) / 4.0 * ladders
 
 
-def _lhs_and_mass(p: np.ndarray, s_star: HalfInt, conditioned: bool) -> tuple[float, float]:
-    """(lhs, mass) of the post-selected block P; s <|m_a - m_b|>, divided by the mass if conditioned."""
-    mass = float(p.sum())
-    if mass < 1e-300:
-        raise DegenerateSectorError(f"sector s={s_star} has probability {mass:.3e}")
-    lhs_raw = float((_projection_gaps(s_star.twice) * p).sum())
-    if conditioned:
-        return s_star.value * lhs_raw / mass, mass
-    return s_star.value * lhs_raw, mass
+def _lhs(p: np.ndarray, s_star: HalfInt, scale: float) -> float:
+    """s <|m_a - m_b|> of the post-selected block P, divided by ``scale`` (as ``_rhs``)."""
+    return s_star.value * float((_projection_gaps(s_star.twice) * p).sum()) / scale
 
 
 def _sector_and_convention(s_star, convention: str) -> tuple[HalfInt, bool]:
@@ -302,13 +300,9 @@ def _sector_and_convention(s_star, convention: str) -> tuple[HalfInt, bool]:
     return s_star, convention == "conditioned"
 
 
-def _rhs(parts: tuple[float, float], alpha: float, beta: float, gamma: float, den: float | None) -> float:
-    """<S_A,alpha S_B,gamma> + <S_A,beta S_B,gamma>, each divided by ``den`` unless it is None."""
-    c1 = _moment(parts, alpha, gamma)
-    c2 = _moment(parts, beta, gamma)
-    if den is not None:
-        c1, c2 = c1 / den, c2 / den
-    return c1 + c2
+def _rhs(parts: tuple[float, float], alpha: float, beta: float, gamma: float, scale: float) -> float:
+    """<S_A,alpha S_B,gamma> + <S_A,beta S_B,gamma>, each divided by ``scale`` (probability or 1.0)."""
+    return _moment(parts, alpha, gamma) / scale + _moment(parts, beta, gamma) / scale
 
 
 @lru_cache(maxsize=None)
@@ -432,6 +426,16 @@ class LossyEngine:
         got = self._kernel_cache[key] = (kernels, tcut, ok)
         return got
 
+    def _sector(self, s_star: HalfInt, policy: TruncationPolicy | None):
+        """(kernel, probability = its dl = 0 trace, ``_moment_parts``, cutoff, converged) of sector s_star."""
+        ts = s_star.twice
+        kernels, tcut, ok = self._kernels(((ts, ts),), policy)
+        t = kernels[(ts, ts)]
+        prob = float(t[ts].sum())
+        if prob < 1e-300:
+            raise DegenerateSectorError(f"sector s={s_star} has probability {prob:.3e}")
+        return t, prob, _moment_parts(t, ts, ts), HalfInt(tcut), ok
+
     def joint(
         self,
         alpha: float,
@@ -478,13 +482,8 @@ class LossyEngine:
             zz = 0.25 * ((a1 * b2 + a2 * b1) * n * n - (a1 * b1 + a2 * b2) * (2.0 * n * n + n))
             ladders = -math.sqrt(a1 * a2 * b1 * b2) * math.sinh(2.0 * self.r) ** 2 / 2.0
             return _moment((zz, ladders), alpha, beta), 1.0, None, True
-        tso = HalfInt.of(s_star).twice
-        kernels, tcut, ok = self._kernels(((tso, tso),), policy)
-        t = kernels[(tso, tso)]
-        den = float(t[tso].sum())
-        if den < 1e-300:
-            raise DegenerateSectorError(f"sector s={HalfInt(tso)} has probability {den:.3e}")
-        return _moment(_moment_parts(t, tso, tso), alpha, beta) / den, den, HalfInt(tcut), ok
+        _, prob, parts, cutoff, ok = self._sector(HalfInt.of(s_star), policy)
+        return _moment(parts, alpha, beta) / prob, prob, cutoff, ok
 
     # ------------------------------------------------------- inequality sides
 
@@ -504,12 +503,10 @@ class LossyEngine:
         """
         s_star, conditioned = _sector_and_convention(s_star, convention)
         ts = s_star.twice
-        kernels, tcut, ok = self._kernels(((ts, ts),), policy)
-        t = kernels[(ts, ts)]
-        p = _nonnegative(_contract(t, ts, ts, angles.alpha, angles.beta), ts, ts)
-        lhs, mass = _lhs_and_mass(p, s_star, conditioned)
-        den = float(t[ts].sum()) if conditioned else None
-        rhs = _rhs(_moment_parts(t, ts, ts), angles.alpha, angles.beta, angles.gamma, den)
+        t, prob, parts, cutoff, ok = self._sector(s_star, policy)
+        scale = prob if conditioned else 1.0
+        lhs = _lhs(_nonnegative(_contract(t, ts, ts, angles.alpha, angles.beta), ts, ts), s_star, scale)
+        rhs = _rhs(parts, angles.alpha, angles.beta, angles.gamma, scale)
         return ViolationRecord(
             s_star=s_star,
             r=self.r,
@@ -518,8 +515,8 @@ class LossyEngine:
             lhs=lhs,
             rhs=rhs,
             violation=rhs - lhs,
-            sector_probability=den if conditioned else mass,
-            s_cutoff_used=HalfInt(tcut),
+            sector_probability=prob,
+            s_cutoff_used=cutoff,
             converged=ok,
             convention=convention,
         )
@@ -640,6 +637,22 @@ def _optimize(
     return (_theta_optimum if eng.loss.equal_within_sides else _coordinate_descent)(eng, s_star, policy, convention)
 
 
+def _checked_optimum(
+    eng: LossyEngine, s_star: HalfInt, policy: TruncationPolicy | None, convention: str,
+    angles: AngleTriple, predicted: float, defect: str,
+) -> tuple[AngleTriple, ViolationRecord]:
+    """The optimizers' result: a fresh ``mermin_sides`` at ``angles``.
+
+    A violation more than ``_INTERPOLANT_TOL`` off the interpolant's ``predicted`` one raises
+    ``InternalConsistencyError`` naming the ``defect``: the curve is not of the assumed degree.
+    """
+    record = eng.mermin_sides(s_star, angles, policy, convention)
+    gap = abs(predicted - record.violation)
+    if not gap <= _INTERPOLANT_TOL:
+        raise InternalConsistencyError(f"{defect}: interpolant off by {gap:.3e} at {angles}")
+    return record.angles, record
+
+
 def _theta_optimum(
     eng: LossyEngine, s_star: HalfInt, policy: TruncationPolicy | None, convention: str
 ) -> tuple[AngleTriple, ViolationRecord]:
@@ -650,9 +663,8 @@ def _theta_optimum(
     every coefficient.  The maximum of a 64x zero-padded evaluation is
     polished by Newton steps on the coefficients and folded into
     [-pi/2, pi/2] by f(pi - theta) = f(theta); lhs is even and rhs odd in
-    theta, so the maximum lies in (0, pi/2].  The interpolant must agree
-    with the returned record; a gap above ``_INTERPOLANT_TOL`` means the
-    curve is not of that degree and raises ``InternalConsistencyError``.
+    theta, so the maximum lies in (0, pi/2].  ``_checked_optimum`` holds the
+    interpolant to the returned record.
     """
     deg = 2 * s_star.twice
     n = 2 * deg + 1
@@ -682,14 +694,8 @@ def _theta_optimum(
     theta = math.remainder(theta, 2.0 * math.pi)
     if abs(theta) > math.pi / 2:
         theta = math.copysign(math.pi, theta) - theta
-    record = eng.mermin_sides(s_star, theta_triple(theta), policy, convention)
-    gap = abs(derivative(theta, 0) - record.violation)
-    if not gap <= _INTERPOLANT_TOL:
-        raise InternalConsistencyError(
-            f"violation along theta is not a trigonometric polynomial of degree {deg}: "
-            f"interpolant off by {gap:.3e} at theta={theta!r}"
-        )
-    return record.angles, record
+    defect = f"violation along theta is not a trigonometric polynomial of degree {deg}"
+    return _checked_optimum(eng, s_star, policy, convention, theta_triple(theta), derivative(theta, 0), defect)
 
 
 def _descent_objective(
@@ -700,7 +706,7 @@ def _descent_objective(
     Each entry of d(alpha) has frequencies -s..s and P is bilinear in the two
     pair stacks, so the lhs is a trigonometric polynomial of degree 2s in each
     angle.  A 2-D FFT of its (4s + 1)^2 samples at angles 2 pi k / (4s + 1),
-    each checked by ``_nonnegative`` and ``_lhs_and_mass``, gives every
+    each checked by ``_nonnegative`` and scaled as ``_rhs``, gives every
     coefficient C; lhs = Re(e^{ik alpha} C e^{ik beta}).  One-entry memos hold
     the row (keyed on alpha), the column (on beta) and the lhs (on both), so
     a gamma search reads only the rhs of the kernel's moment parts.  The rhs
@@ -709,14 +715,13 @@ def _descent_objective(
     """
     s_star, conditioned = _sector_and_convention(s_star, convention)
     ts = s_star.twice
-    t = eng._kernels(((ts, ts),), policy)[0][(ts, ts)]
-    parts = _moment_parts(t, ts, ts)
-    den = float(t[ts].sum()) if conditioned else None
+    t, prob, parts, _, _ = eng._sector(s_star, policy)
+    scale = prob if conditioned else 1.0
     n = 2 * ts + 1
     grid = 2.0 * math.pi * np.arange(n) / n
     halves = [_bob_half(t, ts, b) for b in grid]
     samples = [
-        [_lhs_and_mass(_nonnegative(_join(ea, x), ts, ts), s_star, conditioned)[0] for x in halves]
+        [_lhs(_nonnegative(_join(ea, x), ts, ts), s_star, scale) for x in halves]
         for ea in (_alice_pairs(t, ts, a) for a in grid)
     ]
     coef = np.fft.fft2(samples) / (n * n)
@@ -735,7 +740,7 @@ def _descent_objective(
         return float((row(alpha) @ col(beta)).real)
 
     def objective(a: float, b: float, g: float) -> float:
-        return -(_rhs(parts, a, b, g, den) - lhs(a, b))
+        return -(_rhs(parts, a, b, g, scale) - lhs(a, b))
 
     objective.lhs = lhs
     return objective
@@ -746,8 +751,7 @@ def _coordinate_descent(
 ) -> tuple[AngleTriple, ViolationRecord]:
     """Multi-start coordinate descent over (alpha, beta, gamma) with golden-section line searches.
 
-    The objective is ``_descent_objective``; the record is a fresh ``mermin_sides``, and an
-    objective more than ``_INTERPOLANT_TOL`` off it raises ``InternalConsistencyError``.
+    The objective is ``_descent_objective``; ``_checked_optimum`` holds it to the returned record.
     """
     objective = _descent_objective(eng, s_star, policy, convention)
     sv = max(s_star.value, 0.5)
@@ -773,14 +777,8 @@ def _coordinate_descent(
             width *= 0.45
         if fx < best[0]:
             best = (fx, tuple(x))
-    angles = AngleTriple(*best[1])
-    record = eng.mermin_sides(s_star, angles, policy, convention)
-    gap = abs(best[0] + record.violation)
-    if not gap <= _INTERPOLANT_TOL:
-        raise InternalConsistencyError(
-            f"lhs is not a trigonometric polynomial of degree {s_star.twice}: interpolant off by {gap:.3e} at {angles}"
-        )
-    return angles, record
+    defect = f"lhs is not a trigonometric polynomial of degree {s_star.twice}"
+    return _checked_optimum(eng, s_star, policy, convention, AngleTriple(*best[1]), -best[0], defect)
 
 
 # ----------------------------------------------- alternative exponent variant

@@ -4,7 +4,9 @@ These are the checks the ``validate`` command runs.  They compare the
 analytic loss sums against the independent Fock-space oracle on matched
 source truncations, verify that perfect detection reproduces the lossless
 closed forms, and adjudicate the two candidate loss-exponent bookkeepings
-for the correlation sums.
+for the correlation sums.  A ``sector_max`` is a ``HalfInt``, which takes
+twice the spin: the oracle suites cap the source at s <= 2 (``HalfInt(4)``,
+``validate --fast``: s <= 3/2) and s <= 1 (``HalfInt(2)``).
 """
 
 from __future__ import annotations
@@ -105,8 +107,9 @@ def oracle_equivalence_report(
 
     The source sum of both routes is capped at ``sector_max`` so they
     evaluate the same truncated state; agreement is then limited only by
-    floating-point roundoff.  Each efficiency in ``eta_values`` is checked
-    at equal loss, plus one unequal-loss configuration.
+    floating-point roundoff.  The default ``HalfInt(4)`` is s <= 2, with at
+    most ``cutoff`` = 4 photons per mode.  Each efficiency in ``eta_values``
+    is checked at equal loss, plus one unequal-loss configuration.
     """
     s_cap = HalfInt.of(sector_max)
     policy = TruncationPolicy(s_start=s_cap, max_s=s_cap)
@@ -151,9 +154,10 @@ def exponent_adjudication_report(
     """Adjudicate the two loss-exponent bookkeepings for the correlations.
 
     Both candidates are evaluated as full (unconditioned) crosscorrelations
-    on the sector-capped source and compared against the oracle's moment
-    sum.  The surviving form carries eta^(2 sigma) (1-eta)^(2s - 2 sigma)
-    per side in every block, independent of the projection quantum number.
+    on the source capped at ``sector_max`` (default ``HalfInt(2)``, s <= 1)
+    and compared against the oracle's moment sum.  The surviving form
+    carries eta^(2 sigma) (1-eta)^(2s - 2 sigma) per side in every block,
+    independent of the projection quantum number.
     """
     s_cap = HalfInt.of(sector_max)
     policy = TruncationPolicy(s_start=s_cap, max_s=s_cap)

@@ -39,9 +39,21 @@ def test_vacuum_source():
     assert LossyEngine(0.0, LossConfig.equal_eta(0.7)).correlation(0.3, 0.9, None)[0] == 0.0
 
 
-def test_degenerate_sector_raises():
-    with pytest.raises(DegenerateSectorError):
-        LossyEngine(0.0, LossConfig.equal_eta(0.9)).mermin_sides(HalfInt(2), theta_triple(0.3))
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda r, loss: LossyEngine(r, loss).mermin_sides(HalfInt(2), theta_triple(0.3)),
+        lambda r, loss: LossyEngine(r, loss).mermin_sides(HalfInt(2), theta_triple(0.3), convention="unconditioned"),
+        lambda r, loss: LossyEngine(r, loss).correlation(0.3, -0.7, HalfInt(2)),
+        lambda r, loss: optimize_angles(HalfInt(2), r, loss),
+    ],
+    ids=["conditioned", "unconditioned", "correlation", "optimize"],
+)
+@pytest.mark.parametrize("loss", [LossConfig.equal_eta(0.9), LossConfig(0.9, 0.7, 0.85, 0.6)], ids=["equal", "unequal"])
+def test_degenerate_sector_raises(evaluate, loss):
+    # the vacuum source puts nothing in s = 1; every post-selected route says so the same way
+    with pytest.raises(DegenerateSectorError, match="sector s=1 has probability 0.000e"):
+        evaluate(0.0, loss)
 
 
 def test_full_distribution_mass_plus_tail():
@@ -415,6 +427,16 @@ def test_largest_difference_visits_readouts_in_label_order():
     c = JointOutcomeDistribution({(2, 0): np.array([[0.5], [0.0], [0.0]])}, 0.0, HalfInt(2), True)
     assert a.largest_difference(c) == (0.4, (1, -1, 1, 1))
     assert a.largest_difference(a) == (0.0, (1, -1, 1, -1))
+
+
+def test_sector_probability_is_one_number_per_sector():
+    # the kernel's trace: the same under both conventions, at every angle, and in correlation()
+    eng = LossyEngine(0.4, LossConfig(0.9, 0.7, 0.85, 0.6))
+    s_star = HalfInt(4)
+    _, want, _, _ = eng.correlation(0.3, -0.7, s_star)
+    for angles in [AngleTriple(0.3, -0.7, 0.1), AngleTriple(1.0, 2.0, 3.0), AngleTriple(-0.4, 0.9, -1.7)]:
+        for convention in ("conditioned", "unconditioned"):
+            assert eng.mermin_sides(s_star, angles, convention=convention).sector_probability == want
 
 
 def test_sector_probability_routes_agree():
