@@ -4,8 +4,8 @@ The source emits two effective spins in the singlet of every sector s with
 weight w_s = (2s+1) tanh(r)^(4s) / cosh(r)^4.  Loss maps each side's
 |s w><s w'| onto surviving spins sigma <= s with weight h[w, mu] h[w', mu'],
 h = exp(L / 2) of that side's ``loss.log_weight_table``.  The h tables are
-cached across engines, so a source sector's kernel is one batched product
-over all bra-ket offsets, and a sector with an all-zero table is skipped.
+cached across engines, so a source sector's kernel is batched products over
+its bra-ket offsets, and a sector with an all-zero table is skipped.
 Analyzer rotations contract the kernels with pairs of rotation-matrix elements.
 Everything is accumulated sector by sector so the infinite source sum can be
 cut off dynamically, with an exact geometric bound on the discarded weight.
@@ -15,15 +15,13 @@ once per truncation policy; the joint distribution, the post-selected
 correlation and the left side at any analyzer setting are contractions of
 them.  The full-trace correlation needs no kernel: it is exact in closed form.
 
-Matrix products are kept within OpenBLAS's single-thread size (M N K <=
-2^18) where their shapes allow, so that BLAS runs them on the calling thread
-and results do not depend on its thread count: ``_join`` sums runs of
-bra-ket offsets that each fit, and the rotation blocks, Bob's
-half-contraction and the kernel build are one product per spin or per
-offset.  Out of that reach, and possibly threaded: every per-offset product
-from s = 32 on, and a kernel-build product (2s_a + 1)(2s + 1)(2s_b + 1)
-above 2^18 for a source sector s below the cutoff, which at eta < 1 can
-come a few spins earlier.
+Every matrix product stays within OpenBLAS's single-thread size (M N K <=
+2^18), so that BLAS runs it on the calling thread and results do not depend
+on its thread count.  The kernel build and the contraction run over
+``_runs`` of consecutive bra-ket offsets whose products fit, forming each
+run's pair products only, and ``numerics._matmul`` splits one offset's
+product by columns where it does not fit (from s = 32 on, at eta < 1 a few
+spins earlier in the kernel build).
 
 The methods of ``LossyEngine`` (``joint``, ``correlation``,
 ``mermin_sides``) are the only way to evaluate a point; one engine serves
@@ -39,15 +37,16 @@ the substitution (w, w') -> (-m, -m').
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .ideal import AngleTriple, theta_triple
 from .loss import LossConfig, log_weight_table
-from .numerics import HalfInt, InternalConsistencyError, wigner_d_matrix
+from .numerics import _SINGLE_THREAD_MACS, HalfInt, InternalConsistencyError, _matmul, wigner_d_matrix
 from .source import sector_weight_tail
 
 __all__ = [
@@ -68,8 +67,6 @@ _MAX_SOURCE_TWICE = 400
 _OVERSAMPLE = 64
 _NEWTON_STEPS = 8
 _INTERPOLANT_TOL = 1e-9
-# OpenBLAS runs a gemm with M*N*K <= 65536 * GEMM_MULTITHREAD_THRESHOLD (4) on the calling thread
-_SINGLE_THREAD_MACS = 2**18
 
 
 class DegenerateSectorError(RuntimeError):
@@ -230,29 +227,44 @@ def _alice_pairs(t: np.ndarray, tsa: int, alpha: float) -> np.ndarray:
 
 def _bob_half(t: np.ndarray, tsb: int, beta: float) -> np.ndarray:
     """Bob's half-contraction T_dl EB_dl(beta); his bra-ket offset is -dl."""
-    return t @ _pair_stack(wigner_d_matrix(HalfInt(tsb), beta), (t.shape[0] - 1) // 2)[::-1]
+    return _matmul(t, _pair_stack(wigner_d_matrix(HalfInt(tsb), beta), (t.shape[0] - 1) // 2)[::-1])
+
+
+@lru_cache(maxsize=4096)
+def _runs(n_off: int, macs: int) -> tuple[slice, ...]:
+    """The fewest runs of consecutive bra-ket offsets, in order, whose products stay within
+    ``_SINGLE_THREAD_MACS`` multiply-adds each, at ``macs`` per offset; one run when all fit."""
+    run = max(1, _SINGLE_THREAD_MACS // macs)
+    return tuple(slice(lo, lo + run) for lo in range(0, n_off, run))
+
+
+def _flat(ea: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_dl EA_dl^T X_dl over the offsets given, as one flattened product."""
+    return _matmul(ea.reshape(-1, ea.shape[-1]).T, x.reshape(-1, x.shape[-1]))
 
 
 def _join(ea: np.ndarray, x: np.ndarray) -> np.ndarray:
     """P = sum_dl EA_dl^T X_dl, with X = ``_bob_half``.
 
-    The flattened product, split into the fewest runs of offsets whose
-    products stay within ``_SINGLE_THREAD_MACS`` multiply-adds each and
-    summed in offset order, so that BLAS keeps every product on the calling
-    thread; when the whole product fits, it is one product.
+    ``_flat`` of each ``_runs`` run, summed in offset order, so that BLAS
+    keeps every product on the calling thread; when the whole product fits,
+    it is one product.
     """
     n_off, rows, a = ea.shape
-    b = x.shape[-1]
-    run = max(1, _SINGLE_THREAD_MACS // (rows * a * b))
-    out = ea[:run].reshape(-1, a).T @ x[:run].reshape(-1, b)
-    for lo in range(run, n_off, run):
-        out += ea[lo : lo + run].reshape(-1, a).T @ x[lo : lo + run].reshape(-1, b)
-    return out
+    return reduce(operator.iadd, (_flat(ea[r], x[r]) for r in _runs(n_off, rows * a * x.shape[-1])))
 
 
 def _contract(t: np.ndarray, tsa: int, tsb: int, alpha: float, beta: float) -> np.ndarray:
-    """Joint probabilities P[m_a, m_b] = sum_dl EA_dl^T T_dl EB_dl of one sector pair."""
-    return _join(_alice_pairs(t, tsa, alpha), _bob_half(t, tsb, beta))
+    """Joint probabilities P[m_a, m_b] = sum_dl EA_dl^T T_dl EB_dl of one sector pair.
+
+    ``_join(_alice_pairs(...), _bob_half(...))``, bit for bit, with both
+    stacks formed one of ``_join``'s runs at a time, so none is held whole.
+    """
+    dmax = (t.shape[0] - 1) // 2
+    da, db = wigner_d_matrix(HalfInt(tsa), alpha), wigner_d_matrix(HalfInt(tsb), beta)
+    sa, sb = _shifted(da, dmax, 0), _shifted(db, dmax, 0)[::-1]
+    runs = _runs(t.shape[0], (tsa + 1) ** 2 * (tsb + 1))
+    return reduce(operator.iadd, (_flat(sa[r] * da, _matmul(t[r], sb[r] * db)) for r in runs))
 
 
 def _nonnegative(p: np.ndarray, tsa: int, tsb: int) -> np.ndarray:
@@ -361,10 +373,11 @@ class LossyEngine:
     def _t_sector(self, tsa: int, tsb: int, ts: int) -> np.ndarray | None:
         """Angle-independent kernel T[dl + dmax, mu_a, mu_b] of one source sector ts >= tsa, tsb.
 
-        T[dl] = (-1)^dl tau^4 EA_dl^T EB_dl, one batched product: EA_dl[w, mu] =
-        h[w, mu] h[w + dl, mu + dl] of Alice's table, EB_dl the same of Bob's at
-        row ts - w and offset -dl; (-1)^dl is what remains of the singlet phases.
-        None when the sector adds nothing (an all-zero table, or tau = 0).
+        T[dl] = (-1)^dl tau^4 EA_dl^T EB_dl, one batched product per ``_runs``
+        run, written into T: EA_dl[w, mu] = h[w, mu] h[w + dl, mu + dl] of
+        Alice's table, EB_dl the same of Bob's at row ts - w and offset -dl;
+        (-1)^dl is what remains of the singlet phases.  None when the sector
+        adds nothing (an all-zero table, or tau = 0).
         """
         tau4 = math.exp(2.0 * self._log_tau2(ts))
         ha = _amplitudes(ts, tsa, *self._side_etas("a"))
@@ -372,9 +385,12 @@ class LossyEngine:
         if tau4 == 0.0 or not (ha.any() and hb.any()):
             return None
         dmax = min(tsa, tsb)
-        out = np.matmul((ha * _shifted(ha, dmax, 1)).transpose(0, 2, 1), hb * _shifted(hb, dmax, -1))
-        out *= tau4
-        out[1 - dmax % 2 :: 2] *= -1.0
+        sa, sb = _shifted(ha, dmax, 1), _shifted(hb, dmax, -1)
+        out = np.empty((2 * dmax + 1, tsa + 1, tsb + 1))
+        for r in _runs(2 * dmax + 1, (tsa + 1) * (ts + 1) * (tsb + 1)):
+            block = _matmul((ha * sa[r]).transpose(0, 2, 1), hb * sb[r], out[r])
+            block *= tau4
+            block[(r.start + dmax + 1) % 2 :: 2] *= -1.0
         return out
 
     def _kernels(self, pairs: tuple | None, policy: TruncationPolicy | None):

@@ -9,7 +9,8 @@ needed.  S_x is tridiagonal, so its eigenvectors need no LAPACK call: each
 column's top entry is known in closed form, 2^(-s) sqrt(C(2s, s + lambda)),
 a three-term recurrence carries it down to the middle row, and the
 reflection m -> -m, which commutes with S_x, fills the lower half.  Every
-operation stays on the calling thread.  Unlike the explicit alternating
+operation stays on the calling thread: ``_matmul`` splits a product above
+OpenBLAS's single-thread size by columns.  Unlike the explicit alternating
 factorial sum, which cancels catastrophically beyond 2s ~ 60, this stays
 unitary to rounding at every spin the engine accepts.  The eigenvectors are
 checked for orthogonality once per spin, since an orthogonal V makes every
@@ -127,6 +128,26 @@ def binom_int(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+# OpenBLAS runs a gemm with M*N*K <= 65536 * GEMM_MULTITHREAD_THRESHOLD (4) on the calling thread
+_SINGLE_THREAD_MACS = 2**18
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.matmul(a, b, out)`` over the fewest runs of b's columns whose products stay within
+    ``_SINGLE_THREAD_MACS`` multiply-adds each, so BLAS keeps them on the calling thread.  The runs
+    have near-equal widths, so the last is not a narrow remainder."""
+    m, k = a.shape[-2:]
+    n = b.shape[-1]
+    if m * k * n <= _SINGLE_THREAD_MACS:
+        return np.matmul(a, b, out)
+    runs = -(-n // max(1, _SINGLE_THREAD_MACS // (m * k)))
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, n)) if out is None else out
+    cuts = [n * i // runs for i in range(runs + 1)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        np.matmul(a, b[..., lo:hi], out=out[..., lo:hi])
+    return out
+
+
 def _check_spin_label(ts: int, tm: int) -> None:
     if ts < 0 or abs(tm) > ts or (ts - tm) % 2 != 0:
         raise ValueError(f"invalid spin label (2s={ts}, 2m={tm})")
@@ -174,7 +195,7 @@ def _sx_basis(ts: int) -> np.ndarray:
 def _sx_eigenvectors(ts: int) -> np.ndarray:
     """``_sx_basis(ts)``, checked for orthogonality within 1e-10."""
     u = _sx_basis(ts)
-    defect = float(np.max(np.abs(u.T @ u - np.eye(ts + 1))))
+    defect = float(np.max(np.abs(_matmul(u.T, u) - np.eye(ts + 1))))
     if not defect <= 1e-10:
         raise InternalConsistencyError(
             f"rotation basis of spin {HalfInt(ts)} has orthogonality defect {defect:.2e}"
@@ -201,7 +222,7 @@ def _wigner_block(ts: int, alpha: float) -> np.ndarray:
     u = _sx_eigenvectors(ts)
     m, even, negated = _quarter_turn_pattern(ts)
     phase = alpha * m
-    out = np.where(even, (u * np.cos(phase)) @ u.T, (u * np.sin(phase)) @ u.T)
+    out = np.where(even, _matmul(u * np.cos(phase), u.T), _matmul(u * np.sin(phase), u.T))
     out[negated] *= -1.0
     out.setflags(write=False)
     return out

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,61 @@ def test_join_splits_large_spin_into_offset_runs(tsa, tsb):
     ea, x = _join_operands(tsa, tsb, tsa + tsb)
     want = sum(e.T @ xi for e, xi in zip(ea, x))
     assert np.max(np.abs(lossy._join(ea, x) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("tsa, tsb", [(4, 4), (14, 14), (60, 60), (60, 41), (41, 60), (60, 0)])
+def test_blocked_contract_equals_full_stack_join(tsa, tsb):
+    rng = np.random.default_rng(tsa + 7 * tsb)
+    t = rng.standard_normal((2 * min(tsa, tsb) + 1, tsa + 1, tsb + 1))
+    alpha, beta = rng.uniform(-math.pi, math.pi, 2)
+    want = lossy._join(lossy._alice_pairs(t, tsa, alpha), lossy._bob_half(t, tsb, beta))
+    assert np.array_equal(lossy._contract(t, tsa, tsb, alpha, beta), want)
+
+
+@pytest.mark.parametrize("tsa, tsb, ts", [(30, 30, 40), (20, 45, 50), (45, 20, 60), (60, 60, 60)])
+def test_t_sector_equals_full_stack_product(tsa, tsb, ts):
+    eng = LossyEngine(0.3, LossConfig(0.9, 0.6, 0.8, 0.7))
+    dmax = min(tsa, tsb)
+    assert len(lossy._runs(2 * dmax + 1, (tsa + 1) * (ts + 1) * (tsb + 1))) > 1
+    ha = lossy._amplitudes(ts, tsa, *eng._side_etas("a"))
+    hb = lossy._amplitudes(ts, tsb, *eng._side_etas("b"))[::-1]
+    want = np.matmul((ha * lossy._shifted(ha, dmax, 1)).transpose(0, 2, 1), hb * lossy._shifted(hb, dmax, -1))
+    want *= math.exp(2.0 * eng._log_tau2(ts))
+    want[1 - dmax % 2 :: 2] *= -1.0
+    assert np.array_equal(eng._t_sector(tsa, tsb, ts), want)
+
+
+def test_large_spin_products_stay_within_single_thread_size(monkeypatch):
+    # every gemm of a cold s = 40 evaluation (rotation basis, blocks, kernel build, contraction)
+    # stays where OpenBLAS runs it on the calling thread
+    sizes, matmul = [], np.matmul
+
+    def recording(a, b, out=None):
+        sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return matmul(a, b, out=out)
+
+    numerics._sx_eigenvectors.cache_clear()
+    numerics._wigner_cache_clear()
+    monkeypatch.setattr(np, "matmul", recording)
+    rec = LossyEngine(0.3, LossConfig.equal_eta(1.0)).mermin_sides(40, theta_triple(0.3 / 40))
+    monkeypatch.undo()
+    ideal = ideal_mermin_sides(40, rec.angles)
+    assert rec.lhs == pytest.approx(ideal.lhs, rel=1e-12) and rec.rhs == pytest.approx(ideal.rhs, rel=1e-12)
+    assert 81**3 > 2 * lossy._SINGLE_THREAD_MACS and sizes and max(sizes) <= lossy._SINGLE_THREAD_MACS
+
+
+def test_large_spin_evaluation_holds_no_full_depth_pair_stack():
+    loss = LossConfig.equal_eta(1.0)
+    LossyEngine(0.3, loss).mermin_sides(30, theta_triple(0.01))  # warm the shared caches
+    eng = LossyEngine(0.3, loss)
+    tracemalloc.start()
+    try:
+        eng.mermin_sides(30, theta_triple(0.01))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kernel = eng._sector(HalfInt(60), None)[0]
+    assert peak <= 2 * kernel.nbytes, peak / kernel.nbytes
 
 
 # ------------------------------------------------------------- eta=1 limits

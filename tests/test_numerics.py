@@ -284,12 +284,14 @@ def test_wigner_invalid_labels():
 
 
 def _wigner_matrix_reference(ts, alpha):
-    # the block builder before its per-spin pattern cache, verbatim
+    # the block builder before its per-spin pattern cache, with its two products
+    # split by columns as the builder splits them (from 2s = 64)
     u = numerics._sx_eigenvectors(ts)
     phase = alpha * (np.arange(-ts, ts + 1, 2) / 2.0)
     k = np.arange(ts + 1)
     quarter_turns = (k[None, :] - k[:, None]) % 4
-    out = np.where(quarter_turns % 2 == 0, (u * np.cos(phase)) @ u.T, (u * np.sin(phase)) @ u.T)
+    product = numerics._matmul
+    out = np.where(quarter_turns % 2 == 0, product(u * np.cos(phase), u.T), product(u * np.sin(phase), u.T))
     out[quarter_turns >= 2] *= -1.0
     return out
 
