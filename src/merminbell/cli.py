@@ -29,7 +29,7 @@ from .lossy import (
     optimize_angles,
 )
 from .numerics import HalfInt
-from .source import fock_weight_distribution
+from .source import N_MAX_CAP, fock_weight_distribution
 from .validation import convention_comparison_rows, run_all
 
 SWEEP_COLUMNS = [
@@ -273,7 +273,7 @@ _squeezing = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite nonnegativ
 _angle = _checked(float, math.isfinite, "a finite angle")
 _tolerance = _checked(float, lambda v: 0.0 < v < math.inf, "a positive tolerance")
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
-_nonnegative_int = _checked(int, lambda v: v >= 0, "a nonnegative integer")
+_photon_window = _checked(int, lambda v: 0 <= v <= N_MAX_CAP, f"an integer in 0..{N_MAX_CAP}")
 
 
 _COMMON_FLAGS = {
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fock-weights", help="photon-number weights of one squeezed pair")
     p.add_argument("--r", type=_squeezing, required=True)
-    p.add_argument("--n-max", type=_nonnegative_int, default=None)
+    p.add_argument("--n-max", type=_photon_window, default=None)
     _add_common(p, "--format")
     p.set_defaults(func=_cmd_fock_weights)
 

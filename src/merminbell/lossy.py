@@ -6,9 +6,10 @@ weight w_s = (2s+1) tanh(r)^(4s) / cosh(r)^4.  Loss maps each side's
 h = exp(L / 2) of that side's ``loss.log_weight_table``.  The h tables are
 cached across engines, so a source sector's kernel is batched products over
 its bra-ket offsets, and a sector with an all-zero table is skipped.
-Analyzer rotations contract the kernels with pairs of rotation-matrix elements.
-Everything is accumulated sector by sector so the infinite source sum can be
-cut off dynamically, with an exact geometric bound on the discarded weight.
+Analyzer rotations contract the kernels with pairs of rotation-matrix elements
+in one ``_contract``, for one setting or a grid of them.  Everything is
+accumulated sector by sector so the infinite source sum can be cut off
+dynamically, with an exact geometric bound on the discarded weight.
 The angle-independent kernels of the computed outcome sector pairs (one
 post-selected pair, or every pair reachable below the cutoff) are converged
 once per truncation policy; the joint distribution, the post-selected
@@ -37,9 +38,8 @@ the substitution (w, w') -> (-m, -m').
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -47,7 +47,7 @@ import numpy as np
 from .ideal import AngleTriple, theta_triple
 from .loss import LossConfig, log_weight_table
 from .numerics import _SINGLE_THREAD_MACS, HalfInt, InternalConsistencyError, _matmul, wigner_d_matrix
-from .source import sector_weight_tail
+from .source import _log_cosh, sector_weight_tail
 
 __all__ = [
     "TruncationPolicy",
@@ -215,21 +215,6 @@ def _amplitudes(ts: int, tso: int, eta_up: float, eta_dn: float) -> np.ndarray:
     return h
 
 
-def _pair_stack(d: np.ndarray, dmax: int) -> np.ndarray:
-    """E[dl + dmax, i, a] = d[i + dl, a] * d[i, a]; zero where i + dl is off the block."""
-    return _shifted(d, dmax, 0) * d
-
-
-def _alice_pairs(t: np.ndarray, tsa: int, alpha: float) -> np.ndarray:
-    """Alice's pair stack EA(alpha) for kernel ``t``."""
-    return _pair_stack(wigner_d_matrix(HalfInt(tsa), alpha), (t.shape[0] - 1) // 2)
-
-
-def _bob_half(t: np.ndarray, tsb: int, beta: float) -> np.ndarray:
-    """Bob's half-contraction T_dl EB_dl(beta); his bra-ket offset is -dl."""
-    return _matmul(t, _pair_stack(wigner_d_matrix(HalfInt(tsb), beta), (t.shape[0] - 1) // 2)[::-1])
-
-
 @lru_cache(maxsize=4096)
 def _runs(n_off: int, macs: int) -> tuple[slice, ...]:
     """The fewest runs of consecutive bra-ket offsets, in order, whose products stay within
@@ -238,33 +223,28 @@ def _runs(n_off: int, macs: int) -> tuple[slice, ...]:
     return tuple(slice(lo, lo + run) for lo in range(0, n_off, run))
 
 
-def _flat(ea: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_dl EA_dl^T X_dl over the offsets given, as one flattened product."""
-    return _matmul(ea.reshape(-1, ea.shape[-1]).T, x.reshape(-1, x.shape[-1]))
+def _contract(t: np.ndarray, tsa: int, tsb: int, alphas: Iterable[float], betas: Iterable[float]) -> np.ndarray:
+    """Joint probabilities P[i, j, m_a, m_b] = sum_dl EA_dl^T T_dl EB_dl of one sector pair at (alphas[i], betas[j]).
 
-
-def _join(ea: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """P = sum_dl EA_dl^T X_dl, with X = ``_bob_half``.
-
-    ``_flat`` of each ``_runs`` run, summed in offset order, so that BLAS
-    keeps every product on the calling thread; when the whole product fits,
-    it is one product.
-    """
-    n_off, rows, a = ea.shape
-    return reduce(operator.iadd, (_flat(ea[r], x[r]) for r in _runs(n_off, rows * a * x.shape[-1])))
-
-
-def _contract(t: np.ndarray, tsa: int, tsb: int, alpha: float, beta: float) -> np.ndarray:
-    """Joint probabilities P[m_a, m_b] = sum_dl EA_dl^T T_dl EB_dl of one sector pair.
-
-    ``_join(_alice_pairs(...), _bob_half(...))``, bit for bit, with both
-    stacks formed one of ``_join``'s runs at a time, so none is held whole.
+    EA_dl[m, m_a] = d[m + dl, m_a] d[m, m_a] of Alice's block d(alphas[i]), zero where m + dl is off it; EB is
+    the same of Bob's at offset -dl.  Per ``_runs`` run of offsets, so that no pair stack is held for all of
+    them, each alpha's pair products and each beta's half T_dl EB_dl are formed once for the whole grid, and
+    each (i, j) writes (first run) or adds one flattened product.  One setting passes 1-tuples, reads P[0, 0].
     """
     dmax = (t.shape[0] - 1) // 2
-    da, db = wigner_d_matrix(HalfInt(tsa), alpha), wigner_d_matrix(HalfInt(tsb), beta)
-    sa, sb = _shifted(da, dmax, 0), _shifted(db, dmax, 0)[::-1]
-    runs = _runs(t.shape[0], (tsa + 1) ** 2 * (tsb + 1))
-    return reduce(operator.iadd, (_flat(sa[r] * da, _matmul(t[r], sb[r] * db)) for r in runs))
+    alice = [(_shifted(d, dmax, 0), d) for d in (wigner_d_matrix(HalfInt(tsa), a) for a in alphas)]
+    bob = [(_shifted(d, dmax, 0)[::-1], d) for d in (wigner_d_matrix(HalfInt(tsb), b) for b in betas)]
+    out = np.empty((len(alice), len(bob), tsa + 1, tsb + 1))
+    for k, r in enumerate(_runs(t.shape[0], (tsa + 1) ** 2 * (tsb + 1))):
+        halves = [_matmul(t[r], sb[r] * db).reshape(-1, tsb + 1) for sb, db in bob]
+        for (sa, da), row in zip(alice, out):
+            ea = (sa[r] * da).reshape(-1, tsa + 1).T
+            for x, cell in zip(halves, row):
+                if k:
+                    cell += _matmul(ea, x)
+                else:
+                    _matmul(ea, x, cell)
+    return out
 
 
 def _nonnegative(p: np.ndarray, tsa: int, tsb: int) -> np.ndarray:
@@ -357,10 +337,10 @@ class LossyEngine:
     def _log_tau2(self, ts: int) -> float:
         """ln of the per-side sector amplitude squared, tanh(r)^(2s)/cosh(r)^2."""
         if ts == 0:
-            return -2.0 * math.log(math.cosh(self.r))
+            return -2.0 * _log_cosh(self.r)
         if self.r == 0.0:
             return _NEG_INF
-        return ts * math.log(math.tanh(self.r)) - 2.0 * math.log(math.cosh(self.r))
+        return ts * math.log(math.tanh(self.r)) - 2.0 * _log_cosh(self.r)
 
     def _side_etas(self, side: str) -> tuple[float, float]:
         # Alice's up mode is a1; Bob's up mode is b2.
@@ -466,8 +446,9 @@ class LossyEngine:
         """
         pairs = None if sectors is None else ((HalfInt.of(sectors[0]).twice, HalfInt.of(sectors[1]).twice),)
         kernels, tcut, ok = self._kernels(pairs, policy)
+        blocks = {k: _contract(t, *k, (alpha,), (beta,))[0, 0] for k, t in sorted(kernels.items())}
         return JointOutcomeDistribution(
-            blocks={k: _nonnegative(_contract(t, *k, alpha, beta), *k) for k, t in sorted(kernels.items())},
+            blocks={k: _nonnegative(p, *k) for k, p in blocks.items()},
             tail_bound=sector_weight_tail(HalfInt(tcut), self.r),
             s_cutoff_used=HalfInt(tcut),
             converged=ok,
@@ -521,7 +502,8 @@ class LossyEngine:
         ts = s_star.twice
         t, prob, parts, cutoff, ok = self._sector(s_star, policy)
         scale = prob if conditioned else 1.0
-        lhs = _lhs(_nonnegative(_contract(t, ts, ts, angles.alpha, angles.beta), ts, ts), s_star, scale)
+        p = _contract(t, ts, ts, (angles.alpha,), (angles.beta,))[0, 0]
+        lhs = _lhs(_nonnegative(p, ts, ts), s_star, scale)
         rhs = _rhs(parts, angles.alpha, angles.beta, angles.gamma, scale)
         return ViolationRecord(
             s_star=s_star,
@@ -721,13 +703,14 @@ def _descent_objective(
 
     Each entry of d(alpha) has frequencies -s..s and P is bilinear in the two
     pair stacks, so the lhs is a trigonometric polynomial of degree 2s in each
-    angle.  A 2-D FFT of its (4s + 1)^2 samples at angles 2 pi k / (4s + 1),
-    each checked by ``_nonnegative`` and scaled as ``_rhs``, gives every
-    coefficient C; lhs = Re(e^{ik alpha} C e^{ik beta}).  One-entry memos hold
-    the row (keyed on alpha), the column (on beta) and the lhs (on both), so
-    a gamma search reads only the rhs of the kernel's moment parts.  The rhs
-    and the violation are formed as in ``mermin_sides``; ``objective.lhs`` is
-    the interpolated lhs at (alpha, beta).
+    angle.  Its (4s + 1)^2 samples at angles 2 pi k / (4s + 1) are the blocks
+    of one ``_contract`` on that grid, which forms each angle's pair products
+    once; each is checked by ``_nonnegative`` and scaled as ``_rhs``.  A 2-D
+    FFT gives every coefficient C; lhs = Re(e^{ik alpha} C e^{ik beta}).  One-entry
+    memos hold the row (keyed on alpha), the column (on beta) and the lhs (on
+    both), so a gamma search reads only the rhs of the kernel's moment parts.
+    The rhs and the violation are formed as in ``mermin_sides``;
+    ``objective.lhs`` is the interpolated lhs at (alpha, beta).
     """
     s_star, conditioned = _sector_and_convention(s_star, convention)
     ts = s_star.twice
@@ -735,11 +718,8 @@ def _descent_objective(
     scale = prob if conditioned else 1.0
     n = 2 * ts + 1
     grid = 2.0 * math.pi * np.arange(n) / n
-    halves = [_bob_half(t, ts, b) for b in grid]
-    samples = [
-        [_lhs(_nonnegative(_join(ea, x), ts, ts), s_star, scale) for x in halves]
-        for ea in (_alice_pairs(t, ts, a) for a in grid)
-    ]
+    blocks = _contract(t, ts, ts, grid, grid)
+    samples = [[_lhs(_nonnegative(p, ts, ts), s_star, scale) for p in row] for row in blocks]
     coef = np.fft.fft2(samples) / (n * n)
     k = np.fft.ifftshift(np.arange(-ts, ts + 1))
 

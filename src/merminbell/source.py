@@ -22,6 +22,9 @@ __all__ = [
     "fock_weight_distribution",
 ]
 
+# largest photon-number window of ``fock_weight_distribution``, automatic or explicit
+N_MAX_CAP = 400
+
 
 def _check_r(r: float) -> float:
     r = float(r)
@@ -30,13 +33,24 @@ def _check_r(r: float) -> float:
     return r
 
 
+def _log_cosh(r: float) -> float:
+    """ln cosh(r); r - ln 2, equal to it to rounding there, where cosh(r) overflows a float (r above about 710)."""
+    try:
+        return math.log(math.cosh(r))
+    except OverflowError:
+        return r - math.log(2.0)
+
+
 def sector_amplitude(s, r: float) -> float:
     """Per-side amplitude factor tanh(r)^s / cosh(r) of the spin-s sector."""
     r = _check_r(r)
     sv = HalfInt.of(s).value
     if sv < 0:
         raise ValueError("spin must be nonnegative")
-    return math.tanh(r) ** sv / math.cosh(r)
+    try:
+        return math.tanh(r) ** sv / math.cosh(r)
+    except OverflowError:
+        return math.tanh(r) ** sv * math.exp(-_log_cosh(r))
 
 
 def sector_weight(s, r: float) -> float:
@@ -91,16 +105,17 @@ def fock_weight_distribution(r: float, n_max: int | None = None, tail_tol: float
     """Per-pair photon-number distribution p(n) ~ tanh(r)^(2n) / cosh(r)^2.
 
     When ``n_max`` is omitted it is chosen as the smallest window whose tail
-    mass is below ``tail_tol`` (capped at 400).
+    mass is below ``tail_tol``, capped at ``N_MAX_CAP``; an explicit ``n_max``
+    outside 0..``N_MAX_CAP`` raises ``ValueError``.
     """
     r = _check_r(r)
     y = math.tanh(r) ** 2
     if n_max is None:
         n_max = 0
-        while y > 0 and y ** (n_max + 1) > tail_tol and n_max < 400:
+        while y > 0 and y ** (n_max + 1) > tail_tol and n_max < N_MAX_CAP:
             n_max += 1
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    if not 0 <= n_max <= N_MAX_CAP:
+        raise ValueError(f"n_max must be in 0..{N_MAX_CAP}")
     raw = [(1.0 - y) * y ** n for n in range(n_max + 1)]
     tail = y ** (n_max + 1)
     kept = 1.0 - tail

@@ -195,6 +195,18 @@ def test_failed_eta1_optimum_flags_only_its_rows(tmp_path):
         assert row["alpha"] == row["violation"] == "nan"
 
 
+def test_overflowing_squeezing_flags_only_its_rows(tmp_path):
+    # cosh(711) overflows a float: the r=711 sector is empty, and the r=0.3 rows come out unchanged
+    out, alone = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["surface", "--s", "1", "--r", "0.3", "711", "--eta", "1.0", "0.9", "--out", str(out)]) == 0
+    assert main(["surface", "--s", "1", "--r", "0.3", "--eta", "1.0", "0.9", "--out", str(alone)]) == 0
+    lines = out.read_text().splitlines()
+    assert [line for line in lines if not line.startswith("1,711,")] == alone.read_text().splitlines()
+    failed = [row for row in csv.DictReader(lines) if row["r"] == "711"]
+    assert [row["eta"] for row in failed] == ["1", "0.90000000000000002"]
+    assert all(row["error"].startswith("DegenerateSectorError") for row in failed)
+
+
 def test_smaller_violation_window_for_higher_spin(tmp_path):
     out1 = tmp_path / "s1.csv"
     out2 = tmp_path / "s2.csv"
@@ -278,6 +290,7 @@ def test_mutated_bob_sign_fails_reduction(monkeypatch):
         (["optimize", "--s", "1", "--r", "0.3", "--policy-tol", "nan"], "is not"),
         (["optimize", "--s", "1", "--r", "0.3", "--policy-max-s", "0.3"], "is not"),
         (["fock-weights", "--r", "0.3", "--n-max", "-1"], "is not"),
+        (["fock-weights", "--r", "0.3", "--n-max", "401"], "is not"),
         (["sweep-theta", "--s", "1", "--r", "0.3", "--eta", "0.9", "--workers", "-2"], "is not"),
         (["sweep-theta", "--s", "1", "--r", "0.3", "--eta", "0.9", "--theta-steps", "0"], "is not"),
         (["optimize", "--s", "1", "--r", "0.3", "--conventions", "both"], "invalid choice: 'both'"),
@@ -287,8 +300,8 @@ def test_mutated_bob_sign_fails_reduction(monkeypatch):
     ],
     ids=[
         "s-zero", "s-not-half-integer", "eta-above-one", "r-negative", "base-angle-nan",
-        "policy-tol-nan", "policy-max-s-not-half-integer", "n-max-negative", "workers-negative",
-        "theta-steps-zero", "optimize-both-conventions", "optimize-s-above-cap",
+        "policy-tol-nan", "policy-max-s-not-half-integer", "n-max-negative", "n-max-above-cap",
+        "workers-negative", "theta-steps-zero", "optimize-both-conventions", "optimize-s-above-cap",
         "sweep-theta-s-above-cap", "policy-max-s-above-cap",
     ],
 )

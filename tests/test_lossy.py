@@ -190,44 +190,76 @@ def test_amplitude_tables_are_shared_and_read_only():
         view[2, 0, 0] = 1.0
 
 
-@pytest.mark.parametrize("n, dmax", [(1, 0), (2, 1), (5, 2), (9, 4), (9, 8)])
-def test_pair_stack_equals_gathered_reference(n, dmax):
-    d = np.random.default_rng(n + dmax).standard_normal((n, n))
-    padded = np.zeros((n + 2 * dmax, n))
-    padded[dmax : dmax + n] = d
-    want = padded[np.arange(n)[None, :] + np.arange(2 * dmax + 1)[:, None]] * d
-    got = lossy._pair_stack(d, dmax)
-    assert got.shape == want.shape and np.array_equal(got, want)
+def _full_stacks(t, tsa, tsb, alpha, beta):
+    """Gathered full-depth pair stacks EA_dl and halves T_dl EB_dl, one per bra-ket offset."""
+    dmax = (t.shape[0] - 1) // 2
+
+    def pairs(d):
+        n = d.shape[0]
+        padded = np.zeros((n + 2 * dmax, n))
+        padded[dmax : dmax + n] = d
+        return padded[np.arange(n)[None, :] + np.arange(2 * dmax + 1)[:, None]] * d
+
+    ea = pairs(numerics.wigner_d_matrix(HalfInt(tsa), alpha))
+    eb = pairs(numerics.wigner_d_matrix(HalfInt(tsb), beta))[::-1]
+    return ea, np.stack([t[k] @ eb[k] for k in range(t.shape[0])])
 
 
-def _join_operands(tsa, tsb, seed):
-    rng = np.random.default_rng(seed)
-    n_off = 2 * min(tsa, tsb) + 1
-    return rng.standard_normal((n_off, tsa + 1, tsa + 1)), rng.standard_normal((n_off, tsa + 1, tsb + 1))
+def _full_stack_join(t, tsa, tsb, alpha, beta):
+    """sum_dl EA_dl^T T_dl EB_dl from the full stacks as one flattened product."""
+    ea, x = _full_stacks(t, tsa, tsb, alpha, beta)
+    return ea.reshape(-1, tsa + 1).T @ x.reshape(-1, tsb + 1)
+
+
+def _random_kernel(tsa, tsb):
+    rng = np.random.default_rng(tsa + 7 * tsb)
+    return rng.standard_normal((2 * min(tsa, tsb) + 1, tsa + 1, tsb + 1)), rng.uniform(-math.pi, math.pi, 2)
 
 
 def test_join_is_one_flattened_product_up_to_spin_7():
     for tsa in range(15):
         for tsb in range(15):
-            ea, x = _join_operands(tsa, tsb, 15 * tsa + tsb)
-            want = ea.reshape(-1, tsa + 1).T @ x.reshape(-1, tsb + 1)
-            assert np.array_equal(lossy._join(ea, x), want), (tsa, tsb)
+            t, (alpha, beta) = _random_kernel(tsa, tsb)
+            got = lossy._contract(t, tsa, tsb, (alpha,), (beta,))
+            assert got.shape == (1, 1, tsa + 1, tsb + 1), (tsa, tsb)
+            assert np.array_equal(got[0, 0], _full_stack_join(t, tsa, tsb, alpha, beta)), (tsa, tsb)
 
 
 @pytest.mark.parametrize("tsa, tsb", [(60, 60), (60, 41), (41, 60), (60, 0)])
 def test_join_splits_large_spin_into_offset_runs(tsa, tsb):
-    ea, x = _join_operands(tsa, tsb, tsa + tsb)
+    t, (alpha, beta) = _random_kernel(tsa, tsb)
+    assert len(lossy._runs(t.shape[0], (tsa + 1) ** 2 * (tsb + 1))) > 1 or tsb == 0
+    ea, x = _full_stacks(t, tsa, tsb, alpha, beta)
     want = sum(e.T @ xi for e, xi in zip(ea, x))
-    assert np.max(np.abs(lossy._join(ea, x) - want)) <= 1e-13 * np.max(np.abs(want))
+    got = lossy._contract(t, tsa, tsb, (alpha,), (beta,))[0, 0]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("tsa, tsb", [(4, 4), (14, 14), (60, 60), (60, 41), (41, 60), (60, 0)])
 def test_blocked_contract_equals_full_stack_join(tsa, tsb):
-    rng = np.random.default_rng(tsa + 7 * tsb)
-    t = rng.standard_normal((2 * min(tsa, tsb) + 1, tsa + 1, tsb + 1))
-    alpha, beta = rng.uniform(-math.pi, math.pi, 2)
-    want = lossy._join(lossy._alice_pairs(t, tsa, alpha), lossy._bob_half(t, tsb, beta))
-    assert np.array_equal(lossy._contract(t, tsa, tsb, alpha, beta), want)
+    # every block of an angle grid, bit for bit where one run covers all offsets
+    t, _ = _random_kernel(tsa, tsb)
+    alphas, betas = (0.4, -2.1), (1.3, -0.6, 3.0)
+    grid = lossy._contract(t, tsa, tsb, alphas, betas)
+    one_run = len(lossy._runs(t.shape[0], (tsa + 1) ** 2 * (tsb + 1))) == 1
+    for i, alpha in enumerate(alphas):
+        for j, beta in enumerate(betas):
+            want = _full_stack_join(t, tsa, tsb, alpha, beta)
+            if one_run:
+                assert np.array_equal(grid[i, j], want), (i, j)
+            else:
+                assert np.max(np.abs(grid[i, j] - want)) <= 1e-13 * np.max(np.abs(want)), (i, j)
+
+
+@pytest.mark.parametrize("tsa, tsb", [(4, 6), (41, 60)])
+def test_contract_grid_blocks_equal_single_angle_calls(tsa, tsb):
+    t, _ = _random_kernel(tsa, tsb)
+    alphas, betas = (0.3, -1.2, 2.9), (0.0, 0.7, -2.2, math.pi)
+    grid = lossy._contract(t, tsa, tsb, alphas, betas)
+    assert grid.shape == (3, 4, tsa + 1, tsb + 1)
+    for i, alpha in enumerate(alphas):
+        for j, beta in enumerate(betas):
+            assert np.array_equal(grid[i, j], lossy._contract(t, tsa, tsb, (alpha,), (beta,))[0, 0]), (i, j)
 
 
 @pytest.mark.parametrize("tsa, tsb, ts", [(30, 30, 40), (20, 45, 50), (45, 20, 60), (60, 60, 60)])

@@ -76,3 +76,16 @@ def test_fock_weights_geometric_ratio():
         assert w.probabilities[n + 1] / w.probabilities[n] == pytest.approx(t2, rel=1e-12)
     assert sum(w.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
     assert w.tail_mass == pytest.approx(t2 ** 13, rel=1e-12)
+
+
+def test_sector_amplitude_past_cosh_overflow():
+    # cosh(711) overflows a float, so ln cosh r is r - ln 2 there; below, tanh(r)^s / cosh(r) holds to the bit
+    amp = sector_amplitude(1, 711)
+    assert math.isfinite(amp) and amp == pytest.approx(2.0 * math.exp(-711.0), rel=1e-12)
+    assert sector_amplitude(1, 700.0) == math.tanh(700.0) / math.cosh(700.0)
+
+
+def test_fock_weights_window_is_capped():
+    assert max(fock_weight_distribution(0.3, n_max=400).probabilities) == 400
+    with pytest.raises(ValueError, match="n_max"):
+        fock_weight_distribution(0.3, n_max=401)
