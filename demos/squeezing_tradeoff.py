@@ -13,7 +13,6 @@ from merminbell import (
     HalfInt,
     LossConfig,
     LossyEngine,
-    TruncationPolicy,
     fock_weight_distribution,
     optimize_angles,
     sector_weight,
@@ -40,7 +39,7 @@ angles, _ = optimize_angles(s, 0.3, LossConfig.equal_eta(1.0))
 print(f"\nspin s={s} at eta=0.85: violation vs squeezing, and event rate")
 for r in (0.1, 0.2, 0.4, 0.6, 0.9):
     eng = LossyEngine(r, LossConfig.equal_eta(0.85))
-    rec = eng.mermin_sides(s, angles, TruncationPolicy.for_sector(s))
+    rec = eng.mermin_sides(s, angles)
     print(
         f"  r={r}: violation {rec.violation:+.4f}   sector probability {rec.sector_probability:.5f}"
     )

@@ -11,18 +11,17 @@ import os
 
 import numpy as np
 
-from merminbell import HalfInt, LossConfig, LossyEngine, TruncationPolicy, theta_triple
+from merminbell import HalfInt, LossConfig, LossyEngine, theta_triple
 
 S_STAR = HalfInt(2)  # spin 1
 R = 0.5
 ETAS = (1.0, 0.95, 0.9, 0.85, 0.8, 0.7)
 THETAS = np.linspace(0.02, 1.0, 25)
 
-policy = TruncationPolicy.for_sector(S_STAR)
 curves = {}
 for eta in ETAS:
     eng = LossyEngine(R, LossConfig.equal_eta(eta))
-    curves[eta] = [eng.mermin_sides(S_STAR, theta_triple(float(t)), policy).violation for t in THETAS]
+    curves[eta] = [eng.mermin_sides(S_STAR, theta_triple(float(t))).violation for t in THETAS]
 
 # %% print the table, one efficiency per column
 print(f"violation vs theta at s={S_STAR}, r={R}")

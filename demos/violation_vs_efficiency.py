@@ -9,7 +9,7 @@ from above is weaker.
 
 import numpy as np
 
-from merminbell import HalfInt, LossConfig, LossyEngine, TruncationPolicy, optimize_angles
+from merminbell import HalfInt, LossConfig, LossyEngine, optimize_angles
 
 ETAS = np.arange(1.0, 0.549, -0.05)
 SPINS = [HalfInt(t) for t in range(1, 10)]
@@ -26,10 +26,7 @@ for r in (0.2, 0.4):
     print(" eta  " + " ".join(f"{str(s):>7}" for s in SPINS))
     for eta in ETAS:
         eng = LossyEngine(r, LossConfig.equal_eta(float(eta)))
-        row = []
-        for s in SPINS:
-            policy = TruncationPolicy.for_sector(s)
-            row.append(eng.mermin_sides(s, angles[s], policy).violation)
+        row = [eng.mermin_sides(s, angles[s]).violation for s in SPINS]
         print(f"{eta:5.2f} " + " ".join(f"{v:+7.4f}" for v in row))
 
 print(

@@ -124,12 +124,12 @@ def _record_row(rec: ViolationRecord, eta: float, theta: float | None = None) ->
 def _theta_task(payload: dict) -> list[dict]:
     """Rows of one efficiency, theta-major: every convention reads one engine's kernel."""
     s_star = HalfInt(payload["ts"])
-    eng = LossyEngine(payload["r"], LossConfig.equal_eta(payload["eta"]))
+    eng = LossyEngine(payload["r"], LossConfig.equal_eta(payload["eta"]), payload["policy"])
     rows = []
     for theta in payload["thetas"]:
         angles = theta_triple(theta, payload["base"])
         for conv in payload["conventions"]:
-            rec = _evaluate(eng, s_star, angles, payload["policy"], conv)
+            rec = _evaluate(eng, s_star, angles, conv)
             rows.append(_record_row(rec, payload["eta"], theta))
     return rows
 
@@ -141,17 +141,17 @@ def _eta_task(payload: dict) -> list[dict]:
     """
     s_star = HalfInt(payload["ts"])
     r, policy = payload["r"], payload["policy"]
-    ideal = LossyEngine(r, LossConfig.equal_eta(1.0))
+    ideal = LossyEngine(r, LossConfig.equal_eta(1.0), policy)
     failure = None
     try:
-        angles, _ = _optimize(ideal, s_star, policy, "conditioned")
+        angles, _ = _optimize(ideal, s_star, "conditioned")
     except (DegenerateSectorError, InternalConsistencyError) as exc:
         angles, failure = AngleTriple(math.nan, math.nan, math.nan), exc
     rows = []
     for eta in payload["etas"]:
-        eng = ideal if eta == 1.0 else LossyEngine(r, LossConfig.equal_eta(eta))
+        eng = ideal if eta == 1.0 else LossyEngine(r, LossConfig.equal_eta(eta), policy)
         for conv in payload["conventions"]:
-            rows.append(_record_row(_evaluate(eng, s_star, angles, policy, conv, failure), eta))
+            rows.append(_record_row(_evaluate(eng, s_star, angles, conv, failure), eta))
     return rows
 
 
@@ -176,9 +176,13 @@ def _conventions(arg: str) -> list[str]:
 # --------------------------------------------------------------- subcommands
 
 
-def _cmd_sweep_theta(args) -> int:
+def _theta_grid(args) -> list[float]:
     step = (args.theta_max - args.theta_min) / max(args.theta_steps - 1, 1)
-    thetas = [args.theta_min + i * step for i in range(args.theta_steps)]
+    return [args.theta_min + i * step for i in range(args.theta_steps)]
+
+
+def _cmd_sweep_theta(args) -> int:
+    thetas = _theta_grid(args)
     convs = _conventions(args.conventions)
     payloads = [
         {
@@ -187,7 +191,7 @@ def _cmd_sweep_theta(args) -> int:
             "eta": eta,
             "thetas": thetas,
             "base": args.base_angle,
-            "policy": args.policies[HalfInt.of(args.s)],
+            "policy": args.policy,
             "conventions": convs,
         }
         for eta in args.eta
@@ -205,7 +209,7 @@ def _cmd_eta_grid(args) -> int:
             "ts": HalfInt.of(s).twice,
             "r": r,
             "etas": list(args.eta),
-            "policy": args.policies[HalfInt.of(s)],
+            "policy": args.policy,
             "conventions": convs,
         }
         for s in args.s
@@ -220,7 +224,7 @@ def _cmd_eta_grid(args) -> int:
 def _cmd_optimize(args) -> int:
     s_star = HalfInt.of(args.s)
     loss = LossConfig.equal_eta(args.eta)
-    _, rec = optimize_angles(s_star, args.r, loss, args.policies[s_star], args.conventions)
+    _, rec = optimize_angles(s_star, args.r, loss, args.policy, args.conventions)
     row = _record_row(rec, args.eta)
     _write_report({key: row[key] for key in OPTIMIZE_KEYS}, args.out)
     return 0
@@ -368,11 +372,19 @@ def main(argv=None) -> int:
     if unrecognized:
         args.parser.error(f"unrecognized arguments: {' '.join(unrecognized)}")
     if "policy_tol" in args:
-        spins = [HalfInt.of(s) for s in (args.s if isinstance(args.s, list) else [args.s])]
         try:
-            args.policies = {s: TruncationPolicy.for_sector(s, args.policy_tol, args.policy_max_s) for s in spins}
+            args.policy = TruncationPolicy(args.policy_max_s, args.policy_tol)
+            for s in args.s if isinstance(args.s, list) else [args.s]:
+                args.policy.cap(HalfInt.of(s).twice)
         except ValueError as exc:
             args.parser.error(f"argument --s/--policy-max-s: that source sum is not allowed ({exc})")
+    if args.command == "sweep-theta":
+        for theta in _theta_grid(args):
+            angles = theta_triple(theta, args.base_angle)
+            if not all(map(math.isfinite, (theta, angles.alpha, angles.beta))):
+                args.parser.error(
+                    f"argument --theta-min/--theta-max/--base-angle: theta {theta!r} or its triple is not finite"
+                )
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -49,7 +49,7 @@ class LossConfig:
     inefficiency after the analyzer only when the loss is equal within each
     side (eta_a1 == eta_a2 and eta_b1 == eta_b2), where it commutes with the
     analyzer rotation; detector efficiencies after the analyzer are
-    ROADMAP.md item 8.
+    ROADMAP.md item 12.
     """
 
     eta_a1: float

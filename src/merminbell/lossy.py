@@ -10,11 +10,13 @@ Analyzer rotations contract the kernels with pairs of rotation-matrix elements
 in one ``_contract``, for one setting or a grid of them.  Everything is
 accumulated sector by sector so the infinite source sum can be cut off
 dynamically, with an exact geometric bound on the discarded weight.
-The angle-independent kernels of the computed outcome sector pairs (one
-post-selected pair, or every pair reachable below the cutoff) are converged
-once per truncation policy; the joint distribution, the post-selected
-correlation and the left side at any analyzer setting are contractions of
-them.  The full-trace correlation needs no kernel: it is exact in closed form.
+The cutoff is part of an engine's setting: its ``TruncationPolicy`` says
+where the sum stops.  The angle-independent kernels of the computed outcome
+sector pairs (one post-selected pair, or every pair reachable below the
+cutoff) are converged once per engine; the joint distribution, the
+post-selected correlation and the left side at any analyzer setting are
+contractions of them.  The full-trace correlation needs no kernel: it is
+exact in closed form.
 
 Every matrix product stays within OpenBLAS's single-thread size (M N K <=
 2^18), so that BLAS runs it on the calling thread and results do not depend
@@ -26,8 +28,8 @@ spins earlier in the kernel build).
 
 The methods of ``LossyEngine`` (``joint``, ``correlation``,
 ``mermin_sides``) are the only way to evaluate a point; one engine serves
-every point at its (r, loss) setting.  ``sweep`` and ``optimize_angles``
-build on them.
+every point at its (r, loss, policy) setting.  ``sweep`` and
+``optimize_angles`` build on them.
 
 Bob's spin convention is m_B = (n_B2 - n_B1)/2, so his "up" mode is the
 second one; the per-side weight tables are generic in (w, w') and the
@@ -75,38 +77,38 @@ class DegenerateSectorError(RuntimeError):
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Dynamic cutoff control for the source-sector sum.
+    """Where an engine cuts off the source-sector sum.
 
-    The sum is evaluated at ``s_start``, then repeatedly extended by one
-    spin (2s grows by 2) until the relative change drops below ``rel_tol``
-    or ``max_s`` is reached.  The watched quantity is always the probability
-    the computed outcome sectors hold (the post-selected sector probability,
-    or the total probability of an unrestricted run): every source sector
-    adds a positive semidefinite piece whose trace is its share of that
-    probability, so no joint probability at any analyzer angle moves by more
-    than the change.  ``max_s`` above 200 raises ``ValueError``.
+    The deepest source sector summed is ``cap(t_floor)``, t_floor being twice
+    the largest computed outcome spin (0 for an unrestricted run): s =
+    ``max_s``, or the largest outcome spin + 15 when ``max_s`` is None, and
+    never below that outcome spin.  ``rel_tol`` 0 sums every sector up to the
+    cap in one pass.  Otherwise the sum is evaluated at that outcome spin + 2
+    (at most the cap), then extended by one spin (2s grows by 2) until a step
+    changes the probability the computed outcome sectors hold (the
+    post-selected sector probability, or the total probability of an
+    unrestricted run) by at most ``rel_tol`` relative, or the cap is reached.
+    Every source sector adds a positive semidefinite piece whose trace is its
+    share of that probability, so no joint probability at any analyzer angle
+    moves by more than the change.  A cap above s = 200 raises ``ValueError``.
     """
 
-    s_start: HalfInt
-    max_s: HalfInt
+    max_s: HalfInt | None = None
     rel_tol: float = 1e-6
 
     def __post_init__(self):
-        object.__setattr__(self, "s_start", HalfInt.of(self.s_start))
-        object.__setattr__(self, "max_s", HalfInt.of(self.max_s))
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if self.s_start.twice > self.max_s.twice:
-            raise ValueError("s_start must not exceed max_s")
-        if self.max_s.twice > _MAX_SOURCE_TWICE:
-            raise ValueError(f"max_s is capped at {_MAX_SOURCE_TWICE / 2:.0f}")
+        if self.max_s is not None:
+            object.__setattr__(self, "max_s", HalfInt.of(self.max_s))
+        if not self.rel_tol >= 0:
+            raise ValueError("rel_tol must be nonnegative")
+        self.cap(0)  # a max_s above the engine's limit fails the one cap rule
 
-    @classmethod
-    def for_sector(cls, s_star, rel_tol: float = 1e-6, max_s=None) -> "TruncationPolicy":
-        """Policy for a post-selected sector: start at s_star + 2, clamped to ``max_s`` (None: s_star + 15)."""
-        t = HalfInt.of(s_star).twice
-        t_max = t + 30 if max_s is None else HalfInt.of(max_s).twice
-        return cls(s_start=HalfInt(min(t + 4, t_max)), max_s=HalfInt(t_max), rel_tol=rel_tol)
+    def cap(self, t_floor: int) -> int:
+        """2s of the deepest source sector summed when the largest computed outcome spin is t_floor / 2."""
+        t_max = t_floor + 30 if self.max_s is None else max(self.max_s.twice, t_floor)
+        if t_max > _MAX_SOURCE_TWICE:
+            raise ValueError(f"the source sum is capped at s = {_MAX_SOURCE_TWICE // 2}, not {HalfInt(t_max)}")
+        return t_max
 
 
 @dataclass
@@ -319,17 +321,19 @@ def _projection_gaps(ts: int) -> np.ndarray:
 
 
 class LossyEngine:
-    """Shared caches for repeated evaluations at one (r, loss) setting.
+    """Shared caches for repeated evaluations at one (r, loss, policy) setting.
 
-    All public methods are deterministic pure functions of their arguments;
-    the caches are write-once memo tables.
+    ``policy`` None is ``TruncationPolicy()``.  All public methods are
+    deterministic pure functions of the setting and their arguments; the
+    caches are write-once memo tables.
     """
 
-    def __init__(self, r: float, loss: LossConfig):
+    def __init__(self, r: float, loss: LossConfig, policy: TruncationPolicy | None = None):
         if r < 0 or not math.isfinite(r):
             raise ValueError("squeezing parameter must be finite and nonnegative")
         self.r = float(r)
         self.loss = loss
+        self.policy = TruncationPolicy() if policy is None else policy
         self._kernel_cache: dict = {}
 
     # ---------------------------------------------------------------- weights
@@ -373,27 +377,22 @@ class LossyEngine:
             block[(r.start + dmax + 1) % 2 :: 2] *= -1.0
         return out
 
-    def _kernels(self, pairs: tuple | None, policy: TruncationPolicy | None):
+    def _kernels(self, pairs: tuple | None):
         """Converged kernels ({(tsa, tsb): T}, cutoff, converged) of outcome sector pairs.
 
         T[dl + dmax, mu_a, mu_b] sums the source-sector blocks up to the
         cutoff; it does not depend on the analyzer angles, so it is built
-        once per (pairs, policy) and every angle contracts it.  ``pairs``
-        None takes every pair reachable below the cutoff.  The cutoff grows
-        until a step changes the probability the kernels hold by at most
-        ``policy.rel_tol`` relative.  ``policy`` None is
-        ``TruncationPolicy.for_sector`` of the largest spin in ``pairs``
-        (0 for every pair), and shares its cache entry.
+        once per ``pairs`` and every angle contracts it.  ``pairs`` None
+        takes every pair reachable below the cutoff.  The engine's policy
+        sets the cutoff: its ``cap`` (a ``ValueError`` before any build),
+        and with a positive ``rel_tol`` the relative-change test.
         """
-        t_floor = max(max(p) for p in pairs) if pairs else 0
-        if policy is None:
-            policy = TruncationPolicy.for_sector(HalfInt(t_floor))
-        key = (pairs, policy)
-        got = self._kernel_cache.get(key)
+        got = self._kernel_cache.get(pairs)
         if got is not None:
             return got
-        t_max = max(policy.max_s.twice, t_floor)
-        tcut = max(policy.s_start.twice, t_floor)
+        t_floor = max(max(p) for p in pairs) if pairs else 0
+        t_max = self.policy.cap(t_floor)
+        tcut = min(t_floor + 4, t_max) if self.policy.rel_tol else t_max
         ok = tcut >= t_max and sector_weight_tail(HalfInt(tcut), self.r) == 0.0
         kernels: dict[tuple[int, int], np.ndarray] = {}
         applied, prev = -1, None
@@ -407,7 +406,7 @@ class LossyEngine:
             applied = tcut
             mass = sum(float(t[min(tsa, tsb)].sum()) for (tsa, tsb), t in kernels.items())
             if prev is not None:
-                ok = abs(mass - prev) / max(abs(mass), abs(prev), 1e-300) <= policy.rel_tol
+                ok = abs(mass - prev) / max(abs(mass), abs(prev), 1e-300) <= self.policy.rel_tol
             if ok or tcut >= t_max:
                 break
             prev, tcut = mass, min(tcut + 2, t_max)
@@ -419,33 +418,27 @@ class LossyEngine:
         }
         for t in kernels.values():
             t.setflags(write=False)
-        got = self._kernel_cache[key] = (kernels, tcut, ok)
+        got = self._kernel_cache[pairs] = (kernels, tcut, ok)
         return got
 
-    def _sector(self, s_star: HalfInt, policy: TruncationPolicy | None):
+    def _sector(self, s_star: HalfInt):
         """(kernel, probability = its dl = 0 trace, ``_moment_parts``, cutoff, converged) of sector s_star."""
         ts = s_star.twice
-        kernels, tcut, ok = self._kernels(((ts, ts),), policy)
+        kernels, tcut, ok = self._kernels(((ts, ts),))
         t = kernels[(ts, ts)]
         prob = float(t[ts].sum())
         if prob < 1e-300:
             raise DegenerateSectorError(f"sector s={s_star} has probability {prob:.3e}")
         return t, prob, _moment_parts(t, ts, ts), HalfInt(tcut), ok
 
-    def joint(
-        self,
-        alpha: float,
-        beta: float,
-        policy: TruncationPolicy,
-        sectors: tuple | None = None,
-    ) -> JointOutcomeDistribution:
+    def joint(self, alpha: float, beta: float, sectors: tuple | None = None) -> JointOutcomeDistribution:
         """Joint readout distribution at analyzer angles (alpha, beta).
 
         ``sectors`` restricts the computed blocks to one (s_a, s_b) pair;
         otherwise every outcome sector pair reachable below the cutoff is returned.
         """
         pairs = None if sectors is None else ((HalfInt.of(sectors[0]).twice, HalfInt.of(sectors[1]).twice),)
-        kernels, tcut, ok = self._kernels(pairs, policy)
+        kernels, tcut, ok = self._kernels(pairs)
         blocks = {k: _contract(t, *k, (alpha,), (beta,))[0, 0] for k, t in sorted(kernels.items())}
         return JointOutcomeDistribution(
             blocks={k: _nonnegative(p, *k) for k, p in blocks.items()},
@@ -456,51 +449,45 @@ class LossyEngine:
 
     # ----------------------------------------------------------- correlations
 
-    def correlation(
-        self,
-        alpha: float,
-        beta: float,
-        s_star,
-        policy: TruncationPolicy | None = None,
-    ) -> tuple[float, float, HalfInt | None, bool]:
+    def correlation(self, alpha: float, beta: float, s_star) -> tuple[float, float, HalfInt | None, bool]:
         """<S_A,alpha S_B,beta> as (value, sector_probability, cutoff_used, converged).
 
         Post-selected on sigma_a = sigma_b = s_star and divided by the sector
         probability.  With ``s_star`` None it is the exact full trace, (value,
         1.0, None, True): loss scales a_i^dag a_j by sqrt(eta_i eta_j), and
         n_a1 = n_b1, n_a2 = n_b2 are independent thermal counts of mean
-        sinh(r)^2.  That takes no policy (``ValueError``); the moment of a
-        capped source sum is ``joint(alpha, beta, policy).correlation()``.
+        sinh(r)^2.  This closed form ignores the engine's policy; the moment
+        of a capped source sum is ``joint(alpha, beta).correlation()``.  Its
+        terms grow as exp(4r)/4, so from r = 177.79 or so they overflow a
+        float and it raises ``ValueError``.
         """
         if s_star is None:
-            if policy is not None:
-                raise ValueError("the full-trace correlation is exact; a capped one is joint(...).correlation()")
-            n, (a1, a2, b1, b2) = math.sinh(self.r) ** 2, self.loss.etas()
-            zz = 0.25 * ((a1 * b2 + a2 * b1) * n * n - (a1 * b1 + a2 * b2) * (2.0 * n * n + n))
-            ladders = -math.sqrt(a1 * a2 * b1 * b2) * math.sinh(2.0 * self.r) ** 2 / 2.0
+            a1, a2, b1, b2 = self.loss.etas()
+            try:
+                n = math.sinh(self.r) ** 2
+                zz = 0.25 * ((a1 * b2 + a2 * b1) * n * n - (a1 * b1 + a2 * b2) * (2.0 * n * n + n))
+                ladders = -math.sqrt(a1 * a2 * b1 * b2) * math.sinh(2.0 * self.r) ** 2 / 2.0
+            except OverflowError:
+                zz = ladders = math.inf
+            if not (math.isfinite(zz) and math.isfinite(ladders)):
+                raise ValueError(f"the full-trace correlation overflows at r = {self.r!r}")
             return _moment((zz, ladders), alpha, beta), 1.0, None, True
-        _, prob, parts, cutoff, ok = self._sector(HalfInt.of(s_star), policy)
+        _, prob, parts, cutoff, ok = self._sector(HalfInt.of(s_star))
         return _moment(parts, alpha, beta) / prob, prob, cutoff, ok
 
     # ------------------------------------------------------- inequality sides
 
-    def mermin_sides(
-        self,
-        s_star,
-        angles: AngleTriple,
-        policy: TruncationPolicy | None = None,
-        convention: str = "conditioned",
-    ) -> ViolationRecord:
+    def mermin_sides(self, s_star, angles: AngleTriple, convention: str = "conditioned") -> ViolationRecord:
         """Both sides of the inequality, post-selected on sector s_star.
 
         ``convention`` is "conditioned" (both sides divided by the sector
         probability; the experimentally meaningful per-trial estimate) or
-        "unconditioned" (raw sector-restricted sums).  ``policy`` None is
-        ``TruncationPolicy.for_sector(s_star)``.
+        "unconditioned" (raw sector-restricted sums).  The sector's kernel is
+        summed to the engine policy's cutoff for s_star.
         """
         s_star, conditioned = _sector_and_convention(s_star, convention)
         ts = s_star.twice
-        t, prob, parts, cutoff, ok = self._sector(s_star, policy)
+        t, prob, parts, cutoff, ok = self._sector(s_star)
         scale = prob if conditioned else 1.0
         p = _contract(t, ts, ts, (angles.alpha,), (angles.beta,))[0, 0]
         lhs = _lhs(_nonnegative(p, ts, ts), s_star, scale)
@@ -521,12 +508,7 @@ class LossyEngine:
 
 
 def _evaluate(
-    eng: LossyEngine,
-    s_star,
-    angles: AngleTriple,
-    policy: TruncationPolicy | None,
-    convention: str,
-    failure: Exception | None = None,
+    eng: LossyEngine, s_star, angles: AngleTriple, convention: str, failure: Exception | None = None
 ) -> ViolationRecord:
     """``eng.mermin_sides``, or a record flagged with the error it raised.
 
@@ -538,7 +520,7 @@ def _evaluate(
     """
     if failure is None:
         try:
-            return eng.mermin_sides(s_star, angles, policy, convention)
+            return eng.mermin_sides(s_star, angles, convention)
         except (DegenerateSectorError, InternalConsistencyError) as exc:
             failure = exc
     nan = float("nan")
@@ -571,7 +553,8 @@ def sweep(
 
     Records come back in lexicographic grid order (s*, then r, then eta,
     then theta); per-point failures become flagged records rather than
-    aborting the sweep.  Every grid point is an independent pure evaluation.
+    aborting the sweep.  Every grid point is an independent pure evaluation,
+    by an engine under ``policy``.
     """
     s_list = [HalfInt.of(s) for s in s_stars]
     r_list = [float(r) for r in rs]
@@ -579,9 +562,9 @@ def sweep(
     t_list = [float(t) for t in thetas]
     if not (s_list and r_list and e_list and t_list):
         raise ValueError("sweep grid must be nonempty on every axis")
-    engines = {(r, eta): LossyEngine(r, LossConfig.equal_eta(eta)) for r in r_list for eta in e_list}
+    engines = {(r, eta): LossyEngine(r, LossConfig.equal_eta(eta), policy) for r in r_list for eta in e_list}
     return [
-        _evaluate(engines[(r, eta)], s_star, theta_triple(theta, base_angle), policy, convention)
+        _evaluate(engines[(r, eta)], s_star, theta_triple(theta, base_angle), convention)
         for s_star in s_list
         for r in r_list
         for eta in e_list
@@ -622,38 +605,33 @@ def optimize_angles(
     trigonometric polynomial in theta; ``_theta_optimum`` reads its maximum
     from 8s + 1 samples and returns theta in (0, pi/2], gamma = 0.  Other loss
     runs the multi-start coordinate descent of ``_coordinate_descent`` on an
-    exact 2-D interpolant of the lhs.  Both check their interpolant against
-    the returned record and are deterministic.
+    exact 2-D interpolant of the lhs.  Both run on one engine under ``policy``,
+    check their interpolant against the returned record and are deterministic.
     """
-    return _optimize(LossyEngine(r, loss), HalfInt.of(s_star), policy, convention)
+    return _optimize(LossyEngine(r, loss, policy), HalfInt.of(s_star), convention)
 
 
-def _optimize(
-    eng: LossyEngine, s_star: HalfInt, policy: TruncationPolicy | None, convention: str
-) -> tuple[AngleTriple, ViolationRecord]:
+def _optimize(eng: LossyEngine, s_star: HalfInt, convention: str) -> tuple[AngleTriple, ViolationRecord]:
     """``optimize_angles`` on an existing engine, whose kernel the caller may read again."""
-    return (_theta_optimum if eng.loss.equal_within_sides else _coordinate_descent)(eng, s_star, policy, convention)
+    return (_theta_optimum if eng.loss.equal_within_sides else _coordinate_descent)(eng, s_star, convention)
 
 
 def _checked_optimum(
-    eng: LossyEngine, s_star: HalfInt, policy: TruncationPolicy | None, convention: str,
-    angles: AngleTriple, predicted: float, defect: str,
+    eng: LossyEngine, s_star: HalfInt, convention: str, angles: AngleTriple, predicted: float, defect: str
 ) -> tuple[AngleTriple, ViolationRecord]:
     """The optimizers' result: a fresh ``mermin_sides`` at ``angles``.
 
     A violation more than ``_INTERPOLANT_TOL`` off the interpolant's ``predicted`` one raises
     ``InternalConsistencyError`` naming the ``defect``: the curve is not of the assumed degree.
     """
-    record = eng.mermin_sides(s_star, angles, policy, convention)
+    record = eng.mermin_sides(s_star, angles, convention)
     gap = abs(predicted - record.violation)
     if not gap <= _INTERPOLANT_TOL:
         raise InternalConsistencyError(f"{defect}: interpolant off by {gap:.3e} at {angles}")
     return record.angles, record
 
 
-def _theta_optimum(
-    eng: LossyEngine, s_star: HalfInt, policy: TruncationPolicy | None, convention: str
-) -> tuple[AngleTriple, ViolationRecord]:
+def _theta_optimum(eng: LossyEngine, s_star: HalfInt, convention: str) -> tuple[AngleTriple, ViolationRecord]:
     """Maximum of the violation along ``theta_triple(theta)`` from its Fourier coefficients.
 
     lhs is a trigonometric polynomial of degree 2s in alpha - beta = pi + 2 theta
@@ -667,8 +645,7 @@ def _theta_optimum(
     deg = 2 * s_star.twice
     n = 2 * deg + 1
     samples = [
-        eng.mermin_sides(s_star, theta_triple(2.0 * math.pi * k / n), policy, convention).violation
-        for k in range(n)
+        eng.mermin_sides(s_star, theta_triple(2.0 * math.pi * k / n), convention).violation for k in range(n)
     ]
     spectrum = np.fft.rfft(samples)
     dense = np.fft.irfft(spectrum, _OVERSAMPLE * n) * _OVERSAMPLE
@@ -693,12 +670,10 @@ def _theta_optimum(
     if abs(theta) > math.pi / 2:
         theta = math.copysign(math.pi, theta) - theta
     defect = f"violation along theta is not a trigonometric polynomial of degree {deg}"
-    return _checked_optimum(eng, s_star, policy, convention, theta_triple(theta), derivative(theta, 0), defect)
+    return _checked_optimum(eng, s_star, convention, theta_triple(theta), derivative(theta, 0), defect)
 
 
-def _descent_objective(
-    eng: LossyEngine, s_star: HalfInt, policy: TruncationPolicy | None, convention: str
-) -> Callable[[float, float, float], float]:
+def _descent_objective(eng: LossyEngine, s_star: HalfInt, convention: str) -> Callable[[float, float, float], float]:
     """-violation at (alpha, beta, gamma), the lhs read from its exact 2-D interpolant.
 
     Each entry of d(alpha) has frequencies -s..s and P is bilinear in the two
@@ -714,7 +689,7 @@ def _descent_objective(
     """
     s_star, conditioned = _sector_and_convention(s_star, convention)
     ts = s_star.twice
-    t, prob, parts, _, _ = eng._sector(s_star, policy)
+    t, prob, parts, _, _ = eng._sector(s_star)
     scale = prob if conditioned else 1.0
     n = 2 * ts + 1
     grid = 2.0 * math.pi * np.arange(n) / n
@@ -742,14 +717,12 @@ def _descent_objective(
     return objective
 
 
-def _coordinate_descent(
-    eng: LossyEngine, s_star: HalfInt, policy: TruncationPolicy | None, convention: str
-) -> tuple[AngleTriple, ViolationRecord]:
+def _coordinate_descent(eng: LossyEngine, s_star: HalfInt, convention: str) -> tuple[AngleTriple, ViolationRecord]:
     """Multi-start coordinate descent over (alpha, beta, gamma) with golden-section line searches.
 
     The objective is ``_descent_objective``; ``_checked_optimum`` holds it to the returned record.
     """
-    objective = _descent_objective(eng, s_star, policy, convention)
+    objective = _descent_objective(eng, s_star, convention)
     sv = max(s_star.value, 0.5)
     starts = [theta_triple(t) for t in (0.15 / sv, 0.35 / sv, 0.7 / sv, 1.2 / sv)]
     starts.append(AngleTriple(2.0, -1.2, 0.3))
@@ -774,7 +747,7 @@ def _coordinate_descent(
         if fx < best[0]:
             best = (fx, tuple(x))
     defect = f"lhs is not a trigonometric polynomial of degree {s_star.twice}"
-    return _checked_optimum(eng, s_star, policy, convention, AngleTriple(*best[1]), -best[0], defect)
+    return _checked_optimum(eng, s_star, convention, AngleTriple(*best[1]), -best[0], defect)
 
 
 # ----------------------------------------------- alternative exponent variant

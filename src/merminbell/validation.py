@@ -6,7 +6,10 @@ source truncations, verify that perfect detection reproduces the lossless
 closed forms, and adjudicate the two candidate loss-exponent bookkeepings
 for the correlation sums.  A ``sector_max`` is a ``HalfInt``, which takes
 twice the spin: the oracle suites cap the source at s <= 2 (``HalfInt(4)``,
-``validate --fast``: s <= 3/2) and s <= 1 (``HalfInt(2)``).
+``validate --fast``: s <= 3/2) and s <= 1 (``HalfInt(2)``).  Both routes
+sum exactly the source sectors up to that cap: the engine in one pass
+(``TruncationPolicy(sector_max, 0.0)``), the oracle in a Fock window of
+2 ``sector_max`` photons per mode, which holds every such sector.
 """
 
 from __future__ import annotations
@@ -67,15 +70,18 @@ def eta1_reduction_report(
     r_values: Iterable[float] = (0.2, 0.5),
     triples: Iterable[AngleTriple] = REDUCTION_TRIPLES,
 ) -> dict:
-    """Perfect-detection reduction: lossy sides must equal the ideal forms."""
+    """Perfect-detection reduction: lossy sides must equal the ideal forms.
+
+    At eta=1 only source sector s feeds outcome sector s, so the default
+    policy's kernels hold that one sector.
+    """
     lhs_errors, rhs_errors = [], []
     for r in r_values:
         eng = LossyEngine(r, LossConfig.equal_eta(1.0))
         for s in s_values:
             s = HalfInt.of(s)
-            policy = TruncationPolicy(s_start=s, max_s=s + HalfInt(4))
             for ang in triples:
-                got = eng.mermin_sides(s, ang, policy)
+                got = eng.mermin_sides(s, ang)
                 want = ideal_mermin_sides(s, ang)
                 where = {
                     "r": r, "s": s.value, "alpha": ang.alpha, "beta": ang.beta, "gamma": ang.gamma
@@ -100,27 +106,26 @@ def oracle_equivalence_report(
     r_values: Iterable[float] = (0.2, 0.5),
     eta_values: Iterable[float] = (0.5, 0.8, 1.0),
     triples: Iterable[AngleTriple] = ORACLE_TRIPLES,
-    cutoff: int = 4,
     sector_max=HalfInt(4),
 ) -> dict:
     """Closed-form sums vs the Fock oracle on a matched source truncation.
 
     The source sum of both routes is capped at ``sector_max`` so they
     evaluate the same truncated state; agreement is then limited only by
-    floating-point roundoff.  The default ``HalfInt(4)`` is s <= 2, with at
-    most ``cutoff`` = 4 photons per mode.  Each efficiency in ``eta_values``
-    is checked at equal loss, plus one unequal-loss configuration.
+    floating-point roundoff.  The default ``HalfInt(4)`` is s <= 2, at most
+    4 photons per mode.  Each efficiency in ``eta_values`` is checked at
+    equal loss, plus one unequal-loss configuration.
     """
     s_cap = HalfInt.of(sector_max)
-    policy = TruncationPolicy(s_start=s_cap, max_s=s_cap)
+    policy = TruncationPolicy(s_cap, 0.0)
     joint_errors, corr_errors = [], []
     configs = [LossConfig.equal_eta(eta) for eta in eta_values] + [LossConfig(0.9, 0.7, 0.8, 0.6)]
     for r in r_values:
         for loss in configs:
-            eng = LossyEngine(r, loss)
+            eng = LossyEngine(r, loss, policy)
             for ang in triples:
-                want = simulate_joint(r, loss, ang.alpha, ang.beta, cutoff, sector_max=s_cap)
-                got = eng.joint(ang.alpha, ang.beta, policy)
+                want = simulate_joint(r, loss, ang.alpha, ang.beta, s_cap.twice, sector_max=s_cap)
+                got = eng.joint(ang.alpha, ang.beta)
                 where = {"r": r, "etas": list(loss.etas()), "alpha": ang.alpha, "beta": ang.beta}
                 diff, key = want.largest_difference(got)
                 joint_errors.append((diff, {**where, "key": list(key)}))
@@ -128,7 +133,7 @@ def oracle_equivalence_report(
                     if want.sector_probability(s_star, s_star) < 1e-12:
                         continue
                     c_oracle = want.correlation(sector=(s_star, s_star), conditioned=True)
-                    c_closed, _, _, _ = eng.correlation(ang.alpha, ang.beta, s_star, policy)
+                    c_closed, _, _, _ = eng.correlation(ang.alpha, ang.beta, s_star)
                     corr_errors.append((abs(c_oracle - c_closed), {**where, "s": s_star.value}))
     max_joint, worst_joint = _worst(joint_errors)
     max_corr, worst_corr = _worst(corr_errors)
@@ -148,7 +153,6 @@ def exponent_adjudication_report(
     r: float = 0.4,
     eta_values: Iterable[float] = (0.5, 0.8),
     angles: tuple[float, float] = (0.7, -0.4),
-    cutoff: int = 4,
     sector_max=HalfInt(2),
 ) -> dict:
     """Adjudicate the two loss-exponent bookkeepings for the correlations.
@@ -160,16 +164,16 @@ def exponent_adjudication_report(
     independent of the projection quantum number.
     """
     s_cap = HalfInt.of(sector_max)
-    policy = TruncationPolicy(s_start=s_cap, max_s=s_cap)
+    policy = TruncationPolicy(s_cap, 0.0)
     alpha, beta = angles
     derived_err = 0.0
     alt_err = 0.0
     rows = []
     for eta in eta_values:
         loss = LossConfig.equal_eta(eta)
-        dist = simulate_joint(r, loss, alpha, beta, cutoff, sector_max=s_cap)
+        dist = simulate_joint(r, loss, alpha, beta, s_cap.twice, sector_max=s_cap)
         reference = dist.correlation()
-        derived = LossyEngine(r, loss).joint(alpha, beta, policy).correlation()
+        derived = LossyEngine(r, loss, policy).joint(alpha, beta).correlation()
         alt = correlation_alt_bookkeeping(r, eta, alpha, beta, s_cap)
         derived_err = max(derived_err, abs(derived - reference))
         alt_err = max(alt_err, abs(alt - reference))
@@ -229,8 +233,7 @@ def run_all(fast: bool = False) -> tuple[bool, dict]:
     if fast:
         reduction = eta1_reduction_report(s_values=(HalfInt(1), HalfInt(2)), r_values=(0.3,))
         oracle = oracle_equivalence_report(
-            r_values=(0.4,), eta_values=(0.8, 1.0), triples=ORACLE_TRIPLES[:2],
-            cutoff=3, sector_max=HalfInt(3),
+            r_values=(0.4,), eta_values=(0.8, 1.0), triples=ORACLE_TRIPLES[:2], sector_max=HalfInt(3)
         )
     else:
         reduction = eta1_reduction_report()

@@ -41,9 +41,8 @@ def test_criterion_1_eta1_reduction():
         eng = LossyEngine(r, LossConfig.equal_eta(1.0))
         for ts in (1, 2, 3, 4, 5):
             s = HalfInt(ts)
-            policy = TruncationPolicy(s_start=s, max_s=s + HalfInt(4))
             for ang in REDUCTION_TRIPLES:
-                got = eng.mermin_sides(s, ang, policy)
+                got = eng.mermin_sides(s, ang)
                 want = ideal_mermin_sides(s, ang)
                 worst = max(worst, abs(got.lhs - want.lhs), abs(got.rhs - want.rhs))
     elapsed = time.time() - t0
@@ -60,16 +59,16 @@ def test_criterion_1_eta1_reduction():
 def test_criterion_2_oracle_equivalence():
     t0 = time.time()
     s_cap = HalfInt(4)
-    policy = TruncationPolicy(s_start=s_cap, max_s=s_cap)
+    policy = TruncationPolicy(s_cap, 0.0)
     max_joint = 0.0
     max_corr = 0.0
     for r in (0.2, 0.5):
         for eta in (0.5, 0.8, 1.0):
             loss = LossConfig.equal_eta(eta)
-            eng = LossyEngine(r, loss)
+            eng = LossyEngine(r, loss, policy)
             for ang in ORACLE_TRIPLES:
                 want = simulate_joint(r, loss, ang.alpha, ang.beta, cutoff=4, sector_max=s_cap)
-                got = eng.joint(ang.alpha, ang.beta, policy)
+                got = eng.joint(ang.alpha, ang.beta)
                 max_joint = max(max_joint, want.largest_difference(got)[0])
                 for ts in (1, 2, 3, 4):
                     s_star = HalfInt(ts)
@@ -77,7 +76,7 @@ def test_criterion_2_oracle_equivalence():
                     if p < 1e-12:
                         continue
                     c_or = want.correlation(sector=(s_star, s_star), conditioned=True)
-                    c_cl, _, _, _ = eng.correlation(ang.alpha, ang.beta, s_star, policy)
+                    c_cl, _, _, _ = eng.correlation(ang.alpha, ang.beta, s_star)
                     max_corr = max(max_corr, abs(c_or - c_cl))
     adjud = exponent_adjudication_report()
     elapsed = time.time() - t0
@@ -94,19 +93,17 @@ def test_criterion_2_oracle_equivalence():
 # ---------------------------------------------------------------- criterion 3
 
 
-def _positive_window(eng, s_star, policy, thetas):
-    vals = np.array(
-        [eng.mermin_sides(s_star, theta_triple(float(t)), policy).violation for t in thetas]
-    )
+def _positive_window(eng, s_star, thetas):
+    vals = np.array([eng.mermin_sides(s_star, theta_triple(float(t))).violation for t in thetas])
     pos = vals > 0
     runs = int(np.sum(pos[1:] & ~pos[:-1])) + int(pos[0])
     return vals, int(pos.sum()), runs
 
 
-def _window_upper_edge(eng, s_star, policy, lo, hi):
+def _window_upper_edge(eng, s_star, lo, hi):
     # bisection for the outer zero crossing of the violation curve
     def f(t):
-        return eng.mermin_sides(s_star, theta_triple(t), policy).violation
+        return eng.mermin_sides(s_star, theta_triple(t)).violation
 
     assert f(lo) > 0 > f(hi)
     for _ in range(48):
@@ -121,7 +118,6 @@ def _window_upper_edge(eng, s_star, policy, lo, hi):
 def test_criterion_3_trend_reproduction():
     t0 = time.time()
     s_one = HalfInt(2)
-    policy_one = TruncationPolicy.for_sector(s_one)
 
     # (a) single positive window at s=1, r=0.5, shrinking from eta=1.0 to 0.7
     thetas = np.linspace(0.02, 1.2, 32)
@@ -129,10 +125,10 @@ def test_criterion_3_trend_reproduction():
     counts = []
     for eta in (1.0, 0.9, 0.8, 0.7):
         eng = LossyEngine(0.5, LossConfig.equal_eta(eta))
-        vals, n_pos, runs = _positive_window(eng, s_one, policy_one, thetas)
+        vals, n_pos, runs = _positive_window(eng, s_one, thetas)
         assert runs == 1, f"eta={eta}: expected one positive window, got {runs}"
         counts.append(n_pos)
-        edges.append(_window_upper_edge(eng, s_one, policy_one, 0.3, 1.2))
+        edges.append(_window_upper_edge(eng, s_one, 0.3, 1.2))
     ok_a = all(b <= a for a, b in zip(counts, counts[1:])) and all(
         b < a - MARGIN for a, b in zip(edges, edges[1:])
     )
@@ -147,15 +143,13 @@ def test_criterion_3_trend_reproduction():
     spins = [HalfInt(t) for t in range(1, 10)]
     angles = {}
     for s in spins:
-        pol = TruncationPolicy(s_start=s, max_s=s + HalfInt(30), rel_tol=1e-6)
-        angles[s.twice], _ = optimize_angles(s, 0.3, LossConfig.equal_eta(1.0), pol)
+        angles[s.twice], _ = optimize_angles(s, 0.3, LossConfig.equal_eta(1.0))
     table = {}
     for r in (0.2, 0.4):
         for eta in etas:
             eng = LossyEngine(r, LossConfig.equal_eta(eta))
             for s in spins:
-                pol = TruncationPolicy(s_start=s + HalfInt(4), max_s=s + HalfInt(30), rel_tol=1e-6)
-                rec = eng.mermin_sides(s, angles[s.twice], pol)
+                rec = eng.mermin_sides(s, angles[s.twice])
                 assert rec.converged, (r, eta, s)
                 table[(r, eta, s.twice)] = rec.violation
 

@@ -273,9 +273,7 @@ def test_mutated_bob_sign_fails_reduction(monkeypatch):
     from merminbell.validation import oracle_equivalence_report
     from merminbell.numerics import HalfInt
 
-    rep = oracle_equivalence_report(
-        r_values=(0.4,), eta_values=(1.0,), cutoff=3, sector_max=HalfInt(3)
-    )
+    rep = oracle_equivalence_report(r_values=(0.4,), eta_values=(1.0,), sector_max=HalfInt(3))
     assert not rep["passed"]
 
 
@@ -297,12 +295,19 @@ def test_mutated_bob_sign_fails_reduction(monkeypatch):
         (["optimize", "--s", "1000", "--r", "0.3"], "is not"),
         (["sweep-theta", "--s", "1000", "--r", "0.3", "--eta", "0.9"], "is not"),
         (["optimize", "--s", "1", "--r", "0.3", "--policy-max-s", "300"], "is not"),
+        # a small --policy-max-s does not lift the cap; at r = 0 the sector is empty, so a regression stays fast
+        (["surface", "--s", "201", "--r", "0", "--eta", "1", "--policy-max-s", "1"], "capped at s = 200"),
+        (["sweep-theta", "--s", "1", "--r", "0.3", "--eta", "0.9", "--theta-min", "1e308",
+          "--theta-max=-1e308", "--theta-steps", "3"], "not finite"),
+        (["sweep-theta", "--s", "1", "--r", "0.3", "--eta", "0.9", "--base-angle", "1e308",
+          "--theta-min", "1e308", "--theta-max", "1e308", "--theta-steps", "1"], "not finite"),
     ],
     ids=[
         "s-zero", "s-not-half-integer", "eta-above-one", "r-negative", "base-angle-nan",
         "policy-tol-nan", "policy-max-s-not-half-integer", "n-max-negative", "n-max-above-cap",
         "workers-negative", "theta-steps-zero", "optimize-both-conventions", "optimize-s-above-cap",
-        "sweep-theta-s-above-cap", "policy-max-s-above-cap",
+        "sweep-theta-s-above-cap", "policy-max-s-above-cap", "policy-max-s-below-s-above-cap",
+        "theta-grid-overflows", "angle-triple-overflows",
     ],
 )
 def test_bad_input_exits_2_with_usage(argv, message, capsys):
@@ -368,17 +373,14 @@ def test_worst_error_locations_name_evaluated_settings():
         angles = next(a for a in triples if (a.alpha, a.beta, a.gamma)
                       == (where["alpha"], where["beta"], where["gamma"]))
         assert where["r"] == 0.3 and s in (HalfInt(1), HalfInt(2))
-        policy = TruncationPolicy(s_start=s, max_s=s + HalfInt(4))
-        got = LossyEngine(0.3, LossConfig.equal_eta(1.0)).mermin_sides(s, angles, policy)
+        got = LossyEngine(0.3, LossConfig.equal_eta(1.0)).mermin_sides(s, angles)
         err = abs(getattr(got, side) - getattr(ideal_mermin_sides(s, angles), side))
         assert err == rep[f"max_{side}_error"]
 
     cap = HalfInt(3)
-    policy = TruncationPolicy(s_start=cap, max_s=cap)
+    policy = TruncationPolicy(cap, 0.0)
     triples = ORACLE_TRIPLES[:2]
-    rep = oracle_equivalence_report(
-        r_values=(0.4,), eta_values=(0.8,), triples=triples, cutoff=3, sector_max=cap
-    )
+    rep = oracle_equivalence_report(r_values=(0.4,), eta_values=(0.8,), triples=triples, sector_max=cap)
     configs = {(0.8,) * 4, (0.9, 0.7, 0.8, 0.6)}
     for name in ("worst_joint", "worst_correlation"):
         where = rep[name]
@@ -387,12 +389,12 @@ def test_worst_error_locations_name_evaluated_settings():
     where = rep["worst_joint"]
     loss = LossConfig(*where["etas"])
     want = simulate_joint(0.4, loss, where["alpha"], where["beta"], 3, sector_max=cap)
-    got = LossyEngine(0.4, loss).joint(where["alpha"], where["beta"], policy)
+    got = LossyEngine(0.4, loss, policy).joint(where["alpha"], where["beta"])
     assert want.largest_difference(got) == (rep["max_joint_error"], tuple(where["key"]))
     where = rep["worst_correlation"]
     loss = LossConfig(*where["etas"])
     s = HalfInt.of(where["s"])
     want = simulate_joint(0.4, loss, where["alpha"], where["beta"], 3, sector_max=cap)
-    got, _, _, _ = LossyEngine(0.4, loss).correlation(where["alpha"], where["beta"], s, policy)
+    got, _, _, _ = LossyEngine(0.4, loss, policy).correlation(where["alpha"], where["beta"], s)
     err = abs(want.correlation(sector=(s, s), conditioned=True) - got)
     assert err == rep["max_correlation_error"]

@@ -24,19 +24,18 @@ from merminbell.oracle import simulate_joint
 from merminbell.source import sector_weight_tail
 
 S_CAP = HalfInt(4)  # matched-truncation cap (s <= 2) for oracle comparisons
-CAP_POLICY = TruncationPolicy(s_start=S_CAP, max_s=S_CAP)
+CAP_POLICY = TruncationPolicy(S_CAP, 0.0)  # one pass through every source sector up to the cap
 
 
 # -------------------------------------------------------------- basic limits
 
 
 def test_vacuum_source():
-    policy = TruncationPolicy(s_start=HalfInt(2), max_s=HalfInt(4))
-    dist = LossyEngine(0.0, LossConfig.equal_eta(0.7)).joint(0.4, -0.2, policy)
+    dist = LossyEngine(0.0, LossConfig.equal_eta(0.7), TruncationPolicy(HalfInt(4))).joint(0.4, -0.2)
     assert dist.blocks[(0, 0)][0, 0] == pytest.approx(1.0, abs=1e-14)
     assert dist.total_mass() == pytest.approx(1.0, abs=1e-14)
     assert dist.converged
-    assert LossyEngine(0.0, LossConfig.equal_eta(0.7)).joint(0.3, 0.9, CAP_POLICY).correlation() == 0.0
+    assert LossyEngine(0.0, LossConfig.equal_eta(0.7), CAP_POLICY).joint(0.3, 0.9).correlation() == 0.0
     assert LossyEngine(0.0, LossConfig.equal_eta(0.7)).correlation(0.3, 0.9, None)[0] == 0.0
 
 
@@ -58,9 +57,9 @@ def test_degenerate_sector_raises(evaluate, loss):
 
 
 def test_full_distribution_mass_plus_tail():
-    policy = TruncationPolicy(s_start=HalfInt(8), max_s=HalfInt(24), rel_tol=1e-9)
+    policy = TruncationPolicy(HalfInt(24), rel_tol=1e-9)
     for eta in (1.0, 0.8, 0.5):
-        dist = LossyEngine(0.3, LossConfig.equal_eta(eta)).joint(0.5, -0.8, policy)
+        dist = LossyEngine(0.3, LossConfig.equal_eta(eta), policy).joint(0.5, -0.8)
         assert dist.converged
         assert dist.total_mass() + dist.tail_bound == pytest.approx(1.0, abs=1e-6)
         assert all(p.min() >= 0.0 for p in dist.blocks.values())
@@ -70,16 +69,15 @@ def test_full_distribution_mass_plus_tail():
 def test_unrestricted_cutoff_converges_on_mass():
     # the full distribution stops on the probability it holds, so a converged
     # run has lost no more than rel_tol to the sectors beyond its cutoff
-    policy = TruncationPolicy(s_start=HalfInt(2), max_s=HalfInt(20), rel_tol=1e-6)
-    dist = LossyEngine(0.5, LossConfig.equal_eta(0.8)).joint(0.3, -0.4, policy)
+    policy = TruncationPolicy(HalfInt(20), rel_tol=1e-6)
+    dist = LossyEngine(0.5, LossConfig.equal_eta(0.8), policy).joint(0.3, -0.4)
     assert dist.converged
     assert dist.tail_bound <= policy.rel_tol
     assert dist.total_mass() + dist.tail_bound == pytest.approx(1.0, abs=1e-12)
 
 
 def test_perfect_detection_supports_equal_sectors():
-    policy = TruncationPolicy(s_start=HalfInt(6), max_s=HalfInt(8))
-    dist = LossyEngine(0.4, LossConfig.equal_eta(1.0)).joint(0.9, 0.1, policy)
+    dist = LossyEngine(0.4, LossConfig.equal_eta(1.0), TruncationPolicy(HalfInt(8))).joint(0.9, 0.1)
     for (tsa, tsb), p in dist.blocks.items():
         if p.max() > 1e-14:
             assert tsa == tsb
@@ -112,7 +110,8 @@ def _reference_kernels(r, loss, pairs, policy):
         return np.array([-b if dl % 2 else b for dl, b in zip(range(-dmax, dmax + 1), blocks)])
 
     t_floor = max(max(p) for p in pairs) if pairs else 0
-    t_max, tcut = max(policy.max_s.twice, t_floor), max(policy.s_start.twice, t_floor)
+    t_max = t_floor + 30 if policy.max_s is None else max(policy.max_s.twice, t_floor)
+    tcut = min(t_floor + 4, t_max) if policy.rel_tol else t_max
     ok = tcut >= t_max and sector_weight_tail(HalfInt(tcut), r) == 0.0
     kernels, applied, prev = {}, -1, None
     while True:
@@ -143,15 +142,22 @@ KERNEL_LOSSES = {
 @pytest.mark.parametrize(
     "pairs, policy",
     [
-        (((4, 4),), TruncationPolicy.for_sector(HalfInt(4))),
-        (((2, 5),), TruncationPolicy(s_start=HalfInt(3), max_s=HalfInt(9), rel_tol=1e-9)),
-        (((3, 1),), TruncationPolicy(s_start=HalfInt(2), max_s=HalfInt(2))),
-        (None, TruncationPolicy(s_start=HalfInt(1), max_s=HalfInt(6), rel_tol=1e-6)),
+        (((4, 4),), TruncationPolicy()),
+        (((2, 5),), TruncationPolicy(HalfInt(9), rel_tol=1e-9)),
+        (((3, 1),), TruncationPolicy(HalfInt(2), 0.0)),
+        (None, TruncationPolicy(HalfInt(6), rel_tol=1e-6)),
+        (None, TruncationPolicy(HalfInt(5), 0.0)),
+        (((2, 5),), TruncationPolicy(HalfInt(9), 0.0)),
+        (((2, 5),), TruncationPolicy(HalfInt(13), 0.0)),
     ],
-    ids=["post-selected", "tsa<tsb", "tsa>tsb-capped", "unrestricted"],
+    ids=[
+        "post-selected", "tsa<tsb", "tsa>tsb-capped", "unrestricted", "unrestricted-one-pass",
+        "tsa<tsb-one-pass", "tsa<tsb-one-pass-deep",
+    ],
 )
 def test_kernels_equal_offset_by_offset_reference(r, loss, pairs, policy):
-    kernels, tcut, ok = LossyEngine(r, loss)._kernels(pairs, policy)
+    eng = LossyEngine(r, loss, policy)
+    kernels, tcut, ok = eng._kernels(pairs)
     want, want_cut, want_ok = _reference_kernels(r, loss, pairs, policy)
     assert (tcut, ok) == (want_cut, want_ok)
     assert list(kernels) == list(want)
@@ -159,6 +165,13 @@ def test_kernels_equal_offset_by_offset_reference(r, loss, pairs, policy):
         assert t.shape == want[key].shape
         assert np.abs(t - want[key]).max() <= 1e-13 * np.abs(want[key]).max()
         assert not t.flags.writeable
+    if not policy.rel_tol:
+        # one pass: the cap's every source sector in order, also where the cap lies above 2s + 4
+        assert tcut == policy.cap(max(max(p) for p in pairs) if pairs else 0)
+        for (tsa, tsb), t in kernels.items():
+            blocks = [eng._t_sector(tsa, tsb, ts) for ts in range(max(tsa, tsb), tcut + 1)]
+            blocks = [b for b in blocks if b is not None] or [np.zeros_like(t)]
+            assert np.array_equal(t, sum(blocks[1:], blocks[0])), (tsa, tsb)
 
 
 def test_perfect_detection_builds_one_source_sector(monkeypatch):
@@ -304,7 +317,7 @@ def test_large_spin_evaluation_holds_no_full_depth_pair_stack():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kernel = eng._sector(HalfInt(60), None)[0]
+    kernel = eng._sector(HalfInt(60))[0]
     assert peak <= 2 * kernel.nbytes, peak / kernel.nbytes
 
 
@@ -317,11 +330,11 @@ def test_large_spin_evaluation_holds_no_full_depth_pair_stack():
     [AngleTriple(0.3, -0.7, 0.1), AngleTriple(1.0, 2.0, 3.0), AngleTriple(0.8, 0.8, -0.8)],
 )
 def test_eta1_reduction_small(r, angles):
+    # at eta=1 only source sector s feeds outcome sector s, so the default policy converges on it
     eng = LossyEngine(r, LossConfig.equal_eta(1.0))
     for ts in (1, 2, 3):
         s = HalfInt(ts)
-        policy = TruncationPolicy(s_start=s, max_s=s + HalfInt(4))
-        got = eng.mermin_sides(s, angles, policy)
+        got = eng.mermin_sides(s, angles)
         want = ideal_mermin_sides(s, angles)
         assert got.lhs == pytest.approx(want.lhs, abs=1e-10)
         assert got.rhs == pytest.approx(want.rhs, abs=1e-10)
@@ -356,8 +369,8 @@ def test_conditioned_pair_probability_matches_ideal_at_eta1():
 
     r, alpha, beta = 0.5, 0.9, 0.25
     s = HalfInt(3)
-    policy = TruncationPolicy(s_start=s, max_s=s + HalfInt(2))
-    dist = LossyEngine(r, LossConfig.equal_eta(1.0)).joint(alpha, beta, policy, sectors=(s, s))
+    eng = LossyEngine(r, LossConfig.equal_eta(1.0), TruncationPolicy(s + HalfInt(2)))
+    dist = eng.joint(alpha, beta, sectors=(s, s))
     mass = dist.total_mass()
     for m in projections(s):
         for mp in projections(s):
@@ -373,33 +386,33 @@ def test_conditioned_pair_probability_matches_ideal_at_eta1():
 @pytest.mark.parametrize("eta", [0.5, 0.8, 1.0])
 def test_joint_matches_oracle_equal_eta(r, eta):
     loss = LossConfig.equal_eta(eta)
-    eng = LossyEngine(r, loss)
+    eng = LossyEngine(r, loss, CAP_POLICY)
     for alpha, beta in ((0.35, -0.9), (1.1, 0.4)):
         want = simulate_joint(r, loss, alpha, beta, cutoff=4, sector_max=S_CAP)
-        got = eng.joint(alpha, beta, CAP_POLICY)
+        got = eng.joint(alpha, beta)
         assert got.largest_difference(want)[0] <= 1e-12
 
 
 def test_joint_matches_oracle_unequal_eta():
     loss = LossConfig(0.9, 0.7, 0.8, 0.6)
     r = 0.5
-    eng = LossyEngine(r, loss)
+    eng = LossyEngine(r, loss, CAP_POLICY)
     want = simulate_joint(r, loss, 0.7, -0.4, cutoff=4, sector_max=S_CAP)
-    got = eng.joint(0.7, -0.4, CAP_POLICY)
+    got = eng.joint(0.7, -0.4)
     assert got.largest_difference(want)[0] <= 1e-12
 
 
 def test_sector_correlations_match_oracle():
     r = 0.5
     for loss in (LossConfig.equal_eta(0.8), LossConfig(0.9, 0.7, 0.8, 0.6)):
-        eng = LossyEngine(r, loss)
+        eng = LossyEngine(r, loss, CAP_POLICY)
         for alpha, beta in ((0.6, -0.9), (0.0, 1.2)):
             want = simulate_joint(r, loss, alpha, beta, cutoff=4, sector_max=S_CAP)
             for s_star in half_range(HalfInt(1), S_CAP):
                 if want.sector_probability(s_star, s_star) < 1e-12:
                     continue
                 c_or = want.correlation(sector=(s_star, s_star), conditioned=True)
-                c_cl, p_cl, _, _ = eng.correlation(alpha, beta, s_star, CAP_POLICY)
+                c_cl, p_cl, _, _ = eng.correlation(alpha, beta, s_star)
                 assert c_cl == pytest.approx(c_or, abs=1e-10)
                 assert p_cl == pytest.approx(
                     want.sector_probability(s_star, s_star), abs=1e-12
@@ -410,31 +423,29 @@ def test_joint_and_correlations_match_oracle_deeper_cap():
     # one deeper matched truncation (sectors through s = 5/2) to cover the
     # higher half-integer sectors as well
     cap = HalfInt(5)
-    policy = TruncationPolicy(s_start=cap, max_s=cap)
     r = 0.45
     loss = LossConfig(0.85, 0.75, 0.95, 0.65)
-    eng = LossyEngine(r, loss)
+    eng = LossyEngine(r, loss, TruncationPolicy(cap, 0.0))
     want = simulate_joint(r, loss, 0.55, -1.1, cutoff=5, sector_max=cap)
-    got = eng.joint(0.55, -1.1, policy)
+    got = eng.joint(0.55, -1.1)
     assert got.largest_difference(want)[0] <= 1e-12
     for s_star in half_range(HalfInt(1), cap):
         if want.sector_probability(s_star, s_star) < 1e-12:
             continue
         c_or = want.correlation(sector=(s_star, s_star), conditioned=True)
-        c_cl, _, _, _ = eng.correlation(0.55, -1.1, s_star, policy)
+        c_cl, _, _, _ = eng.correlation(0.55, -1.1, s_star)
         assert c_cl == pytest.approx(c_or, abs=1e-10)
 
 
 def test_moment_route_equals_operator_route():
     # sum of m_a*m_b over the joint distribution at the same angles
     r, eta = 0.4, 0.75
-    eng = LossyEngine(r, LossConfig.equal_eta(eta))
-    policy = TruncationPolicy(s_start=HalfInt(8), max_s=HalfInt(20), rel_tol=1e-10)
+    eng = LossyEngine(r, LossConfig.equal_eta(eta), TruncationPolicy(HalfInt(20), rel_tol=1e-10))
     for alpha, beta in ((0.0, 0.0), (0.8, -0.3)):
         s_star = HalfInt(2)
-        dist = eng.joint(alpha, beta, policy, sectors=(s_star, s_star))
+        dist = eng.joint(alpha, beta, sectors=(s_star, s_star))
         want = dist.correlation(sector=(s_star, s_star), conditioned=True)
-        got, _, _, _ = eng.correlation(alpha, beta, s_star, policy)
+        got, _, _, _ = eng.correlation(alpha, beta, s_star)
         assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -462,13 +473,12 @@ FULL_TRACE_ANGLES = [(0.0, math.pi / 2), (0.7, -0.4), (1.3, 2.1), (-2.5, 0.9)]
 @pytest.mark.parametrize("loss", FULL_TRACE_LOSSES.values(), ids=FULL_TRACE_LOSSES.keys())
 def test_full_trace_closed_form_matches_converged_joint(r, loss):
     # the value vanishes at alpha = 0, beta = pi/2, so the bound is absolute, on the scale sinh(2r)^2/8
-    deep = LossyEngine(r, loss)
-    policy = TruncationPolicy(s_start=HalfInt(2), max_s=HalfInt(40), rel_tol=1e-14)
+    deep = LossyEngine(r, loss, TruncationPolicy(HalfInt(40), rel_tol=1e-14))
     eng = LossyEngine(r, loss)
     for alpha, beta in FULL_TRACE_ANGLES:
         value, probability, cutoff, converged = eng.correlation(alpha, beta, None)
         assert (probability, cutoff, converged) == (1.0, None, True)
-        dist = deep.joint(alpha, beta, policy)
+        dist = deep.joint(alpha, beta)
         assert dist.converged
         assert abs(value - dist.correlation()) <= 1e-12 * math.sinh(2 * r) ** 2 / 8
     assert eng._kernel_cache == {}
@@ -492,12 +502,24 @@ def test_full_trace_closed_form_at_equal_loss(r, eta):
         assert abs(eng.correlation(alpha, beta, None)[0] - want) <= 1e-15 * scale
 
 
-def test_full_trace_takes_no_policy():
-    # a capped full-trace moment is the joint distribution's, never a silently exact value
-    eng = LossyEngine(0.4, LossConfig.equal_eta(0.8))
-    with pytest.raises(ValueError, match="joint"):
-        eng.correlation(0.3, 0.9, None, CAP_POLICY)
-    assert eng._kernel_cache == {}
+def test_full_trace_ignores_the_policy():
+    # the closed form is exact under any policy; a capped full-trace moment is the joint distribution's
+    capped = LossyEngine(0.4, LossConfig.equal_eta(0.8), CAP_POLICY)
+    want = LossyEngine(0.4, LossConfig.equal_eta(0.8)).correlation(0.3, 0.9, None)
+    assert capped.correlation(0.3, 0.9, None) == want
+    assert capped._kernel_cache == {}
+    assert capped.joint(0.3, 0.9).correlation() != want[0]
+
+
+@pytest.mark.parametrize("loss", FULL_TRACE_LOSSES.values(), ids=FULL_TRACE_LOSSES.keys())
+def test_full_trace_overflow_is_a_value_error(loss):
+    # its terms grow as exp(4r)/4 and pass the largest float from r = 177.79 or so; below, values are unchanged
+    at_170 = {(0.8,) * 4: -1.8964745641521677e293, (0.6, 0.95, 0.7, 0.8): -1.8698578115035202e293}
+    if loss.etas() in at_170:
+        assert LossyEngine(170.0, loss).correlation(0.7, -0.4, None)[0] == at_170[loss.etas()]
+    for r in (177.8, 300.0, 711.0):
+        with pytest.raises(ValueError, match=f"overflows at r = {r}"):
+            LossyEngine(r, loss).correlation(0.7, -0.4, None)
 
 
 def test_largest_difference_visits_readouts_in_label_order():
@@ -529,11 +551,10 @@ def test_sector_probability_is_one_number_per_sector():
 
 def test_sector_probability_routes_agree():
     r, eta = 0.45, 0.7
-    eng = LossyEngine(r, LossConfig.equal_eta(eta))
-    policy = TruncationPolicy(s_start=HalfInt(10), max_s=HalfInt(20), rel_tol=1e-9)
+    eng = LossyEngine(r, LossConfig.equal_eta(eta), TruncationPolicy(HalfInt(20), rel_tol=1e-9))
     s_star = HalfInt(2)
-    dist = eng.joint(0.4, -0.9, policy, sectors=(s_star, s_star))
-    _, p_corr, _, _ = eng.correlation(0.4, -0.9, s_star, policy)
+    dist = eng.joint(0.4, -0.9, sectors=(s_star, s_star))
+    _, p_corr, _, _ = eng.correlation(0.4, -0.9, s_star)
     assert dist.total_mass() == pytest.approx(p_corr, rel=1e-9)
 
 
@@ -543,17 +564,13 @@ def test_sector_probability_routes_agree():
 def test_monotone_truncation():
     r, eta = 0.6, 0.7
     s_star = HalfInt(2)
-    eng = LossyEngine(r, LossConfig.equal_eta(eta))
     rel_tol = 1e-6
-    policy = TruncationPolicy(s_start=HalfInt(6), max_s=HalfInt(40), rel_tol=rel_tol)
-    dist = eng.joint(0.5, -0.5, policy, sectors=(s_star, s_star))
+    eng = LossyEngine(r, LossConfig.equal_eta(eta), TruncationPolicy(HalfInt(40), rel_tol=rel_tol))
+    dist = eng.joint(0.5, -0.5, sectors=(s_star, s_star))
     assert dist.converged
     # extending the cutoff must not move converged entries beyond tolerance
-    wider = TruncationPolicy(
-        s_start=dist.s_cutoff_used + HalfInt(8),
-        max_s=dist.s_cutoff_used + HalfInt(8),
-    )
-    dist2 = eng.joint(0.5, -0.5, wider, sectors=(s_star, s_star))
+    wider = LossyEngine(r, LossConfig.equal_eta(eta), TruncationPolicy(dist.s_cutoff_used + HalfInt(8), 0.0))
+    dist2 = wider.joint(0.5, -0.5, sectors=(s_star, s_star))
     for key, p in dist.blocks.items():
         p2 = dist2.blocks[key]
         assert np.all(np.abs(p2 - p) <= rel_tol * np.maximum(np.abs(p2), 1e-300) * 4)
@@ -570,13 +587,13 @@ def test_one_kernel_serves_every_angle():
 
 
 def test_one_unrestricted_kernel_set_serves_every_angle():
-    policy = TruncationPolicy(s_start=HalfInt(2), max_s=HalfInt(20), rel_tol=1e-6)
+    policy = TruncationPolicy(HalfInt(20), rel_tol=1e-6)
     for loss in (LossConfig.equal_eta(0.8), LossConfig(0.9, 0.7, 0.8, 0.6)):
-        eng = LossyEngine(0.5, loss)
-        dists = [eng.joint(alpha, beta, policy) for alpha, beta in ((0.3, -0.4), (0.0, 0.0))]
+        eng = LossyEngine(0.5, loss, policy)
+        dists = [eng.joint(alpha, beta) for alpha, beta in ((0.3, -0.4), (0.0, 0.0))]
         assert dists[0].s_cutoff_used == dists[1].s_cutoff_used
         for (alpha, beta), dist in zip(((0.3, -0.4), (0.0, 0.0)), dists):
-            again = LossyEngine(0.5, loss).joint(alpha, beta, policy)
+            again = LossyEngine(0.5, loss, policy).joint(alpha, beta)
             assert again.blocks.keys() == dist.blocks.keys()
             assert all(np.array_equal(again.blocks[k], dist.blocks[k]) for k in dist.blocks)
             assert (again.tail_bound, again.s_cutoff_used, again.converged) == (
@@ -589,24 +606,21 @@ def test_cutoff_step_bounded_by_sector_probability_step():
     # share of the sector probability, so no joint probability moves further
     rng = np.random.default_rng(7)
     for loss in (LossConfig.equal_eta(0.7), LossConfig(0.9, 0.6, 0.8, 0.75)):
-        eng = LossyEngine(0.6, loss)
         for sectors in ((HalfInt(4), HalfInt(4)), (HalfInt(3), HalfInt(5))):
             for n in range(5, 15, 3):
-                lo = TruncationPolicy(s_start=HalfInt(n), max_s=HalfInt(n))
-                hi = TruncationPolicy(s_start=HalfInt(n + 2), max_s=HalfInt(n + 2))
+                lo = LossyEngine(0.6, loss, TruncationPolicy(HalfInt(n), 0.0))
+                hi = LossyEngine(0.6, loss, TruncationPolicy(HalfInt(n + 2), 0.0))
                 for alpha, beta in rng.uniform(-math.pi, math.pi, (3, 2)):
-                    p_lo = eng.joint(alpha, beta, lo, sectors=sectors)
-                    p_hi = eng.joint(alpha, beta, hi, sectors=sectors)
+                    p_lo = lo.joint(alpha, beta, sectors=sectors)
+                    p_hi = hi.joint(alpha, beta, sectors=sectors)
                     step = p_hi.total_mass() - p_lo.total_mass()
                     moved = p_hi.largest_difference(p_lo)[0]
                     assert moved <= step + 1e-15
 
 
 def test_nonconvergence_flagged_not_raised():
-    policy = TruncationPolicy(s_start=HalfInt(2), max_s=HalfInt(3), rel_tol=1e-12)
-    dist = LossyEngine(0.9, LossConfig.equal_eta(0.5)).joint(
-        0.3, -0.3, policy, sectors=(HalfInt(1), HalfInt(1))
-    )
+    eng = LossyEngine(0.9, LossConfig.equal_eta(0.5), TruncationPolicy(HalfInt(3), rel_tol=1e-12))
+    dist = eng.joint(0.3, -0.3, sectors=(HalfInt(1), HalfInt(1)))
     assert not dist.converged
     assert dist.tail_bound > 0
 
@@ -652,40 +666,49 @@ def test_sweep_flags_failures():
     assert not recs[0].converged
 
 
-def test_default_policy_shares_the_for_sector_kernel():
-    eng = LossyEngine(0.4, LossConfig.equal_eta(0.9))
-    s = HalfInt(2)
-    default = eng.mermin_sides(s, theta_triple(0.3))
-    assert eng.mermin_sides(s, theta_triple(0.3), TruncationPolicy.for_sector(s)) == default
-    assert len(eng._kernel_cache) == 1
-
-
-def _old_cli_policy(s_star, tol, max_s):
-    # the command line's rule before it moved into for_sector
-    if max_s is None:
-        return TruncationPolicy.for_sector(s_star, rel_tol=tol)
-    t_max = HalfInt.of(max_s).twice
-    t_start = min(s_star.twice + 4, t_max)
-    return TruncationPolicy(s_start=HalfInt(t_start), max_s=HalfInt(t_max), rel_tol=tol)
+def test_default_policy_equals_an_explicit_one():
+    for loss in (LossConfig.equal_eta(0.9), LossConfig(0.9, 0.7, 0.85, 0.6)):
+        default, explicit = LossyEngine(0.4, loss), LossyEngine(0.4, loss, TruncationPolicy())
+        assert default.policy == explicit.policy == TruncationPolicy(None, 1e-6)
+        for s in (HalfInt(1), HalfInt(2), HalfInt(5)):
+            for convention in ("conditioned", "unconditioned"):
+                want = explicit.mermin_sides(s, theta_triple(0.3), convention)
+                assert default.mermin_sides(s, theta_triple(0.3), convention) == want
+        assert list(default._kernel_cache) == [((1, 1),), ((2, 2),), ((5, 5),)]
 
 
 @pytest.mark.parametrize("ts", [1, 2, 4, 7])
 @pytest.mark.parametrize("max_s", [None, 0.5, 1.5, 3, 4.5, 20, 200])
-def test_for_sector_cap_clamps_the_start(ts, max_s):
-    # caps below, at and above s_star + 2
-    s = HalfInt(ts)
-    got = TruncationPolicy.for_sector(s, 1e-7, max_s)
-    assert got == _old_cli_policy(s, 1e-7, max_s)
-    assert got.s_start.twice == min(ts + 4, got.max_s.twice)
-    if max_s is None:
-        assert (got.s_start, got.max_s) == (HalfInt(ts + 4), HalfInt(ts + 30))
+def test_policy_cap_clamps_the_start(ts, max_s):
+    # caps below, at and above s_star + 2 keep the command line's earlier rule: start at
+    # s_star + 2 clamped to the cap, cap at max_s (None: s_star + 15), neither below s_star
+    t_max = ts + 30 if max_s is None else HalfInt.of(max_s).twice
+    want_start, want_cap = max(min(ts + 4, t_max), ts), max(t_max, ts)
+    assert TruncationPolicy(max_s, 1e-7).cap(ts) == want_cap
+    # with no tolerance to meet, a sum that starts below the cap stops after one step;
+    # one that starts at the cap stops there, unconverged, since r > 0 leaves a tail
+    eng = LossyEngine(0.3, LossConfig.equal_eta(0.9), TruncationPolicy(max_s, math.inf))
+    _, tcut, ok = eng._kernels(((ts, ts),))
+    assert (tcut, ok) == ((min(want_start + 2, want_cap), True) if want_start < want_cap else (want_cap, False))
 
 
-def test_for_sector_rejects_a_cap_above_the_engine_limit():
+def test_policy_rejects_a_cap_above_the_engine_limit():
     with pytest.raises(ValueError, match="capped"):
-        TruncationPolicy.for_sector(HalfInt(2), 1e-6, 200.5)
+        TruncationPolicy(200.5, 1e-6)
     with pytest.raises(ValueError, match="capped"):
-        TruncationPolicy.for_sector(HalfInt(390))
+        TruncationPolicy().cap(HalfInt(390).twice)
+    with pytest.raises(ValueError, match="nonnegative"):
+        TruncationPolicy(rel_tol=math.nan)
+    assert (TruncationPolicy(HalfInt(5)).cap(7), TruncationPolicy(200).cap(7), TruncationPolicy().cap(370)) == (7, 400, 400)
+
+
+def test_engine_checks_the_cap_before_any_kernel(monkeypatch):
+    # a small max_s does not lift the limit: the cap is never below the outcome spin
+    monkeypatch.setattr(LossyEngine, "_t_sector", lambda *args: pytest.fail("a kernel was built"))
+    eng = LossyEngine(0.3, LossConfig.equal_eta(0.9), TruncationPolicy(max_s=1))
+    with pytest.raises(ValueError, match="capped at s = 200, not 201"):
+        eng.mermin_sides(201, theta_triple(0.001))
+    assert eng._kernel_cache == {}
 
 
 # ----------------------------------------------------------------- optimizer
@@ -792,11 +815,10 @@ def _objective_path():
 def test_descent_objective_is_mermin_sides_bit_for_bit(ts, loss, convention):
     # given its interpolated lhs, the objective forms rhs and violation exactly as mermin_sides does
     s = HalfInt(ts)
-    policy = TruncationPolicy.for_sector(s)
-    objective = _descent_objective(LossyEngine(0.4, loss), s, policy, convention)
+    objective = _descent_objective(LossyEngine(0.4, loss), s, convention)
     fresh = LossyEngine(0.4, loss)
     for point in _objective_path():
-        rec = fresh.mermin_sides(s, AngleTriple(*point), policy, convention)
+        rec = fresh.mermin_sides(s, AngleTriple(*point), convention)
         assert objective(*point) == -(rec.rhs - objective.lhs(point[0], point[1])), point
 
 
@@ -806,13 +828,12 @@ def test_descent_objective_is_mermin_sides_bit_for_bit(ts, loss, convention):
 def test_descent_objective_matches_mermin_sides(ts, loss, convention):
     # the lhs comes from an interpolant, so agreement is to roundoff, not bit for bit
     s = HalfInt(ts)
-    policy = TruncationPolicy.for_sector(s)
-    objective = _descent_objective(LossyEngine(0.4, loss), s, policy, convention)
+    objective = _descent_objective(LossyEngine(0.4, loss), s, convention)
     fresh = LossyEngine(0.4, loss)
     path = _objective_path()
     path += [tuple(p) for p in np.random.default_rng(ts).uniform(-2 * math.pi, 2 * math.pi, (20, 3))]
     for point in path:
-        rec = fresh.mermin_sides(s, AngleTriple(*point), policy, convention)
+        rec = fresh.mermin_sides(s, AngleTriple(*point), convention)
         assert abs(objective(*point) + rec.violation) <= 1e-12 * max(1.0, abs(rec.lhs)), point
 
 
@@ -855,7 +876,7 @@ def test_loss_equal_within_sides_takes_the_theta_search(ts, loss):
     s = HalfInt(ts)
     angles, rec = optimize_angles(s, 0.4, loss)
     assert angles.gamma == 0.0 and angles.beta == -angles.alpha
-    _, descent = lossy._coordinate_descent(LossyEngine(0.4, loss), s, None, "conditioned")
+    _, descent = lossy._coordinate_descent(LossyEngine(0.4, loss), s, "conditioned")
     assert rec.violation >= descent.violation - 1e-12
 
 
@@ -904,11 +925,10 @@ def test_unconditioned_convention_scales_by_sector_weight():
 def test_alt_bookkeeping_rejected_by_oracle():
     r, alpha, beta = 0.4, 0.7, -0.4
     cap = HalfInt(2)
-    policy = TruncationPolicy(s_start=cap, max_s=cap)
     for eta in (0.5, 0.8):
         loss = LossConfig.equal_eta(eta)
         reference = simulate_joint(r, loss, alpha, beta, cutoff=4, sector_max=cap).correlation()
-        derived = LossyEngine(r, loss).joint(alpha, beta, policy).correlation()
+        derived = LossyEngine(r, loss, TruncationPolicy(cap, 0.0)).joint(alpha, beta).correlation()
         alt = correlation_alt_bookkeeping(r, eta, alpha, beta, cap)
         assert derived == pytest.approx(reference, abs=1e-10)
         assert abs(alt - reference) > 1e-3
