@@ -28,7 +28,7 @@ from .lossy import (
     _optimize,
     optimize_angles,
 )
-from .numerics import HalfInt
+from .numerics import MAX_ANGLE, HalfInt
 from .source import N_MAX_CAP, fock_weight_distribution
 from .validation import convention_comparison_rows, run_all
 
@@ -381,9 +381,11 @@ def main(argv=None) -> int:
     if args.command == "sweep-theta":
         for theta in _theta_grid(args):
             angles = theta_triple(theta, args.base_angle)
-            if not all(map(math.isfinite, (theta, angles.alpha, angles.beta))):
+            bounded = (args.theta_min, args.theta_max, args.base_angle, theta, angles.alpha, angles.beta)
+            if not all(abs(v) <= MAX_ANGLE for v in bounded):
                 args.parser.error(
-                    f"argument --theta-min/--theta-max/--base-angle: theta {theta!r} or its triple is not finite"
+                    f"argument --theta-min/--theta-max/--base-angle: theta {theta!r}, its triple or a flag "
+                    "is not finite or exceeds 2^15 rad in magnitude"
                 )
     try:
         return args.func(args)

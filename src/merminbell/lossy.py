@@ -462,10 +462,15 @@ class LossyEngine:
         float and it raises ``ValueError``.
         """
         if s_star is None:
+            from fractions import Fraction  # imported here: it loads the decimal module, which nothing else needs
+
             a1, a2, b1, b2 = self.loss.etas()
+            # zz's n^2 coefficient, rounded once: it cancels (to 0 at etas 0, 0.7, 1, 0.5) and n^2 swamps the n term
+            f1, f2, g1, g2 = map(Fraction, (a1, a2, b1, b2))
+            quad = float(f1 * g2 + f2 * g1 - 2 * (f1 * g1 + f2 * g2))
             try:
                 n = math.sinh(self.r) ** 2
-                zz = 0.25 * ((a1 * b2 + a2 * b1) * n * n - (a1 * b1 + a2 * b2) * (2.0 * n * n + n))
+                zz = 0.25 * (quad * n * n - (a1 * b1 + a2 * b2) * n)
                 ladders = -math.sqrt(a1 * a2 * b1 * b2) * math.sinh(2.0 * self.r) ** 2 / 2.0
             except OverflowError:
                 zz = ladders = math.inf
@@ -603,10 +608,11 @@ def optimize_angles(
     Loss equal within each side commutes with the analyzers, so the optimum
     lies on the ``theta_triple`` family, where the violation is a degree-4s
     trigonometric polynomial in theta; ``_theta_optimum`` reads its maximum
-    from 8s + 1 samples and returns theta in (0, pi/2], gamma = 0.  Other loss
-    runs the multi-start coordinate descent of ``_coordinate_descent`` on an
-    exact 2-D interpolant of the lhs.  Both run on one engine under ``policy``,
-    check their interpolant against the returned record and are deterministic.
+    from 4s + 1 lhs samples of one contraction and returns theta in (0, pi/2],
+    gamma = 0.  Other loss runs the multi-start coordinate descent of
+    ``_coordinate_descent`` on the exact 2-D interpolant of the lhs.  Both read
+    ``_lhs_coefficients`` of one engine under ``policy``, check their
+    interpolant against the returned record and are deterministic.
     """
     return _optimize(LossyEngine(r, loss, policy), HalfInt.of(s_star), convention)
 
@@ -631,29 +637,41 @@ def _checked_optimum(
     return record.angles, record
 
 
+def _lhs_coefficients(eng: LossyEngine, s_star: HalfInt, convention: str, full: bool):
+    """(C, ``_moment_parts``, scale) of sector s_star: the lhs is Re(e^{ik alpha} C e^{ik beta}), k by fftfreq.
+
+    d(alpha) has frequencies -s..s and P is bilinear in the two pair stacks, so the lhs has degree 2s in each
+    angle.  One ``_contract`` samples it at 2 pi k / (4s + 1) on both axes (``full``) or for alpha at beta = 0,
+    each block checked by ``_nonnegative`` and scaled as ``_lhs``; a 2-D FFT gives every coefficient.
+    """
+    s_star, conditioned = _sector_and_convention(s_star, convention)
+    ts = s_star.twice
+    t, prob, parts, _, _ = eng._sector(s_star)
+    scale = prob if conditioned else 1.0
+    grid = 2.0 * math.pi * np.arange(2 * ts + 1) / (2 * ts + 1)
+    blocks = _contract(t, ts, ts, grid, grid if full else (0.0,))
+    coef = np.fft.fft2([[_lhs(_nonnegative(p, ts, ts), s_star, scale) for p in row] for row in blocks])
+    return coef / coef.size, parts, scale
+
+
 def _theta_optimum(eng: LossyEngine, s_star: HalfInt, convention: str) -> tuple[AngleTriple, ViolationRecord]:
     """Maximum of the violation along ``theta_triple(theta)`` from its Fourier coefficients.
 
-    lhs is a trigonometric polynomial of degree 2s in alpha - beta = pi + 2 theta
-    and rhs goes as sin(theta), so n = 2 * 4s + 1 equispaced samples give
-    every coefficient.  The maximum of a 64x zero-padded evaluation is
-    polished by Newton steps on the coefficients and folded into
-    [-pi/2, pi/2] by f(pi - theta) = f(theta); lhs is even and rhs odd in
-    theta, so the maximum lies in (0, pi/2].  ``_checked_optimum`` holds the
-    interpolant to the returned record.
+    Loss equal within each side commutes with the analyzers, so the lhs depends on alpha - beta = pi + 2 theta
+    only: (-1)^j C[j, 0] of ``_lhs_coefficients`` (one row of 4s + 1 samples) is its coefficient at frequency
+    2j in theta, and with gamma = 0 the rhs is -2 zz sin(theta) / scale.  The maximum of a 64x zero-padded
+    evaluation is polished by Newton steps and folded into [-pi/2, pi/2] by f(pi - theta) = f(theta); lhs is
+    even and rhs odd in theta, so it lies in (0, pi/2].  ``_checked_optimum`` holds it to the returned record.
     """
-    deg = 2 * s_star.twice
-    n = 2 * deg + 1
-    samples = [
-        eng.mermin_sides(s_star, theta_triple(2.0 * math.pi * k / n), convention).violation for k in range(n)
-    ]
-    spectrum = np.fft.rfft(samples)
-    dense = np.fft.irfft(spectrum, _OVERSAMPLE * n) * _OVERSAMPLE
-    theta = 2.0 * math.pi * int(np.argmax(dense)) / (_OVERSAMPLE * n)
-    # f(theta) = Re sum_k coef_k e^{i k theta}
-    k = np.arange(deg + 1)
-    coef = spectrum / n
-    coef[1:] *= 2.0
+    row, (zz, _), scale = _lhs_coefficients(eng, s_star, convention, full=False)
+    ts = s_star.twice
+    deg, k = 2 * ts, np.arange(2 * ts + 1)
+    # f(theta) = Re sum_k coef_k e^{i k theta}; irfft samples 2 f - coef_0, whose maximum is f's
+    coef = np.zeros(deg + 1, dtype=complex)
+    coef[::2] = np.where(k[: ts + 1], -2.0, -1.0) * (-1.0) ** k[: ts + 1] * row[: ts + 1, 0]
+    coef[1] = 2j * zz / scale
+    n = _OVERSAMPLE * (2 * deg + 1)
+    theta = 2.0 * math.pi * int(np.argmax(np.fft.irfft(coef, n))) / n
 
     def derivative(x: float, order: int) -> float:
         return float(np.real((coef * (1j * k) ** order) @ np.exp(1j * k * x)))
@@ -674,41 +692,22 @@ def _theta_optimum(eng: LossyEngine, s_star: HalfInt, convention: str) -> tuple[
 
 
 def _descent_objective(eng: LossyEngine, s_star: HalfInt, convention: str) -> Callable[[float, float, float], float]:
-    """-violation at (alpha, beta, gamma), the lhs read from its exact 2-D interpolant.
+    """-violation at (alpha, beta, gamma), the lhs read from ``_lhs_coefficients`` on the full grid.
 
-    Each entry of d(alpha) has frequencies -s..s and P is bilinear in the two
-    pair stacks, so the lhs is a trigonometric polynomial of degree 2s in each
-    angle.  Its (4s + 1)^2 samples at angles 2 pi k / (4s + 1) are the blocks
-    of one ``_contract`` on that grid, which forms each angle's pair products
-    once; each is checked by ``_nonnegative`` and scaled as ``_rhs``.  A 2-D
-    FFT gives every coefficient C; lhs = Re(e^{ik alpha} C e^{ik beta}).  One-entry
-    memos hold the row (keyed on alpha), the column (on beta) and the lhs (on
-    both), so a gamma search reads only the rhs of the kernel's moment parts.
-    The rhs and the violation are formed as in ``mermin_sides``;
-    ``objective.lhs`` is the interpolated lhs at (alpha, beta).
+    One-entry memos hold the row (keyed on alpha) and the lhs (on both), so a gamma search reads only the
+    rhs of the kernel's moment parts.  The rhs and the violation are formed as in
+    ``mermin_sides``; ``objective.lhs`` is the interpolated lhs at (alpha, beta).
     """
-    s_star, conditioned = _sector_and_convention(s_star, convention)
-    ts = s_star.twice
-    t, prob, parts, _, _ = eng._sector(s_star)
-    scale = prob if conditioned else 1.0
-    n = 2 * ts + 1
-    grid = 2.0 * math.pi * np.arange(n) / n
-    blocks = _contract(t, ts, ts, grid, grid)
-    samples = [[_lhs(_nonnegative(p, ts, ts), s_star, scale) for p in row] for row in blocks]
-    coef = np.fft.fft2(samples) / (n * n)
-    k = np.fft.ifftshift(np.arange(-ts, ts + 1))
+    coef, parts, scale = _lhs_coefficients(eng, s_star, convention, full=True)
+    k = np.fft.ifftshift(np.arange(-s_star.twice, s_star.twice + 1))
 
     @lru_cache(maxsize=1)
     def row(alpha: float) -> np.ndarray:
         return np.exp(1j * alpha * k) @ coef
 
     @lru_cache(maxsize=1)
-    def col(beta: float) -> np.ndarray:
-        return np.exp(1j * beta * k)
-
-    @lru_cache(maxsize=1)
     def lhs(alpha: float, beta: float) -> float:
-        return float((row(alpha) @ col(beta)).real)
+        return float((row(alpha) @ np.exp(1j * beta * k)).real)
 
     def objective(a: float, b: float, g: float) -> float:
         return -(_rhs(parts, a, b, g, scale) - lhs(a, b))

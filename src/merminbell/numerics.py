@@ -15,7 +15,8 @@ factorial sum, which cancels catastrophically beyond 2s ~ 60, this stays
 unitary to rounding at every spin the engine accepts.  The eigenvectors are
 checked for orthogonality once per spin, since an orthogonal V makes every
 d(beta) unitary to rounding.  Built blocks are kept, read-only, in a
-least-recently-used cache bounded by their total size in bytes.
+least-recently-used cache bounded by their total size in bytes.  An angle
+above ``MAX_ANGLE`` in magnitude, or not finite, raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -148,6 +149,10 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.n
     return out
 
 
+# |alpha * m| < 2^23 at every spin up to 200, so the phase alpha * m is within 5e-10 rad of exact
+MAX_ANGLE = 2.0**15
+
+
 def _check_spin_label(ts: int, tm: int) -> None:
     if ts < 0 or abs(tm) > ts or (ts - tm) % 2 != 0:
         raise ValueError(f"invalid spin label (2s={ts}, 2m={tm})")
@@ -216,6 +221,8 @@ def _quarter_turn_pattern(ts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _wigner_block(ts: int, alpha: float) -> np.ndarray:
+    if not abs(alpha) <= MAX_ANGLE:
+        raise ValueError(f"rotation angle {alpha!r} is not finite or exceeds 2^15 rad in magnitude")
     # S_y = D^dagger S_x D with D = diag(i^k), so S_y = V Lambda V^dagger with
     # V = D^dagger U, and d = Re(V exp(-i alpha Lambda) V^dagger) has entries
     # Re(i^(k-j) (C - i S)[j, k]) for C, S = U cos(alpha Lambda), sin(alpha Lambda) U^T

@@ -301,13 +301,23 @@ def test_mutated_bob_sign_fails_reduction(monkeypatch):
           "--theta-max=-1e308", "--theta-steps", "3"], "not finite"),
         (["sweep-theta", "--s", "1", "--r", "0.3", "--eta", "0.9", "--base-angle", "1e308",
           "--theta-min", "1e308", "--theta-max", "1e308", "--theta-steps", "1"], "not finite"),
+        # an angle above 2^15 rad in magnitude loses the rotation phase alpha * m to rounding
+        (["sweep-theta", "--s", "3", "--r", "0.3", "--eta", "0.9", "--base-angle", "1e308",
+          "--theta-steps", "2"], "exceeds 2^15 rad"),
+        (["sweep-theta", "--s", "3", "--r", "0.3", "--eta", "0.9", "--base-angle", "1e15",
+          "--theta-steps", "2"], "exceeds 2^15 rad"),
+        (["sweep-theta", "--s", "1", "--r", "0.3", "--eta", "0.9", "--theta-min", "-40000",
+          "--theta-max", "0.5", "--theta-steps", "1"], "exceeds 2^15 rad"),
+        (["sweep-theta", "--s", "1", "--r", "0.3", "--eta", "0.9", "--theta-max", "40000",
+          "--theta-steps", "1"], "exceeds 2^15 rad"),
     ],
     ids=[
         "s-zero", "s-not-half-integer", "eta-above-one", "r-negative", "base-angle-nan",
         "policy-tol-nan", "policy-max-s-not-half-integer", "n-max-negative", "n-max-above-cap",
         "workers-negative", "theta-steps-zero", "optimize-both-conventions", "optimize-s-above-cap",
         "sweep-theta-s-above-cap", "policy-max-s-above-cap", "policy-max-s-below-s-above-cap",
-        "theta-grid-overflows", "angle-triple-overflows",
+        "theta-grid-overflows", "angle-triple-overflows", "base-angle-huge", "base-angle-above-bound",
+        "theta-min-above-bound", "unused-theta-max-above-bound",
     ],
 )
 def test_bad_input_exits_2_with_usage(argv, message, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -511,10 +512,28 @@ def test_full_trace_ignores_the_policy():
     assert capped.joint(0.3, 0.9).correlation() != want[0]
 
 
+@pytest.mark.parametrize("r", [5.0, 10.0, 20.0, 170.0])
+@pytest.mark.parametrize("loss", FULL_TRACE_LOSSES.values(), ids=FULL_TRACE_LOSSES.keys())
+def test_full_trace_matches_its_exact_rational_evaluation(r, loss):
+    # the closed form without rounding, on the same float inputs: the etas, sinh(r)^2, sinh(2r),
+    # sqrt(a1 a2 b1 b2) and the cosines and sines; the n^2 coefficient cancels, to 0 for dark-and-perfect
+    a1, a2, b1, b2 = loss.etas()
+    f1, f2, g1, g2 = map(Fraction, (a1, a2, b1, b2))
+    n = Fraction(math.sinh(r) ** 2)
+    zz = ((f1 * g2 + f2 * g1) * n * n - (f1 * g1 + f2 * g2) * (2 * n * n + n)) / 4
+    ladders = -Fraction(math.sqrt(a1 * a2 * b1 * b2)) * Fraction(math.sinh(2 * r)) ** 2 / 2
+    eng = LossyEngine(r, loss)
+    for alpha, beta in FULL_TRACE_ANGLES:
+        cc = Fraction(math.cos(alpha)) * Fraction(math.cos(beta))
+        ss = Fraction(math.sin(alpha)) * Fraction(math.sin(beta))
+        want = float(cc * zz + ss / 4 * ladders)
+        assert abs(eng.correlation(alpha, beta, None)[0] - want) <= 1e-15 * abs(want), (alpha, beta)
+
+
 @pytest.mark.parametrize("loss", FULL_TRACE_LOSSES.values(), ids=FULL_TRACE_LOSSES.keys())
 def test_full_trace_overflow_is_a_value_error(loss):
     # its terms grow as exp(4r)/4 and pass the largest float from r = 177.79 or so; below, values are unchanged
-    at_170 = {(0.8,) * 4: -1.8964745641521677e293, (0.6, 0.95, 0.7, 0.8): -1.8698578115035202e293}
+    at_170 = {(0.8,) * 4: -1.8964745641521677e293, (0.6, 0.95, 0.7, 0.8): -1.8698578115035205e293}
     if loss.etas() in at_170:
         assert LossyEngine(170.0, loss).correlation(0.7, -0.4, None)[0] == at_170[loss.etas()]
     for r in (177.8, 300.0, 711.0):
@@ -754,8 +773,8 @@ def test_optimal_angle_shifts_slightly_with_loss():
 @pytest.mark.parametrize("eta", [1.0, 0.7])
 @pytest.mark.parametrize("ts", [1, 2, 3, 4, 6, 12])
 def test_theta_curve_is_trigonometric_polynomial_of_degree_4s(ts, eta, convention):
-    # twice the samples the equal-loss optimizer reads: every coefficient
-    # above degree 4s = 2 * ts must vanish
+    # 8s + 1 samples of the violation: every coefficient above degree
+    # 4s = 2 * ts must vanish
     s = HalfInt(ts)
     n = 8 * ts + 1
     eng = LossyEngine(0.3, LossConfig.equal_eta(eta))
@@ -790,6 +809,49 @@ def test_equal_loss_optimum_is_canonical_and_meets_golden(s, r, eta, convention,
         s, theta_triple(math.pi - theta), convention=convention
     )
     assert abs(mirror.violation - rec.violation) <= 1e-12
+
+
+PER_SIDE_EQUAL_LOSSES = {
+    "alice-better": LossConfig(0.9, 0.9, 0.7, 0.7),
+    "bob-better": LossConfig(0.6, 0.6, 0.95, 0.95),
+    "equal": LossConfig.equal_eta(0.85),
+}
+
+
+@pytest.mark.parametrize("ts", [1, 2, 3, 5])
+@pytest.mark.parametrize("loss", PER_SIDE_EQUAL_LOSSES.values(), ids=PER_SIDE_EQUAL_LOSSES.keys())
+def test_equal_loss_optimum_reads_one_lhs_row_and_one_record(ts, loss, monkeypatch):
+    contract, sides = lossy._contract, LossyEngine.mermin_sides
+    grids, records = [], []
+
+    def recording_contract(t, tsa, tsb, alphas, betas):
+        grids.append((len(alphas), len(betas)))
+        return contract(t, tsa, tsb, alphas, betas)
+
+    def recording_sides(self, *args, **kwargs):
+        records.append(args)
+        return sides(self, *args, **kwargs)
+
+    monkeypatch.setattr(lossy, "_contract", recording_contract)
+    monkeypatch.setattr(LossyEngine, "mermin_sides", recording_sides)
+    optimize_angles(HalfInt(ts), 0.4, loss)
+    assert grids == [(2 * ts + 1, 1), (1, 1)]
+    assert len(records) == 1
+
+
+@pytest.mark.parametrize("ts", [1, 2, 3, 5])
+@pytest.mark.parametrize("loss", PER_SIDE_EQUAL_LOSSES.values(), ids=PER_SIDE_EQUAL_LOSSES.keys())
+@pytest.mark.parametrize("convention", ["conditioned", "unconditioned"])
+def test_one_lhs_row_interpolates_mermin_sides(ts, loss, convention):
+    # loss equal within each side leaves the lhs a function of alpha - beta, so the row at beta = 0 fixes it
+    s = HalfInt(ts)
+    row = lossy._lhs_coefficients(LossyEngine(0.4, loss), s, convention, full=False)[0][:, 0]
+    k = np.fft.fftfreq(2 * ts + 1, 1.0 / (2 * ts + 1))
+    fresh = LossyEngine(0.4, loss)
+    for alpha, beta in np.random.default_rng(ts).uniform(-2 * math.pi, 2 * math.pi, (20, 2)):
+        want = fresh.mermin_sides(s, AngleTriple(alpha, beta, 0.0), convention).lhs
+        got = float((row @ np.exp(1j * k * (alpha - beta))).real)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (alpha, beta)
 
 
 # ------------------------------------------------------- unequal-loss search
@@ -975,7 +1037,7 @@ def test_non_orthogonal_rotation_basis_is_an_internal_error(monkeypatch):
         numerics._wigner_cache_clear()
     assert engine.mermin_sides(HalfInt(2), theta_triple(0.2)).error is None
 
-    # an angle curve of higher degree than 4s fails the optimizer's interpolant check
+    # a record off the theta interpolant (a curve of higher degree than 4s) fails the optimizer's check
     exact = LossyEngine.mermin_sides
 
     def rippled(self, *args, **kwargs):

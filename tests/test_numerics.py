@@ -183,6 +183,20 @@ def test_wigner_small_spin_closed_forms():
     assert wigner_d(1, 0, 0, a) == pytest.approx(math.cos(a), rel=1e-12)
 
 
+def test_wigner_rejects_an_angle_above_the_bound():
+    # below 2^15 rad the phase alpha * m stays within 5e-10 rad of exact; d has period 4 pi
+    assert numerics.MAX_ANGLE == 2.0**15
+    for ts in (1, 7, 40):
+        for alpha in (2.0**15, -(2.0**15)):
+            reduced = wigner_d_matrix(HalfInt(ts), math.remainder(alpha, 4 * math.pi))
+            assert np.max(np.abs(wigner_d_matrix(HalfInt(ts), alpha) - reduced)) < 1e-9
+    for alpha in (math.nextafter(2.0**15, math.inf), -1e15, 1e308, math.inf, math.nan):
+        with pytest.raises(ValueError, match="exceeds 2\\^15 rad"):
+            wigner_d_matrix(HalfInt(2), alpha)
+        with pytest.raises(ValueError, match="exceeds 2\\^15 rad"):
+            wigner_d(1, 0, 0, alpha)
+
+
 @pytest.mark.parametrize("ts", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("alpha", [0.3, 1.1, 2.7, -0.8, 3.9])
 def test_wigner_vs_matrix_exponential(ts, alpha):
