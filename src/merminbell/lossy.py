@@ -4,10 +4,17 @@ The source emits two effective spins in the singlet of every sector s with
 weight w_s = (2s+1) tanh(r)^(4s) / cosh(r)^4.  Loss maps each side's
 |s w><s w'| onto surviving spins sigma <= s with weight h[w, mu] h[w', mu'],
 h = exp(L / 2) of that side's ``loss.log_weight_table``.  The h tables are
-cached across engines, so a source sector's kernel is batched products over
-its bra-ket offsets, and a sector with an all-zero table is skipped.
+cached across engines, so a source sector's blocks are batched products over
+their bra-ket offsets; a table that is all zero is skipped, and one that the
+efficiencies alone make zero (a side at eta 1 or 0) is never built.
 Analyzer rotations contract the kernels with pairs of rotation-matrix elements
-in one ``_contract``, for one setting or a grid of them.  Everything is
+in one ``_contract``, for one setting or a grid of them.  Both the kernel
+build and the contraction take every sector pair of a call at once.  Each
+outcome sector's table or rotation block and its padded copy are formed once
+per call; its pair products, formed for a run of offsets, are read by every
+pair of the sector whose run lies inside that one (every pair, where the
+sector's widest pair fits one run).  Each pair then makes only its own
+products.  Everything is
 accumulated sector by sector so the infinite source sum can be cut off
 dynamically, with an exact geometric bound on the discarded weight.
 The cutoff is part of an engine's setting: its ``TruncationPolicy`` says
@@ -20,11 +27,12 @@ exact in closed form.
 
 Every matrix product stays within OpenBLAS's single-thread size (M N K <=
 2^18), so that BLAS runs it on the calling thread and results do not depend
-on its thread count.  The kernel build and the contraction run over
-``_runs`` of consecutive bra-ket offsets whose products fit, forming each
-run's pair products only, and ``numerics._matmul`` splits one offset's
-product by columns where it does not fit (from s = 32 on, at eta < 1 a few
-spins earlier in the kernel build).
+on its thread count.  Each pair's build and contraction run over its own
+``_runs`` of consecutive bra-ket offsets whose products fit, so a pair gets
+the same bits alone as among others; pair products are formed for one run at
+a time, never for all offsets of a large pair, and ``numerics._matmul``
+splits one offset's product by columns where it does not fit (from s = 32 on,
+at eta < 1 a few spins earlier in the kernel build).
 
 The methods of ``LossyEngine`` (``joint``, ``correlation``,
 ``mermin_sides``) are the only way to evaluate a point; one engine serves
@@ -42,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -206,15 +214,30 @@ def _shifted(h: np.ndarray, dmax: int, step: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _amplitudes(ts: int, tso: int, eta_up: float, eta_dn: float) -> np.ndarray:
-    """Read-only h = exp(L / 2) of ``loss.log_weight_table``.
+def _amplitudes(ts: int, tso: int, eta_up: float, eta_dn: float) -> np.ndarray | None:
+    """Read-only h = exp(L / 2) of ``loss.log_weight_table``, or None where it is all zero.
 
     A coherence's weight is h[w, mu] h[w + dw, mu + dw].  h holds no squeezing,
-    so every engine and both sides at these efficiencies share it.
+    so every engine and both sides at these efficiencies share it.  A table
+    that ``_feeds`` rules out is not built.
     """
+    if not _feeds(ts, tso, eta_up, eta_dn):
+        return None
     h = np.exp(0.5 * log_weight_table(ts, tso, eta_up, eta_dn))
+    if not h.any():
+        return None
     h.setflags(write=False)
     return h
+
+
+def _feeds(ts: int, tso: int, eta_up: float, eta_dn: float) -> bool:
+    """False where the loss table from spin ts/2 to spin tso/2 is all zero by its efficiencies alone:
+    a side that loses no photon keeps spin ts/2, one that loses all keeps spin 0."""
+    if eta_up == eta_dn == 1.0:
+        return tso == ts
+    if eta_up == eta_dn == 0.0:
+        return tso == 0
+    return True
 
 
 @lru_cache(maxsize=4096)
@@ -225,27 +248,71 @@ def _runs(n_off: int, macs: int) -> tuple[slice, ...]:
     return tuple(slice(lo, lo + run) for lo in range(0, n_off, run))
 
 
-def _contract(t: np.ndarray, tsa: int, tsb: int, alphas: Iterable[float], betas: Iterable[float]) -> np.ndarray:
-    """Joint probabilities P[i, j, m_a, m_b] = sum_dl EA_dl^T T_dl EB_dl of one sector pair at (alphas[i], betas[j]).
+@lru_cache(maxsize=1024)
+def _rows(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple, tuple]:
+    """Outcome sector pairs as rows (tsa, reach, (tsb, ...)), sectors and rows in descending order, and each
+    Bob sector's (tsb, reach); a sector's reach is the largest |dl| = min(tsa, tsb) of its pairs.
 
-    EA_dl[m, m_a] = d[m + dl, m_a] d[m, m_a] of Alice's block d(alphas[i]), zero where m + dl is off it; EB is
-    the same of Bob's at offset -dl.  Per ``_runs`` run of offsets, so that no pair stack is held for all of
-    them, each alpha's pair products and each beta's half T_dl EB_dl are formed once for the whole grid, and
-    each (i, j) writes (first run) or adds one flattened product.  One setting passes 1-tuples, reads P[0, 0].
+    In this order a sector's first pair spans its widest offsets, so where that pair's offsets fit one
+    ``_runs`` run, the sector's later pairs read slices of the pieces it formed (``_piece``).
     """
-    dmax = (t.shape[0] - 1) // 2
-    alice = [(_shifted(d, dmax, 0), d) for d in (wigner_d_matrix(HalfInt(tsa), a) for a in alphas)]
-    bob = [(_shifted(d, dmax, 0)[::-1], d) for d in (wigner_d_matrix(HalfInt(tsb), b) for b in betas)]
-    out = np.empty((len(alice), len(bob), tsa + 1, tsb + 1))
-    for k, r in enumerate(_runs(t.shape[0], (tsa + 1) ** 2 * (tsb + 1))):
-        halves = [_matmul(t[r], sb[r] * db).reshape(-1, tsb + 1) for sb, db in bob]
-        for (sa, da), row in zip(alice, out):
-            ea = (sa[r] * da).reshape(-1, tsa + 1).T
-            for x, cell in zip(halves, row):
-                if k:
-                    cell += _matmul(ea, x)
-                else:
-                    _matmul(ea, x, cell)
+    rows: dict[int, list[int]] = {}
+    reach_b: dict[int, int] = {}
+    for a, b in sorted(pairs, reverse=True):
+        rows.setdefault(a, []).append(b)
+        reach_b[b] = max(reach_b.get(b, 0), min(a, b))
+    return tuple((a, min(a, row[0]), tuple(row)) for a, row in rows.items()), tuple(reach_b.items())
+
+
+def _piece(cache: dict, sector: int, tag: int, view: np.ndarray, h: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Pair products view[dl] * h over offsets lo <= dl < hi of one sector; ``view`` is ``_shifted`` with
+    V[0] at dl = -reach.
+
+    ``cache`` keeps one piece per sector: a request inside the kept one (same ``tag``, an angle's index)
+    is a slice of it, any other is formed and kept in its place.
+    """
+    kept = cache.get(sector)
+    if kept is not None and kept[0] == tag and kept[1] <= lo and hi <= kept[2]:
+        return kept[3][lo - kept[1] : hi - kept[1]]
+    w = (view.shape[0] - 1) // 2
+    piece = view[lo + w : hi + w] * h
+    cache[sector] = (tag, lo, hi, piece)
+    return piece
+
+
+def _contract(kernels: dict, alphas: Sequence[float], betas: Sequence[float]) -> dict:
+    """Joint probabilities P[i, j, m_a, m_b] = sum_dl EA_dl^T T_dl EB_dl of each sector pair at (alphas[i], betas[j]).
+
+    ``kernels`` maps (tsa, tsb) to its kernel T.  EA_dl[m, m_a] = d[m + dl, m_a] d[m, m_a] of Alice's block
+    d(alphas[i]), zero where m + dl is off it; EB is the same of Bob's at offset -dl.  Each outcome sector's
+    rotation blocks and padded copies are formed once per call, and its pair products are shared by its pairs
+    through ``_piece``.  Per ``_runs`` run of a pair's offsets, so that no pair stack is held for all of them,
+    each beta's half T_dl EB_dl is formed once for the whole grid, and each (i, j) writes (first run) or adds
+    one flattened product.  One setting passes 1-tuples; one sector pair, a one-entry ``kernels``.
+    """
+    rows, reach_b = _rows(tuple(kernels))
+    bob = {b: [(_shifted(d, w, 0)[::-1], d) for d in [wigner_d_matrix(HalfInt(b), x) for x in betas]]
+           for b, w in reach_b}
+    out, bob_pieces = {}, {}
+    for a, w, row in rows:
+        alice = [(_shifted(d, w, 0), d) for d in [wigner_d_matrix(HalfInt(a), x) for x in alphas]]
+        alice_pieces: dict = {}
+        for b in row:
+            t, dm = kernels[(a, b)], min(a, b)
+            p = out[(a, b)] = np.empty((len(alice), len(bob[b]), a + 1, b + 1))
+            for k, r in enumerate(_runs(t.shape[0], (a + 1) ** 2 * (b + 1))):
+                lo, hi = r.start - dm, min(r.stop, t.shape[0]) - dm
+                halves = [
+                    _matmul(t[r], _piece(bob_pieces, b, j, sb, db, lo, hi)).reshape(-1, b + 1)
+                    for j, (sb, db) in enumerate(bob[b])
+                ]
+                for i, (sa, da) in enumerate(alice):
+                    ea = _piece(alice_pieces, a, i, sa, da, lo, hi).reshape(-1, a + 1).T
+                    for x, cell in zip(halves, p[i]):
+                        if k:
+                            cell += _matmul(ea, x)
+                        else:
+                            _matmul(ea, x, cell)
     return out
 
 
@@ -354,28 +421,56 @@ class LossyEngine:
 
     # --------------------------------------------------------- joint outcomes
 
-    def _t_sector(self, tsa: int, tsb: int, ts: int) -> np.ndarray | None:
-        """Angle-independent kernel T[dl + dmax, mu_a, mu_b] of one source sector ts >= tsa, tsb.
+    def _tables(self, ts: int, side: str, reach: Iterable[tuple[int, int]]) -> dict:
+        """{tso: (V, h)} of one side's nonzero ``_amplitudes`` tables h from source sector ts, Bob's rows reversed,
+        V the ``_shifted`` view of h at each (tso, reach) of ``reach``."""
+        etas = self._side_etas(side)
+        tables = {}
+        for tso, w in reach:
+            h = _amplitudes(ts, tso, *etas)
+            if h is not None:
+                h = h if side == "a" else h[::-1]
+                tables[tso] = (_shifted(h, w, 1 if side == "a" else -1), h)
+        return tables
 
-        T[dl] = (-1)^dl tau^4 EA_dl^T EB_dl, one batched product per ``_runs``
-        run, written into T: EA_dl[w, mu] = h[w, mu] h[w + dl, mu + dl] of
-        Alice's table, EB_dl the same of Bob's at row ts - w and offset -dl;
-        (-1)^dl is what remains of the singlet phases.  None when the sector
-        adds nothing (an all-zero table, or tau = 0).
+    def _t_sector(self, ts: int, pairs: list, kernels: dict) -> None:
+        """Add source sector ts's block T[dl + dmax, mu_a, mu_b] to the kernel of each pair (tsa, tsb <= ts).
+
+        T[dl] = (-1)^dl tau^4 EA_dl^T EB_dl, one batched product per ``_runs`` run, written into T: EA_dl[w, mu]
+        = h[w, mu] h[w + dl, mu + dl] of Alice's table, EB_dl the same of Bob's at row ts - w and offset -dl;
+        (-1)^dl is what remains of the singlet phases.  Each outcome sector's table and padded copy are formed
+        once, and its products are shared by its pairs through ``_piece``.  A pair's first block becomes its
+        kernel in ``kernels``; a pair the sector does not feed (an all-zero table, or tau = 0) is left alone.
         """
         tau4 = math.exp(2.0 * self._log_tau2(ts))
-        ha = _amplitudes(ts, tsa, *self._side_etas("a"))
-        hb = _amplitudes(ts, tsb, *self._side_etas("b"))[::-1]
-        if tau4 == 0.0 or not (ha.any() and hb.any()):
-            return None
-        dmax = min(tsa, tsb)
-        sa, sb = _shifted(ha, dmax, 1), _shifted(hb, dmax, -1)
-        out = np.empty((2 * dmax + 1, tsa + 1, tsb + 1))
-        for r in _runs(2 * dmax + 1, (tsa + 1) * (ts + 1) * (tsb + 1)):
-            block = _matmul((ha * sa[r]).transpose(0, 2, 1), hb * sb[r], out[r])
-            block *= tau4
-            block[(r.start + dmax + 1) % 2 :: 2] *= -1.0
-        return out
+        if tau4 == 0.0 or not pairs:
+            return
+        rows, reach_b = _rows(tuple(pairs))
+        ha, hb = self._tables(ts, "a", [(a, w) for a, w, _ in rows]), self._tables(ts, "b", reach_b)
+        new = {}
+        for a, b in pairs:  # in the callers' order, which sets the kernels' order
+            if a in ha and b in hb and (a, b) not in kernels:
+                new[(a, b)] = kernels[(a, b)] = np.empty((2 * min(a, b) + 1, a + 1, b + 1))
+        bob_pieces: dict = {}
+        for a, _, row in rows:
+            if a not in ha:
+                continue
+            sa, h_a = ha[a]
+            alice_pieces: dict = {}
+            for b in row:
+                if b not in hb:
+                    continue
+                sb, h_b = hb[b]
+                t, dm, first = kernels[(a, b)], min(a, b), (a, b) in new
+                for r in _runs(t.shape[0], (a + 1) * (ts + 1) * (b + 1)):
+                    lo, hi = r.start - dm, min(r.stop, t.shape[0]) - dm
+                    ea = _piece(alice_pieces, a, 0, sa, h_a, lo, hi).transpose(0, 2, 1)
+                    eb = _piece(bob_pieces, b, 0, sb, h_b, lo, hi)
+                    block = _matmul(ea, eb, t[r] if first else None)
+                    block *= tau4
+                    block[(lo + 1) % 2 :: 2] *= -1.0
+                    if not first:
+                        t[r] += block
 
     def _kernels(self, pairs: tuple | None):
         """Converged kernels ({(tsa, tsb): T}, cutoff, converged) of outcome sector pairs.
@@ -399,10 +494,7 @@ class LossyEngine:
         while True:
             for ts in range(applied + 1, tcut + 1):
                 live = pairs if pairs else [(a, b) for a in range(ts + 1) for b in range(ts + 1)]
-                for tsa, tsb in live:
-                    t = self._t_sector(tsa, tsb, ts) if max(tsa, tsb) <= ts else None
-                    if t is not None and kernels.setdefault((tsa, tsb), t) is not t:
-                        kernels[(tsa, tsb)] += t
+                self._t_sector(ts, [p for p in live if max(p) <= ts], kernels)
             applied = tcut
             mass = sum(float(t[min(tsa, tsb)].sum()) for (tsa, tsb), t in kernels.items())
             if prev is not None:
@@ -439,9 +531,9 @@ class LossyEngine:
         """
         pairs = None if sectors is None else ((HalfInt.of(sectors[0]).twice, HalfInt.of(sectors[1]).twice),)
         kernels, tcut, ok = self._kernels(pairs)
-        blocks = {k: _contract(t, *k, (alpha,), (beta,))[0, 0] for k, t in sorted(kernels.items())}
+        blocks = _contract(kernels, (alpha,), (beta,))
         return JointOutcomeDistribution(
-            blocks={k: _nonnegative(p, *k) for k, p in blocks.items()},
+            blocks={k: _nonnegative(blocks[k][0, 0], *k) for k in sorted(blocks)},
             tail_bound=sector_weight_tail(HalfInt(tcut), self.r),
             s_cutoff_used=HalfInt(tcut),
             converged=ok,
@@ -494,7 +586,7 @@ class LossyEngine:
         ts = s_star.twice
         t, prob, parts, cutoff, ok = self._sector(s_star)
         scale = prob if conditioned else 1.0
-        p = _contract(t, ts, ts, (angles.alpha,), (angles.beta,))[0, 0]
+        p = _contract({(ts, ts): t}, (angles.alpha,), (angles.beta,))[(ts, ts)][0, 0]
         lhs = _lhs(_nonnegative(p, ts, ts), s_star, scale)
         rhs = _rhs(parts, angles.alpha, angles.beta, angles.gamma, scale)
         return ViolationRecord(
@@ -649,7 +741,7 @@ def _lhs_coefficients(eng: LossyEngine, s_star: HalfInt, convention: str, full: 
     t, prob, parts, _, _ = eng._sector(s_star)
     scale = prob if conditioned else 1.0
     grid = 2.0 * math.pi * np.arange(2 * ts + 1) / (2 * ts + 1)
-    blocks = _contract(t, ts, ts, grid, grid if full else (0.0,))
+    blocks = _contract({(ts, ts): t}, grid, grid if full else (0.0,))[(ts, ts)]
     coef = np.fft.fft2([[_lhs(_nonnegative(p, ts, ts), s_star, scale) for p in row] for row in blocks])
     return coef / coef.size, parts, scale
 
@@ -787,6 +879,8 @@ def correlation_alt_bookkeeping(
         z = u = d = np.zeros(ts + 1)
         for tso in range(ts + 1):
             h = _amplitudes(ts, tso, eta, eta)
+            if h is None:  # underflowed to zero: adds nothing
+                continue
             lower, same, upper = h * _shifted(h, 1, 1)
             mu, lp, lm = _ladder_weights(tso)
             z = z + same @ mu

@@ -170,26 +170,46 @@ def test_kernels_equal_offset_by_offset_reference(r, loss, pairs, policy):
         # one pass: the cap's every source sector in order, also where the cap lies above 2s + 4
         assert tcut == policy.cap(max(max(p) for p in pairs) if pairs else 0)
         for (tsa, tsb), t in kernels.items():
-            blocks = [eng._t_sector(tsa, tsb, ts) for ts in range(max(tsa, tsb), tcut + 1)]
+            blocks = [_one_block(eng, tsa, tsb, ts) for ts in range(max(tsa, tsb), tcut + 1)]
             blocks = [b for b in blocks if b is not None] or [np.zeros_like(t)]
             assert np.array_equal(t, sum(blocks[1:], blocks[0])), (tsa, tsb)
 
 
+def _one_block(eng, tsa, tsb, ts):
+    """Source sector ts's block of one sector pair, or None where it adds nothing."""
+    kernels = {}
+    eng._t_sector(ts, [(tsa, tsb)], kernels)
+    return kernels.get((tsa, tsb))
+
+
 def test_perfect_detection_builds_one_source_sector(monkeypatch):
-    # at eta=1 every table from a larger source spin is zero, so only ts = 2s* adds to the kernel
-    built = []
-    t_sector = LossyEngine._t_sector
+    # at eta=1 every table from a larger source spin is zero, so only ts = 2s* adds to the kernel,
+    # and no other table is built
+    built, table = [], lossy.log_weight_table
 
-    def recording(self, tsa, tsb, ts):
-        t = t_sector(self, tsa, tsb, ts)
-        if t is not None:
-            built.append(ts)
-        return t
+    def recording(ts, tso, *etas):
+        built.append((ts, tso))
+        return table(ts, tso, *etas)
 
-    monkeypatch.setattr(LossyEngine, "_t_sector", recording)
+    lossy._amplitudes.cache_clear()
+    monkeypatch.setattr(lossy, "log_weight_table", recording)
     rec = LossyEngine(0.4, LossConfig.equal_eta(1.0)).mermin_sides(HalfInt(4), theta_triple(0.3))
     assert rec.converged and rec.s_cutoff_used == HalfInt(10)
-    assert built == [4]
+    assert built == [(4, 4)]
+
+
+@pytest.mark.parametrize("eta_up", [0.0, 1e-300, 0.5, 1.0])
+@pytest.mark.parametrize("eta_dn", [0.0, 1e-300, 0.5, 1.0])
+def test_feeds_rule_skips_only_all_zero_tables(eta_up, eta_dn):
+    # the rule may keep a table that underflows to zero (1e-300), never drop one that is not;
+    # on a side whose efficiencies are all 0 or 1 it is exact.  _amplitudes is None for every zero table.
+    exact = {eta_up, eta_dn} <= {0.0, 1.0}
+    for ts in range(7):
+        for tso in range(ts + 1):
+            nonzero = bool(np.exp(0.5 * log_weight_table(ts, tso, eta_up, eta_dn)).any())
+            feeds = lossy._feeds(ts, tso, eta_up, eta_dn)
+            assert feeds == nonzero if exact else feeds or not nonzero, (ts, tso)
+            assert (lossy._amplitudes(ts, tso, eta_up, eta_dn) is not None) == nonzero, (ts, tso)
 
 
 def test_amplitude_tables_are_shared_and_read_only():
@@ -234,7 +254,7 @@ def test_join_is_one_flattened_product_up_to_spin_7():
     for tsa in range(15):
         for tsb in range(15):
             t, (alpha, beta) = _random_kernel(tsa, tsb)
-            got = lossy._contract(t, tsa, tsb, (alpha,), (beta,))
+            got = lossy._contract({(tsa, tsb): t}, (alpha,), (beta,))[(tsa, tsb)]
             assert got.shape == (1, 1, tsa + 1, tsb + 1), (tsa, tsb)
             assert np.array_equal(got[0, 0], _full_stack_join(t, tsa, tsb, alpha, beta)), (tsa, tsb)
 
@@ -245,7 +265,7 @@ def test_join_splits_large_spin_into_offset_runs(tsa, tsb):
     assert len(lossy._runs(t.shape[0], (tsa + 1) ** 2 * (tsb + 1))) > 1 or tsb == 0
     ea, x = _full_stacks(t, tsa, tsb, alpha, beta)
     want = sum(e.T @ xi for e, xi in zip(ea, x))
-    got = lossy._contract(t, tsa, tsb, (alpha,), (beta,))[0, 0]
+    got = lossy._contract({(tsa, tsb): t}, (alpha,), (beta,))[(tsa, tsb)][0, 0]
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -254,7 +274,7 @@ def test_blocked_contract_equals_full_stack_join(tsa, tsb):
     # every block of an angle grid, bit for bit where one run covers all offsets
     t, _ = _random_kernel(tsa, tsb)
     alphas, betas = (0.4, -2.1), (1.3, -0.6, 3.0)
-    grid = lossy._contract(t, tsa, tsb, alphas, betas)
+    grid = lossy._contract({(tsa, tsb): t}, alphas, betas)[(tsa, tsb)]
     one_run = len(lossy._runs(t.shape[0], (tsa + 1) ** 2 * (tsb + 1))) == 1
     for i, alpha in enumerate(alphas):
         for j, beta in enumerate(betas):
@@ -269,11 +289,12 @@ def test_blocked_contract_equals_full_stack_join(tsa, tsb):
 def test_contract_grid_blocks_equal_single_angle_calls(tsa, tsb):
     t, _ = _random_kernel(tsa, tsb)
     alphas, betas = (0.3, -1.2, 2.9), (0.0, 0.7, -2.2, math.pi)
-    grid = lossy._contract(t, tsa, tsb, alphas, betas)
+    grid = lossy._contract({(tsa, tsb): t}, alphas, betas)[(tsa, tsb)]
     assert grid.shape == (3, 4, tsa + 1, tsb + 1)
     for i, alpha in enumerate(alphas):
         for j, beta in enumerate(betas):
-            assert np.array_equal(grid[i, j], lossy._contract(t, tsa, tsb, (alpha,), (beta,))[0, 0]), (i, j)
+            one = lossy._contract({(tsa, tsb): t}, (alpha,), (beta,))[(tsa, tsb)]
+            assert np.array_equal(grid[i, j], one[0, 0]), (i, j)
 
 
 @pytest.mark.parametrize("tsa, tsb, ts", [(30, 30, 40), (20, 45, 50), (45, 20, 60), (60, 60, 60)])
@@ -281,12 +302,32 @@ def test_t_sector_equals_full_stack_product(tsa, tsb, ts):
     eng = LossyEngine(0.3, LossConfig(0.9, 0.6, 0.8, 0.7))
     dmax = min(tsa, tsb)
     assert len(lossy._runs(2 * dmax + 1, (tsa + 1) * (ts + 1) * (tsb + 1))) > 1
+    assert np.array_equal(_one_block(eng, tsa, tsb, ts), _full_stack_block(eng, tsa, tsb, ts))
+
+
+def _full_stack_block(eng, tsa, tsb, ts):
+    """Source sector ts's block of one pair as one full-depth batched product."""
+    dmax = min(tsa, tsb)
     ha = lossy._amplitudes(ts, tsa, *eng._side_etas("a"))
     hb = lossy._amplitudes(ts, tsb, *eng._side_etas("b"))[::-1]
     want = np.matmul((ha * lossy._shifted(ha, dmax, 1)).transpose(0, 2, 1), hb * lossy._shifted(hb, dmax, -1))
     want *= math.exp(2.0 * eng._log_tau2(ts))
     want[1 - dmax % 2 :: 2] *= -1.0
-    assert np.array_equal(eng._t_sector(tsa, tsb, ts), want)
+    return want
+
+
+def test_t_sector_of_many_pairs_equals_full_stack_products():
+    # one call on pairs that share sectors, each over several runs, adds the same bits to every kernel,
+    # both where the block becomes the kernel and where it is added to one
+    eng, ts = LossyEngine(0.3, LossConfig(0.9, 0.6, 0.8, 0.7)), 60
+    pairs = [(30, 30), (30, 60), (60, 30), (45, 20), (20, 45), (60, 60), (45, 60), (60, 45)]
+    assert all(len(lossy._runs(2 * min(p) + 1, (p[0] + 1) * (ts + 1) * (p[1] + 1))) > 1 for p in pairs)
+    kernels = {(60, 60): np.ones((121, 61, 61))}
+    eng._t_sector(ts, pairs, kernels)
+    assert list(kernels) == [(60, 60)] + [p for p in pairs if p != (60, 60)]
+    for p in pairs:
+        want = _full_stack_block(eng, *p, ts)
+        assert np.array_equal(kernels[p], 1.0 + want if p == (60, 60) else want), p
 
 
 def test_large_spin_products_stay_within_single_thread_size(monkeypatch):
@@ -306,6 +347,55 @@ def test_large_spin_products_stay_within_single_thread_size(monkeypatch):
     ideal = ideal_mermin_sides(40, rec.angles)
     assert rec.lhs == pytest.approx(ideal.lhs, rel=1e-12) and rec.rhs == pytest.approx(ideal.rhs, rel=1e-12)
     assert 81**3 > 2 * lossy._SINGLE_THREAD_MACS and sizes and max(sizes) <= lossy._SINGLE_THREAD_MACS
+
+
+DEEP_JOINT_LOSS = LossConfig(0.6, 0.95, 0.7, 0.8)
+
+
+def test_deep_unrestricted_joint_stays_within_single_thread_size(monkeypatch):
+    # every gemm of a cold deep full distribution (rotation basis, blocks, shared-sector build and contraction)
+    sizes, matmul = [], np.matmul
+
+    def recording(a, b, out=None):
+        sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return matmul(a, b, out=out)
+
+    numerics._sx_eigenvectors.cache_clear()
+    numerics._wigner_cache_clear()
+    monkeypatch.setattr(np, "matmul", recording)
+    dist = LossyEngine(0.5, DEEP_JOINT_LOSS, TruncationPolicy(HalfInt(40), rel_tol=1e-14)).joint(0.7, -0.4)
+    monkeypatch.undo()
+    assert dist.converged and dist.s_cutoff_used == HalfInt(24)
+    assert lossy._SINGLE_THREAD_MACS // 2 < max(sizes) <= lossy._SINGLE_THREAD_MACS
+
+
+JOINT_LOSSES = {"equal": LossConfig.equal_eta(0.8), "unequal": LossConfig(0.9, 0.6, 0.8, 0.7)}
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3])
+@pytest.mark.parametrize("loss", JOINT_LOSSES.values(), ids=JOINT_LOSSES.keys())
+def test_unrestricted_joint_blocks_equal_post_selected_joints(r, loss):
+    # the full distribution shares each sector's pieces among its pairs; one pair at a time shares nothing
+    eng = LossyEngine(r, loss, TruncationPolicy(HalfInt(6), 0.0))
+    for alpha, beta in [(0.7, -0.4), (2.3, 1.1)]:
+        dist = eng.joint(alpha, beta)
+        assert len(dist.blocks) == 49
+        for (tsa, tsb), p in dist.blocks.items():
+            one = eng.joint(alpha, beta, sectors=(HalfInt(tsa), HalfInt(tsb)))
+            assert one.s_cutoff_used == dist.s_cutoff_used
+            assert np.abs(p - one.blocks[(tsa, tsb)]).max() <= 1e-15 * p.max(), (tsa, tsb)
+
+
+def test_deep_unrestricted_joint_blocks_equal_post_selected_joints():
+    # pairs whose kernel build and contraction run over several runs of offsets
+    eng = LossyEngine(0.5, DEEP_JOINT_LOSS, TruncationPolicy(HalfInt(24), 0.0))
+    dist = eng.joint(0.7, -0.4)
+    pairs = [(24, 24), (24, 23), (23, 24), (24, 10), (10, 24), (17, 20), (3, 24)]
+    assert len(lossy._runs(49, 25**3)) > 1 and len(lossy._runs(47, 25 * 25 * 24)) > 1
+    for tsa, tsb in pairs:
+        one = eng.joint(0.7, -0.4, sectors=(HalfInt(tsa), HalfInt(tsb)))
+        p = dist.blocks[(tsa, tsb)]
+        assert np.abs(p - one.blocks[(tsa, tsb)]).max() <= 1e-15 * p.max(), (tsa, tsb)
 
 
 def test_large_spin_evaluation_holds_no_full_depth_pair_stack():
@@ -824,9 +914,9 @@ def test_equal_loss_optimum_reads_one_lhs_row_and_one_record(ts, loss, monkeypat
     contract, sides = lossy._contract, LossyEngine.mermin_sides
     grids, records = [], []
 
-    def recording_contract(t, tsa, tsb, alphas, betas):
+    def recording_contract(kernels, alphas, betas):
         grids.append((len(alphas), len(betas)))
-        return contract(t, tsa, tsb, alphas, betas)
+        return contract(kernels, alphas, betas)
 
     def recording_sides(self, *args, **kwargs):
         records.append(args)
