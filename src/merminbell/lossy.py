@@ -72,6 +72,7 @@ __all__ = [
 ]
 
 _NEG_INF = float("-inf")
+_TINY = float(np.finfo(float).tiny)
 _MAX_SOURCE_TWICE = 400
 # equal-loss angle search: dense-grid oversampling, Newton steps, interpolant check
 _OVERSAMPLE = 64
@@ -317,9 +318,12 @@ def _contract(kernels: dict, alphas: Sequence[float], betas: Sequence[float]) ->
 
 
 def _nonnegative(p: np.ndarray, tsa: int, tsb: int) -> np.ndarray:
-    """Clip roundoff below zero; a probability below -1e-9 is an error."""
+    """Clip roundoff below zero; a probability below -1e-9 of the block's mass is an error.
+
+    The bound is floored at the smallest normal float, so rounding in a block of denormals is clipped too.
+    """
     lowest = float(p.min())
-    if lowest < -1e-9:
+    if lowest < -_TINY and lowest < -1e-9 * float(np.abs(p).sum()):
         raise InternalConsistencyError(
             f"negative probability {lowest:.3e} at sector ({HalfInt(tsa)}, {HalfInt(tsb)})"
         )
@@ -720,10 +724,13 @@ def _checked_optimum(
     """The optimizers' result: a fresh ``mermin_sides`` at ``angles``.
 
     A violation more than ``_INTERPOLANT_TOL`` off the interpolant's ``predicted`` one raises
-    ``InternalConsistencyError`` naming the ``defect``: the curve is not of the assumed degree.
+    ``InternalConsistencyError`` naming the ``defect``: the curve is not of the assumed degree.  An
+    unconditioned gap is divided by the sector probability, so both conventions are held in the same scale.
     """
     record = eng.mermin_sides(s_star, angles, convention)
     gap = abs(predicted - record.violation)
+    if convention == "unconditioned":
+        gap /= record.sector_probability
     if not gap <= _INTERPOLANT_TOL:
         raise InternalConsistencyError(f"{defect}: interpolant off by {gap:.3e} at {angles}")
     return record.angles, record

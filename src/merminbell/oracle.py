@@ -4,31 +4,31 @@ Everything here works directly on photon occupation amplitudes of the four
 optical modes (a1, a2, b1, b2): explicit state preparation, Kraus-sum loss
 channels, beamsplitter analyzer unitaries, and photon-counting readout.  No
 spin algebra is shared with the analytic modules; agreement between the two
-routes is the package's core correctness check.  The density matrix is real
-unless the input state has a complex amplitude.
+routes is the package's core correctness check.
 
-The working basis is the A-major product of per-side bases, each holding
-every occupation with that side's photon total up to the total present in
-the initial state.  It is closed under both loss (totals decrease) and
-analyzer rotations (totals conserved), so channels stay exactly trace
-preserving despite the truncation.
+The source is a pure state, and a loss channel only splits each state into
+orthogonal Kraus branches, one per number of lost photons, that are never
+recombined before readout.  So a lossy state is kept as its branches:
+``psi[b, i_A, i_B]`` holds branch b's amplitude on the product of Alice's
+side state i_A and Bob's side state i_B, and the density matrix is
+sum_b psi_b psi_b^dagger, never formed.  Amplitudes are real unless the
+input state has a complex one.  Each side's basis holds every occupation
+with that side's photon total up to the total present in the initial state;
+it is closed under both loss (totals decrease) and analyzer rotations
+(totals conserved), so channels stay exactly trace preserving despite the
+truncation.
 
-Every channel acts on one side, so it views the dim x dim density matrix as
-a tensor with a ket and a bra axis per side and touches only its own side's
-two axes.  What depends only on a side's basis is built once and cached,
-read-only and in bounded caches: the analyzer's side-sized rotation block
-per (side basis, leading mode, angle), per (side basis, mode) the index
-maps that send each side state to its copy with k photons fewer, and per
-basis the readout's block cells.  A loss
-channel is then a scale of the side's axes by eta^(n/2) (no photon lost)
-plus, per k >= 1, one gathered and weighted sub-block added at the lowered
-indices; an analyzer is, per state of the other side's ket, one side-sized
-product on the ket axis and one batch of them on the bra axis.  No
-temporary is larger than the density matrix, no dim x dim product is
-formed, and every product stays small enough that BLAS keeps it on the
-calling thread.  ``simulate_joint`` keeps the lossy state of the last
-setting, since the source and the loss channels do not depend on the
-analyzer angles.
+Every channel acts on one side's axis of ``psi``.  What depends only on a
+side's basis is built once and cached, read-only and in bounded caches: the
+analyzer's side-sized rotation block per (side basis, leading mode, angle),
+per (side basis, mode) the index maps that send each side state to its copy
+with k photons fewer, and per pair of side bases the readout's block cells.
+A loss channel gives every branch one weighted copy per k, gathered through
+the lowering map along the side's axis, and drops the copies that are all
+zero; an analyzer is one side-sized product per branch, small enough that
+BLAS keeps it on the calling thread; the readout sums |psi|^2 over branches.
+``simulate_joint`` keeps the lossy state of the last setting, since the
+source and the loss channels do not depend on the analyzer angles.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .numerics import HalfInt
 
 __all__ = [
     "TruncatedFockState",
-    "DensityMatrixLite",
+    "KrausBranches",
     "build_epr2",
     "apply_loss",
     "apply_analyzer",
@@ -104,112 +104,72 @@ def build_epr2(
     return TruncatedFockState(cutoff=cutoff, amplitudes=amp)
 
 
-class DensityMatrixLite:
-    """Dense density matrix over an explicit four-mode occupation basis."""
+class KrausBranches:
+    """Mixed four-mode state as orthogonal Kraus branches of a pure state.
 
-    def __init__(self, basis: list[tuple[int, int, int, int]], rho: np.ndarray):
-        self.basis = basis
-        self.rho = rho
+    ``sides`` are Alice's and Bob's bases of (n1, n2) occupations and
+    ``psi[b, i_A, i_B]`` the amplitude of branch b on side states i_A, i_B;
+    the density matrix is sum_b psi_b psi_b^dagger.
+    """
+
+    def __init__(self, sides: tuple[tuple[tuple[int, int], ...], ...], psi: np.ndarray):
+        self.sides = sides
+        self.psi = psi
 
     @cached_property
-    def index(self) -> dict[tuple[int, int, int, int], int]:
-        return {t: i for i, t in enumerate(self.basis)}
-
-    @cached_property
-    def sides(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-        """Alice's and Bob's bases, of which ``basis`` must be the A-major product.
-
-        Derived at most once per basis: ``from_state`` sets them and every
-        channel hands them on.  ValueError if ``basis`` is no such product.
-        """
-        states_a = tuple(dict.fromkeys(t[:2] for t in self.basis))
-        states_b = tuple(dict.fromkeys(t[2:] for t in self.basis))
-        if self.basis != [a + b for a in states_a for b in states_b]:
-            raise ValueError("basis is not an A-major product of per-side bases")
-        return states_a, states_b
-
-    def _with_rho(self, rho: np.ndarray) -> "DensityMatrixLite":
-        """``rho`` over this basis, sharing its per-side bases."""
-        out = DensityMatrixLite(self.basis, rho)
-        out.sides = self.sides
-        return out
+    def basis(self) -> list[tuple[int, int, int, int]]:
+        """The four-mode product basis, A-major: the order of ``psi[b].ravel()``."""
+        return [a + b for a in self.sides[0] for b in self.sides[1]]
 
     @classmethod
-    def from_state(cls, state: TruncatedFockState) -> "DensityMatrixLite":
+    def from_state(cls, state: TruncatedFockState) -> "KrausBranches":
         na = max((n1 + n2 for (n1, n2, _, _) in state.amplitudes), default=0)
         nb = max((n3 + n4 for (_, _, n3, n4) in state.amplitudes), default=0)
-        states_a, states_b = (tuple((i, j) for i in range(n + 1) for j in range(n + 1 - i)) for n in (na, nb))
-        basis = [a + b for a in states_a for b in states_b]
-        index = {t: i for i, t in enumerate(basis)}
+        sides = tuple(tuple((i, j) for i in range(n + 1) for j in range(n + 1 - i)) for n in (na, nb))
+        index_a, index_b = ({t: i for i, t in enumerate(states)} for states in sides)
         amps = np.asarray(list(state.amplitudes.values()))
-        psi = np.zeros(len(basis), dtype=np.result_type(amps, float))
-        psi[[index[t] for t in state.amplitudes]] = amps
-        dm = cls(basis, np.outer(psi, psi.conj()))
-        dm.sides = states_a, states_b
-        return dm
-
-    def entry(self, ket: tuple, bra: tuple) -> complex:
-        return self.rho[self.index[tuple(ket)], self.index[tuple(bra)]]
-
-    def trace(self) -> float:
-        return float(np.trace(self.rho).real)
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.rho - self.rho.conj().T)))
+        psi = np.zeros((1, len(sides[0]), len(sides[1])), dtype=np.result_type(amps, float))
+        for t, a in zip(state.amplitudes, amps):
+            psi[0, index_a[t[:2]], index_b[t[2:]]] = a
+        return cls(sides, psi)
 
 
-def _as_dm(obj) -> DensityMatrixLite:
+def _as_branches(obj) -> KrausBranches:
     if isinstance(obj, TruncatedFockState):
-        return DensityMatrixLite.from_state(obj)
-    if isinstance(obj, DensityMatrixLite):
+        return KrausBranches.from_state(obj)
+    if isinstance(obj, KrausBranches):
         return obj
-    raise TypeError("expected a TruncatedFockState or DensityMatrixLite")
+    raise TypeError("expected a TruncatedFockState or KrausBranches")
 
 
-def _side_view(t: np.ndarray, side: int) -> np.ndarray:
-    """The (A ket, B ket, A bra, B bra) tensor as a view with axes (other ket,
-    other bra, side ket, side bra), so that ``side`` (0 for A, 1 for B) owns
-    the last two axes."""
-    return t.transpose(1, 3, 0, 2) if side == 0 else t.transpose(0, 2, 1, 3)
-
-
-def apply_loss(obj, mode: str, eta: float) -> DensityMatrixLite:
+def apply_loss(obj, mode: str, eta: float) -> KrausBranches:
     """Kraus-sum loss channel on one mode: k photons lost with amplitude
     sqrt(C(n,k)) eta^((n-k)/2) (1-eta)^(k/2).
 
     The k-photon Kraus operator sends each state of the mode's side with
-    n >= k to its copy with n - k photons, so K rho K^T is a weighted copy of
-    a sub-block along that side's two axes.  The basis must be the A-major
-    product of per-side bases that ``from_state`` builds.
+    n >= k to its copy with n - k photons, so it turns every branch into a
+    weighted copy gathered along that side's axis.  Copies that are all zero
+    are dropped.
     """
     if mode not in _MODE_POS:
         raise ValueError(f"unknown mode {mode!r}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
-    dm = _as_dm(obj)
-    sides = dm.sides
+    state = _as_branches(obj)
     if eta == 1.0:  # only the k = 0 operator, the identity
-        return dm._with_rho(dm.rho.copy())
+        return KrausBranches(state.sides, state.psi.copy())
     side, pos = divmod(_MODE_POS[mode], 2)
-    n, maps = _lowering_maps(sides[side], pos)
-    rho = dm.rho.reshape(len(sides[0]), len(sides[1]), len(sides[0]), len(sides[1]))
-    # k = 0 keeps every state: scale the side's ket and bra axes by eta^(n/2)
-    w = _loss_weights(eta, 0, len(maps))[n]
-    new = rho * _along(w, side)
-    new *= _along(w, side + 2)
-    src, dst = _side_view(rho, side), _side_view(new, side)
+    n, maps = _lowering_maps(state.sides[side], pos)
+    # the side's axis last, in the input and in each k's copies
+    src = state.psi.swapaxes(1, 2) if side == 0 else state.psi
+    out = np.zeros((len(maps) + 1, *state.psi.shape), dtype=state.psi.dtype)
+    dst = out.swapaxes(2, 3) if side == 0 else out
+    np.multiply(src, _loss_weights(eta, 0, len(maps))[n], out=dst[0])
     for k, (cols, rows) in enumerate(maps, start=1):
-        w = _loss_weights(eta, k, len(maps))[n[cols]]
-        part = src[..., cols[:, None], cols]
-        part *= w[:, None]
-        part *= w
-        dst[..., rows[:, None], rows] += part
-    return dm._with_rho(new.reshape(dm.rho.shape))
-
-
-def _along(w: np.ndarray, axis: int) -> np.ndarray:
-    """``w`` shaped to broadcast along one axis of the four-axis tensor."""
-    return w.reshape([-1 if ax == axis else 1 for ax in range(4)])
+        dst[k][..., rows] = src[..., cols] * _loss_weights(eta, k, len(maps))[n[cols]]
+    out = out.reshape(-1, *state.psi.shape[1:])
+    keep = out.reshape(len(out), -1).any(axis=1)
+    return KrausBranches(state.sides, out if keep.all() else out[keep])
 
 
 def _loss_weights(eta: float, k: int, n_max: int) -> np.ndarray:
@@ -285,36 +245,21 @@ def _rotation_block(states: tuple, lead: int, angle: float) -> np.ndarray:
     return rot
 
 
-def apply_analyzer(obj, side: str, angle: float) -> DensityMatrixLite:
+def apply_analyzer(obj, side: str, angle: float) -> KrausBranches:
     """Beamsplitter analyzer on one side; photon number per side conserved.
 
     Alice's rotation treats a1 as the leading mode; Bob's treats b2 as the
-    leading mode, matching his reflected spin convention.  The basis must be
-    the A-major product of per-side bases that ``from_state`` builds, so the
-    unitary is one side's rotation block acting on that side's two axes.
+    leading mode, matching his reflected spin convention.  The unitary is
+    that side's rotation block, applied to each branch's side axis: one
+    side-sized product per branch.
     """
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
-    dm = _as_dm(obj)
-    sides = dm.sides
+    state = _as_branches(obj)
     lead = 0 if side == "A" else 1
-    rot = _rotation_block(sides[lead], lead, float(angle))
-    da, db = len(sides[0]), len(sides[1])
-    dim = da * db
-    rho = dm.rho.reshape(da, db, da, db)
-    new = np.empty(rho.shape, dtype=np.result_type(rot, rho))
-    # rot rho rot^T one slice of the other side's ket at a time: the ket
-    # product is one side-sized product, the bra product one batch of them,
-    # so BLAS stays on the calling thread and no temporary outgrows a slice
-    if lead == 0:
-        for b in range(db):
-            half = rot @ rho[:, b].reshape(da, dim)
-            np.matmul(rot, half.reshape(da, da, db), out=new[:, b])
-    else:
-        for a in range(da):
-            half = rot @ rho[a].reshape(db, dim)
-            np.matmul(half.reshape(dim, db), rot.T, out=new[a].reshape(dim, db))
-    return dm._with_rho(new.reshape(dm.rho.shape))
+    rot = _rotation_block(state.sides[lead], lead, float(angle))
+    psi = np.matmul(rot, state.psi) if lead == 0 else np.matmul(state.psi, rot.T)
+    return KrausBranches(state.sides, psi)
 
 
 def _bob_projection(n_b1, n_b2):
@@ -322,42 +267,44 @@ def _bob_projection(n_b1, n_b2):
     return n_b2 - n_b1
 
 
-def measure_joint(dm: DensityMatrixLite) -> JointOutcomeDistribution:
-    """Photon-counting readout: the diagonal in the occupation basis, one
-    block per per-side photon-total pair (2s_a, 2s_b), indexed by the
-    up-mode counts n_a1 and (2s_b + 2m_b)/2.  A pair whose probabilities
-    are all zero has no block."""
-    p = dm.rho.diagonal().real
+def measure_joint(state: KrausBranches) -> JointOutcomeDistribution:
+    """Photon-counting readout: the diagonal sum_b |psi_b|^2 in the
+    occupation basis, one block per per-side photon-total pair (2s_a, 2s_b),
+    indexed by the up-mode counts n_a1 and (2s_b + 2m_b)/2.  A pair whose
+    probabilities are all zero has no block."""
+    p = np.einsum("bij,bij->ij", state.psi.conj(), state.psi).real
+    pairs, cells = _readout_cells(state.sides)
+    flat = np.zeros(sum((ta + 1) * (tb + 1) for ta, tb in pairs))
+    flat[cells] = p
     blocks: dict[tuple[int, int], np.ndarray] = {}
-    for (ta, tb), at, cells in _readout_cells(tuple(dm.basis)):
-        q = p[at]
+    start = 0
+    for ta, tb in pairs:
+        q = flat[start : start + (ta + 1) * (tb + 1)]
+        start += q.size
         if q.any():
-            blocks[(ta, tb)] = np.zeros((ta + 1, tb + 1))
-            blocks[(ta, tb)][cells] = q + 0.0  # + 0.0 turns -0.0 into 0.0
+            blocks[(ta, tb)] = q.reshape(ta + 1, tb + 1)
     return JointOutcomeDistribution(
         blocks=blocks,
-        tail_bound=max(0.0, 1.0 - sum(p.tolist())),
+        tail_bound=max(0.0, 1.0 - sum(p.ravel().tolist())),
         s_cutoff_used=HalfInt(max((max(k) for k in blocks), default=0)),
         converged=True,
     )
 
 
 @lru_cache(maxsize=8)
-def _readout_cells(basis: tuple) -> tuple[tuple[tuple[int, int], np.ndarray, tuple[np.ndarray, np.ndarray]], ...]:
-    """Per photon-total pair (2s_a, 2s_b), in sorted order: the positions in
-    ``basis`` of its states and their (row, column) cells in its block.
-    Read-only arrays."""
-    occ = np.array(basis, dtype=np.int64).reshape(-1, 4)
-    tsa, tsb = occ[:, 0] + occ[:, 1], occ[:, 2] + occ[:, 3]
-    col = (tsb + _bob_projection(occ[:, 2], occ[:, 3])) // 2
-    out = []
-    for ta, tb in sorted(set(zip(tsa.tolist(), tsb.tolist()))):
-        at = np.flatnonzero((tsa == ta) & (tsb == tb))
-        cells = occ[at, 0], col[at]
-        for a in (at, *cells):
-            a.setflags(write=False)
-        out.append(((ta, tb), at, cells))
-    return tuple(out)
+def _readout_cells(sides: tuple) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+    """The photon-total pairs (2s_a, 2s_b) in sorted order, and per pair of
+    side states (i_A, i_B) its cell in their blocks laid end to end,
+    row-major within each.  Read-only array."""
+    occ_a, occ_b = (np.array(states, dtype=np.intp).reshape(-1, 2) for states in sides)
+    ta, tb = occ_a.sum(axis=1), occ_b.sum(axis=1)
+    row, col = occ_a[:, 0], (tb + _bob_projection(occ_b[:, 0], occ_b[:, 1])) // 2
+    tas, tbs = (np.array(sorted(set(t.tolist())), dtype=np.intp) for t in (ta, tb))  # np.unique would import numpy.ma
+    sizes = (tas[:, None] + 1) * (tbs + 1)
+    start = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
+    cells = start[np.searchsorted(tas, ta)[:, None], np.searchsorted(tbs, tb)] + row[:, None] * (tb + 1) + col
+    cells.setflags(write=False)
+    return tuple((a, b) for a in tas.tolist() for b in tbs.tolist()), cells
 
 
 def simulate_joint(
@@ -370,18 +317,18 @@ def simulate_joint(
 ) -> JointOutcomeDistribution:
     """Full pipeline: source, pi shift, four loss channels, analyzers, readout."""
     s_max = None if sector_max is None else HalfInt.of(sector_max)
-    dm = apply_analyzer(_lossy_state(r, loss.etas(), cutoff, s_max), "A", alpha)
-    dm = apply_analyzer(dm, "B", beta)
-    return measure_joint(dm)
+    state = apply_analyzer(_lossy_state(r, loss.etas(), cutoff, s_max), "A", alpha)
+    state = apply_analyzer(state, "B", beta)
+    return measure_joint(state)
 
 
 @lru_cache(maxsize=1)
-def _lossy_state(r: float, etas: tuple[float, ...], cutoff: int, sector_max) -> DensityMatrixLite:
+def _lossy_state(r: float, etas: tuple[float, ...], cutoff: int, sector_max) -> KrausBranches:
     """Source, pi shift and the four loss channels: the angle-independent
-    part of ``simulate_joint``, kept for the last setting.  Its ``rho`` is
+    part of ``simulate_joint``, kept for the last setting.  Its ``psi`` is
     shared by every later call, so it is read-only."""
-    dm = DensityMatrixLite.from_state(build_epr2(r, r, cutoff, sector_max=sector_max))
+    state = KrausBranches.from_state(build_epr2(r, r, cutoff, sector_max=sector_max))
     for mode, eta in zip(("a1", "a2", "b1", "b2"), etas):
-        dm = apply_loss(dm, mode, eta)
-    dm.rho.setflags(write=False)
-    return dm
+        state = apply_loss(state, mode, eta)
+    state.psi.setflags(write=False)
+    return state

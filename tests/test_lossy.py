@@ -528,6 +528,15 @@ def test_joint_and_correlations_match_oracle_deeper_cap():
         assert c_cl == pytest.approx(c_or, abs=1e-10)
 
 
+@pytest.mark.parametrize("cap", [HalfInt(6), HalfInt(7)], ids=["s<=3", "s<=7/2"])
+def test_joint_matches_oracle_beyond_s_five_halves(cap):
+    loss = LossConfig(0.85, 0.75, 0.95, 0.65)
+    want = simulate_joint(0.45, loss, 0.55, -1.1, cutoff=cap.twice, sector_max=cap)
+    got = LossyEngine(0.45, loss, TruncationPolicy(cap, 0.0)).joint(0.55, -1.1)
+    assert max(want.blocks) == (cap.twice, cap.twice)
+    assert got.largest_difference(want)[0] <= 1e-8
+
+
 def test_moment_route_equals_operator_route():
     # sum of m_a*m_b over the joint distribution at the same angles
     r, eta = 0.4, 0.75
@@ -1019,6 +1028,25 @@ def test_descent_interpolant_off_the_record_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(lossy.np.fft, "fft2", shifted)
     with pytest.raises(InternalConsistencyError, match="interpolant off by"):
         optimize_angles(HalfInt(2), 0.3, UNEQUAL_LOSSES[0])
+
+
+def test_unconditioned_interpolant_check_is_held_in_the_conditioned_scale():
+    # at s = 3, r = 0.1 the sector probability is 1.9e-12: an unconditioned gap of 3e-13 is half the violation
+    eng, s, angles = LossyEngine(0.1, LossConfig.equal_eta(0.9)), HalfInt(6), theta_triple(0.1)
+    for convention in ("conditioned", "unconditioned"):
+        rec = eng.mermin_sides(s, angles, convention)
+        with pytest.raises(InternalConsistencyError, match="interpolant off by"):
+            lossy._checked_optimum(eng, s, convention, angles, 1.5 * rec.violation, "defect")
+        assert lossy._checked_optimum(eng, s, convention, angles, rec.violation, "defect") == (angles, rec)
+
+
+def test_negative_probability_is_judged_against_its_block_mass():
+    # a block of mass 1e-12 that is 10% negative is an error, not roundoff to clip
+    with pytest.raises(InternalConsistencyError, match="negative probability -1.000e-13"):
+        lossy._nonnegative(np.array([[1e-12, -1e-13]]), 0, 1)
+    # rounding at 1e-17 of the mass, and negatives among denormals, are clipped
+    for p in (np.array([[1.0, -1e-17]]), np.array([[1e-310, -1e-312]])):
+        assert np.array_equal(lossy._nonnegative(p, 0, 1), np.maximum(p, 0.0))
 
 
 @pytest.mark.parametrize("ts", [2, 4, 6])

@@ -10,7 +10,7 @@ import merminbell.oracle as oracle_mod
 from merminbell.loss import LossConfig
 from merminbell.numerics import HalfInt
 from merminbell.oracle import (
-    DensityMatrixLite,
+    KrausBranches,
     TruncatedFockState,
     apply_analyzer,
     apply_loss,
@@ -65,26 +65,39 @@ def test_sector_schmidt_coefficients_equal():
         assert mags[-1] == pytest.approx(mags[0], rel=1e-12)
 
 
+def _rho(state):
+    """The density matrix sum_b psi_b psi_b^dagger over ``state.basis``."""
+    flat = state.psi.reshape(len(state.psi), -1)
+    return flat.T @ flat.conj()
+
+
+def _trace(state):
+    return float(np.sum(np.abs(state.psi) ** 2))
+
+
+def _entry(state, ket, bra):
+    index = {t: i for i, t in enumerate(state.basis)}
+    return _rho(state)[index[ket], index[bra]]
+
+
 def test_apply_loss_identity_and_single_photon():
-    st = build_epr2(0.3, 0.3, cutoff=2)
-    dm = DensityMatrixLite.from_state(st)
-    out = apply_loss(dm, "a1", 1.0)
-    assert np.allclose(out.rho, dm.rho, atol=1e-14)
+    state = KrausBranches.from_state(build_epr2(0.3, 0.3, cutoff=2))
+    out = apply_loss(state, "a1", 1.0)
+    assert np.array_equal(out.psi, state.psi) and out.psi is not state.psi
 
     one = TruncatedFockState(cutoff=1, amplitudes={(1, 0, 0, 0): 1.0 + 0j})
     lossy = apply_loss(one, "a1", 0.75)
-    assert lossy.entry((1, 0, 0, 0), (1, 0, 0, 0)).real == pytest.approx(0.75)
-    assert lossy.entry((0, 0, 0, 0), (0, 0, 0, 0)).real == pytest.approx(0.25)
+    assert _entry(lossy, (1, 0, 0, 0), (1, 0, 0, 0)).real == pytest.approx(0.75)
+    assert _entry(lossy, (0, 0, 0, 0), (0, 0, 0, 0)).real == pytest.approx(0.25)
+    assert _entry(lossy, (1, 0, 0, 0), (0, 0, 0, 0)) == 0.0  # the branches never interfere
 
 
-def test_apply_loss_trace_and_hermiticity():
-    st = build_epr2(0.5, 0.4, cutoff=3)
-    dm = DensityMatrixLite.from_state(st)
-    t0 = dm.trace()
+def test_apply_loss_preserves_trace():
+    state = KrausBranches.from_state(build_epr2(0.5, 0.4, cutoff=3))
+    t0 = _trace(state)
     for mode, eta in (("a1", 0.7), ("a2", 0.9), ("b1", 0.55), ("b2", 1.0)):
-        dm = apply_loss(dm, mode, eta)
-        assert dm.trace() == pytest.approx(t0, abs=1e-12)
-        assert dm.hermiticity_defect() < 1e-12
+        state = apply_loss(state, mode, eta)
+        assert _trace(state) == pytest.approx(t0, abs=1e-12)
 
 
 def test_loss_channel_composition():
@@ -92,40 +105,37 @@ def test_loss_channel_composition():
     st = build_epr2(0.6, 0.2, cutoff=3)
     a = apply_loss(apply_loss(st, "a1", 0.9), "a1", 0.7)
     b = apply_loss(st, "a1", 0.9 * 0.7)
-    assert np.max(np.abs(a.rho - b.rho)) < 1e-12
+    assert np.max(np.abs(_rho(a) - _rho(b))) < 1e-12
 
 
 def test_analyzer_identity_and_unitarity():
-    st = build_epr2(0.4, 0.5, cutoff=3)
-    dm = DensityMatrixLite.from_state(st)
-    out = apply_analyzer(dm, "A", 0.0)
-    assert np.allclose(out.rho, dm.rho, atol=1e-13)
+    state = KrausBranches.from_state(build_epr2(0.4, 0.5, cutoff=3))
+    out = apply_analyzer(state, "A", 0.0)
+    assert np.allclose(out.psi, state.psi, atol=1e-13)
     for side in ("A", "B"):
-        rot = apply_analyzer(dm, side, 1.1)
-        assert rot.trace() == pytest.approx(dm.trace(), abs=1e-12)
-        assert rot.hermiticity_defect() < 1e-12
+        rot = apply_analyzer(state, side, 1.1)
+        assert _trace(rot) == pytest.approx(_trace(state), abs=1e-12)
 
 
 def test_analyzer_single_photon_split():
     one = TruncatedFockState(cutoff=1, amplitudes={(1, 0, 0, 0): 1.0 + 0j})
     for angle in (0.3, 1.2, 2.5):
         rot = apply_analyzer(one, "A", angle)
-        p1 = rot.entry((1, 0, 0, 0), (1, 0, 0, 0)).real
-        p2 = rot.entry((0, 1, 0, 0), (0, 1, 0, 0)).real
+        p1 = _entry(rot, (1, 0, 0, 0), (1, 0, 0, 0)).real
+        p2 = _entry(rot, (0, 1, 0, 0), (0, 1, 0, 0)).real
         assert p1 == pytest.approx(math.cos(angle / 2) ** 2, rel=1e-12)
         assert p2 == pytest.approx(math.sin(angle / 2) ** 2, rel=1e-12)
 
 
 def test_per_side_totals_invariant_under_analyzer():
-    st = build_epr2(0.5, 0.5, cutoff=3, sector_max=HalfInt(3))
-    dm = DensityMatrixLite.from_state(st)
-    def totals(d):
+    state = KrausBranches.from_state(build_epr2(0.5, 0.5, cutoff=3, sector_max=HalfInt(3)))
+    def totals(s):
         out = {}
-        for i, (n1, n2, n3, n4) in enumerate(d.basis):
-            out[(n1 + n2, n3 + n4)] = out.get((n1 + n2, n3 + n4), 0.0) + d.rho[i, i].real
+        for (n1, n2, n3, n4), p in zip(s.basis, _rho(s).diagonal().real):
+            out[(n1 + n2, n3 + n4)] = out.get((n1 + n2, n3 + n4), 0.0) + p
         return out
-    before = totals(dm)
-    after = totals(apply_analyzer(apply_analyzer(dm, "A", 0.9), "B", -1.3))
+    before = totals(state)
+    after = totals(apply_analyzer(apply_analyzer(state, "A", 0.9), "B", -1.3))
     for key in set(before) | set(after):
         assert after.get(key, 0.0) == pytest.approx(before.get(key, 0.0), abs=1e-12)
 
@@ -144,7 +154,7 @@ def test_loss_before_or_after_analyzer_equal_eta():
 
 def test_measure_vacuum():
     st = build_epr2(0.0, 0.0, cutoff=2)
-    dist = measure_joint(DensityMatrixLite.from_state(st))
+    dist = measure_joint(KrausBranches.from_state(st))
     assert dist.blocks.keys() == {(0, 0)}
     assert dist.blocks[(0, 0)][0, 0] == pytest.approx(1.0)
 
@@ -170,29 +180,30 @@ def test_perfect_detection_anticorrelated_at_common_angle():
 
 def test_trace_conserved_through_full_pipeline():
     st = build_epr2(0.5, 0.5, cutoff=3)
-    dm = DensityMatrixLite.from_state(st)
-    t0 = dm.trace()
+    state = KrausBranches.from_state(st)
+    t0 = _trace(state)
     assert t0 == pytest.approx(1.0 - st.truncation_deficit, abs=1e-12)
     for mode, eta in zip(("a1", "a2", "b1", "b2"), (0.7, 0.8, 0.9, 0.6)):
-        dm = apply_loss(dm, mode, eta)
-        assert dm.trace() == pytest.approx(t0, abs=1e-12)
-    dm = apply_analyzer(dm, "A", 1.0)
-    dm = apply_analyzer(dm, "B", -0.4)
-    assert dm.trace() == pytest.approx(t0, abs=1e-12)
-    assert measure_joint(dm).total_mass() == pytest.approx(t0, abs=1e-12)
+        state = apply_loss(state, mode, eta)
+        assert _trace(state) == pytest.approx(t0, abs=1e-12)
+    state = apply_analyzer(state, "A", 1.0)
+    state = apply_analyzer(state, "B", -0.4)
+    assert _trace(state) == pytest.approx(t0, abs=1e-12)
+    assert measure_joint(state).total_mass() == pytest.approx(t0, abs=1e-12)
 
 
-def _dense_loss_reference(dm, mode, eta):
-    """Kraus sum with each K_k built as a dense dim x dim matrix, then K rho K^T."""
+def _dense_loss_reference(basis, rho, mode, eta):
+    """Kraus sum with each K_k built as a dense dim x dim matrix, then K rho K^dagger."""
     pos = ("a1", "a2", "b1", "b2").index(mode)
-    dim = len(dm.basis)
-    max_n = max(t[pos] for t in dm.basis)
-    new = np.zeros_like(dm.rho)
+    index = {t: i for i, t in enumerate(basis)}
+    dim = len(basis)
+    max_n = max(t[pos] for t in basis)
+    new = np.zeros_like(rho)
     for k in range(max_n + 1):
         if eta == 1.0 and k > 0:
             break
         kr = np.zeros((dim, dim))
-        for j, t in enumerate(dm.basis):
+        for j, t in enumerate(basis):
             n = t[pos]
             if n < k:
                 continue
@@ -201,22 +212,22 @@ def _dense_loss_reference(dm, mode, eta):
                 continue
             lowered = list(t)
             lowered[pos] = n - k
-            kr[dm.index[tuple(lowered)], j] = w
+            kr[index[tuple(lowered)], j] = w
         if kr.any():
-            new += kr @ dm.rho @ kr.T
+            new += kr @ rho @ kr.T
     return new
 
 
 @pytest.mark.parametrize("sector_max", [None, HalfInt(1)], ids=["uncapped", "sector-capped"])
 @pytest.mark.parametrize("eta", [0.0, 0.37, 1.0])
 def test_apply_loss_matches_dense_kraus_reference(sector_max, eta):
-    dm = DensityMatrixLite.from_state(build_epr2(0.5, 0.4, cutoff=2, sector_max=sector_max))
+    state = KrausBranches.from_state(build_epr2(0.5, 0.4, cutoff=2, sector_max=sector_max))
     for mode in ("a1", "a2", "b1", "b2"):
-        want = _dense_loss_reference(dm, mode, eta)
-        got = apply_loss(dm, mode, eta)
-        assert got.rho.dtype == want.dtype
-        assert np.max(np.abs(got.rho - want)) <= 1e-15
-        dm = got  # the next mode sees a mixed state
+        want = _dense_loss_reference(state.basis, _rho(state), mode, eta)
+        got = apply_loss(state, mode, eta)
+        assert got.psi.dtype == want.dtype
+        assert np.max(np.abs(_rho(got) - want)) <= 1e-15
+        state = got  # the next mode sees a mixed state
 
 
 def test_complex_amplitudes_stay_supported():
@@ -228,69 +239,104 @@ def test_complex_amplitudes_stay_supported():
             for t, a in base.amplitudes.items()
         },
     )
-    dm = DensityMatrixLite.from_state(phased)
-    assert dm.rho.dtype == np.complex128
-    lossy = apply_loss(dm, "a2", 0.37)
-    assert np.max(np.abs(lossy.rho - _dense_loss_reference(dm, "a2", 0.37))) <= 1e-15
+    state = KrausBranches.from_state(phased)
+    assert state.psi.dtype == np.complex128
+    lossy = apply_loss(state, "a2", 0.37)
+    assert np.max(np.abs(_rho(lossy) - _dense_loss_reference(state.basis, _rho(state), "a2", 0.37))) <= 1e-15
     # the analyzer unitary is real, so it maps real and imaginary parts separately
-    rot = apply_analyzer(lossy, "B", 0.8).rho
-    parts = [apply_analyzer(DensityMatrixLite(lossy.basis, x), "B", 0.8).rho
-             for x in (lossy.rho.real.copy(), lossy.rho.imag.copy())]
+    rot = apply_analyzer(lossy, "B", 0.8).psi
+    parts = [apply_analyzer(KrausBranches(lossy.sides, x), "B", 0.8).psi
+             for x in (lossy.psi.real.copy(), lossy.psi.imag.copy())]
     assert np.max(np.abs(rot.imag)) > 1e-3
     assert np.max(np.abs(rot - (parts[0] + 1j * parts[1]))) <= 1e-14
 
 
-def _dense_analyzer_reference(dm, side, angle):
+def _dense_analyzer_reference(basis, rho, side, angle):
     """Analyzer unitary built over every pair of four-mode basis states, then u rho u^T."""
     lead, other = (0, 1) if side == "A" else (3, 2)
-    u = np.zeros((len(dm.basis), len(dm.basis)))
-    for j, t in enumerate(dm.basis):
+    index = {t: i for i, t in enumerate(basis)}
+    u = np.zeros((len(basis), len(basis)))
+    for j, t in enumerate(basis):
         for kf, kg, w in oracle_mod._rotation_coeffs(t[lead], t[other], angle):
             out = list(t)
             out[lead], out[other] = kf, kg
-            u[dm.index[tuple(out)], j] += w
-    return u @ dm.rho @ u.T
+            u[index[tuple(out)], j] += w
+    return u @ rho @ u.T
 
 
 @pytest.mark.parametrize("sector_max", [None, HalfInt(3)], ids=["uncapped", "sector-capped"])
 @pytest.mark.parametrize("side", ["A", "B"])
 def test_apply_analyzer_matches_dense_reference(sector_max, side):
-    dm = DensityMatrixLite.from_state(build_epr2(0.5, 0.4, cutoff=3, sector_max=sector_max))
-    dm = apply_loss(apply_loss(dm, "a2", 0.7), "b1", 0.6)
+    state = KrausBranches.from_state(build_epr2(0.5, 0.4, cutoff=3, sector_max=sector_max))
+    state = apply_loss(apply_loss(state, "a2", 0.7), "b1", 0.6)
     # the per-side product sums in another order than the dense one
-    got = apply_analyzer(dm, side, 0.77).rho
-    assert np.max(np.abs(got - _dense_analyzer_reference(dm, side, 0.77))) <= 1e-15
+    got = _rho(apply_analyzer(state, side, 0.77))
+    assert np.max(np.abs(got - _dense_analyzer_reference(state.basis, _rho(state), side, 0.77))) <= 1e-15
 
 
 def _side_states(total):
-    return [(i, j) for i in range(total + 1) for j in range(total + 1 - i)]
+    return tuple((i, j) for i in range(total + 1) for j in range(total + 1 - i))
+
+
+def _random_branches(seed):
+    """Three random branches over 10 states on A and 3 on B: a swapped side axis cannot pass unnoticed."""
+    sides = _side_states(3), _side_states(1)
+    psi = np.random.default_rng(seed).standard_normal((3, len(sides[0]), len(sides[1])))
+    return KrausBranches(sides, psi / np.linalg.norm(psi))
+
+
+def _matches_dense_references(state, tol):
+    for mode, eta in zip(("a1", "a2", "b1", "b2"), (0.37, 0.8, 0.55, 0.0)):
+        got = _rho(apply_loss(state, mode, eta))
+        assert np.max(np.abs(got - _dense_loss_reference(state.basis, _rho(state), mode, eta))) <= tol, mode
+    for side in ("A", "B"):
+        got = _rho(apply_analyzer(state, side, 0.77))
+        assert np.max(np.abs(got - _dense_analyzer_reference(state.basis, _rho(state), side, 0.77))) <= tol, side
 
 
 def test_per_side_channels_match_dense_references_with_unequal_sides():
-    # 10 states on A and 3 on B: a swapped side axis cannot pass unnoticed
-    basis = [a + b for a in _side_states(3) for b in _side_states(1)]
-    x = np.random.default_rng(7).standard_normal((len(basis), len(basis)))
-    dm = DensityMatrixLite(basis, (x + x.T) / (2 * len(basis)))
-    for mode, eta in zip(("a1", "a2", "b1", "b2"), (0.37, 0.8, 0.55, 0.0)):
-        got = apply_loss(dm, mode, eta).rho
-        assert np.max(np.abs(got - _dense_loss_reference(dm, mode, eta))) <= 1e-15, mode
-    for side in ("A", "B"):
-        got = apply_analyzer(dm, side, 0.77).rho
-        assert np.max(np.abs(got - _dense_analyzer_reference(dm, side, 0.77))) <= 1e-15, side
+    _matches_dense_references(_random_branches(7), 1e-15)
 
 
-def test_index_is_built_only_when_read():
-    dm = apply_loss(DensityMatrixLite.from_state(build_epr2(0.5, 0.4, cutoff=2)), "a1", 0.6)
-    assert "index" not in vars(dm)
-    assert dm.entry((0, 0, 0, 0), (0, 0, 0, 0)) == dm.rho[0, 0]
-    assert dm.index[(0, 0, 0, 0)] == 0
+def _random_setting(rng):
+    """A small source, its four efficiencies, two angles and a random order of the six channels."""
+    r = float(rng.choice([0.0, rng.uniform(0.1, 0.9)], p=[0.1, 0.9]))
+    etas = [float(rng.choice([0.0, 1.0, rng.uniform()], p=[0.15, 0.15, 0.7])) for _ in range(4)]
+    cap = (None, HalfInt(2), HalfInt(3))[rng.integers(3)]
+    st = build_epr2(r, r, cutoff=2 if cap is None else cap.twice, sector_max=cap)
+    if rng.integers(2):
+        phase = rng.uniform(-math.pi, math.pi, 4)
+        st = TruncatedFockState(st.cutoff, {t: a * cmath.exp(1j * float(phase @ t)) for t, a in st.amplitudes.items()})
+    channels = [(apply_loss, mode, eta) for mode, eta in zip(("a1", "a2", "b1", "b2"), etas)]
+    channels += [(apply_analyzer, side, float(rng.uniform(-math.pi, math.pi))) for side in ("A", "B")]
+    return st, [channels[i] for i in rng.permutation(6)]
+
+
+def test_seeded_channel_sequences_match_dense_references():
+    rng = np.random.default_rng(2024)
+    late_losses = 0
+    for _ in range(24):
+        st, channels = _random_setting(rng)
+        state = KrausBranches.from_state(st)
+        rho, t0 = _rho(state), st.norm_sq()
+        for i, (channel, target, value) in enumerate(channels):
+            reference = _dense_loss_reference if channel is apply_loss else _dense_analyzer_reference
+            want = reference(state.basis, rho, target, value)
+            state = channel(state, target, value)
+            rho = _rho(state)
+            assert np.max(np.abs(rho - want)) <= 1e-14, (channel.__name__, target, value)
+            assert _trace(state) == pytest.approx(t0, abs=1e-14)
+            assert state.psi.reshape(len(state.psi), -1).any(axis=1).all()  # no all-zero branch kept
+            late_losses += channel is apply_loss and any(c is apply_analyzer for c, _, _ in channels[:i])
+        assert measure_joint(state).total_mass() == pytest.approx(t0, abs=1e-14)
+    assert late_losses > 0
 
 
 def _pipeline_by_hand(r, loss, alpha, beta, cutoff, sector_max):
-    dm = DensityMatrixLite.from_state(build_epr2(r, r, cutoff, sector_max=sector_max))
+    state = KrausBranches.from_state(build_epr2(r, r, cutoff, sector_max=sector_max))
     for mode, eta in zip(("a1", "a2", "b1", "b2"), loss.etas()):
-        dm = apply_loss(dm, mode, eta)
-    return measure_joint(apply_analyzer(apply_analyzer(dm, "A", alpha), "B", beta))
+        state = apply_loss(state, mode, eta)
+    return measure_joint(apply_analyzer(apply_analyzer(state, "A", alpha), "B", beta))
 
 
 def _same_blocks(got, want):
@@ -308,7 +354,7 @@ def test_lossy_state_cache_serves_every_angle_pair():
     assert oracle_mod._lossy_state.cache_info().hits - hits >= 2
     cached = oracle_mod._lossy_state(0.4, loss.etas(), 4, cap)
     with pytest.raises(ValueError, match="read-only"):
-        cached.rho[0, 0] = 0.5
+        cached.psi[0, 0, 0] = 0.5
 
 
 def test_lossy_state_cache_never_returns_another_setting():
@@ -326,40 +372,30 @@ def test_lossy_state_cache_never_returns_another_setting():
     assert not any(_same_blocks(results[i], results[i + 1]) for i in range(3))
 
 
-def test_apply_analyzer_rejects_basis_not_a_side_product():
-    side_a, side_b = [(0, 0), (1, 0), (0, 1)], [(0, 0), (1, 0)]
-    b_major = [a + b for b in side_b for a in side_a]
-    not_product = [(0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0)]
-    for basis in (b_major, not_product):
-        with pytest.raises(ValueError, match="product"):
-            apply_analyzer(DensityMatrixLite(basis, np.eye(len(basis))), "A", 0.4)
-        with pytest.raises(ValueError, match="product"):
-            apply_loss(DensityMatrixLite(basis, np.eye(len(basis))), "b1", 0.4)
+def test_apply_analyzer_rejects_basis_not_closed_under_rotation():
     with pytest.raises(ValueError, match="closed"):
-        apply_analyzer(DensityMatrixLite([(1, 0, 0, 0)], np.ones((1, 1))), "A", 0.4)
+        apply_analyzer(KrausBranches((((1, 0),), ((0, 0),)), np.ones((1, 1, 1))), "A", 0.4)
 
 
-def test_side_bases_are_derived_once_per_basis():
-    dm = DensityMatrixLite.from_state(build_epr2(0.5, 0.4, cutoff=2))
-    out = apply_analyzer(apply_loss(dm, "a1", 0.6), "B", 0.3)
-    assert out.sides is dm.sides
+def test_channels_hand_on_the_side_bases():
+    state = KrausBranches.from_state(build_epr2(0.5, 0.4, cutoff=2))
+    out = apply_analyzer(apply_loss(state, "a1", 0.6), "B", 0.3)
+    assert out.sides is state.sides
     assert out.basis == [a + b for a in out.sides[0] for b in out.sides[1]]
-    given = DensityMatrixLite(list(dm.basis), dm.rho)
-    assert apply_loss(given, "b2", 0.7).sides is given.sides
-    assert given.sides == dm.sides
+    assert len(out.basis) == out.psi[0].size
 
 
-def test_source_density_matrix_is_real():
-    dm = DensityMatrixLite.from_state(build_epr2(0.5, 0.5, cutoff=3))
-    assert dm.rho.dtype == np.float64
-    out = apply_analyzer(apply_loss(dm, "b1", 0.6), "A", 0.4)
-    assert out.rho.dtype == np.float64
+def test_source_amplitudes_are_real():
+    state = KrausBranches.from_state(build_epr2(0.5, 0.5, cutoff=3))
+    assert state.psi.dtype == np.float64
+    out = apply_analyzer(apply_loss(state, "b1", 0.6), "A", 0.4)
+    assert out.psi.dtype == np.float64
 
 
 def test_apply_loss_rejects_basis_not_closed_under_loss():
-    dm = DensityMatrixLite([(1, 0, 0, 0)], np.ones((1, 1)))
+    state = KrausBranches((((1, 0),), ((0, 0),)), np.ones((1, 1, 1)))
     with pytest.raises(ValueError, match="not closed"):
-        apply_loss(dm, "a1", 0.5)
+        apply_loss(state, "a1", 0.5)
 
 
 def test_oracle_imports_nothing_from_the_analytic_route():
@@ -395,44 +431,35 @@ def test_every_oracle_cache_is_bounded_over_a_many_angle_sweep():
 
 def test_warm_caches_serve_another_basis_without_mixing_it_up():
     # warm on the equal-sided source basis, then the 10 x 3 basis at the same angle and eta
-    warm = apply_loss(DensityMatrixLite.from_state(build_epr2(0.5, 0.4, cutoff=2)), "b1", 0.6)
+    warm = apply_loss(KrausBranches.from_state(build_epr2(0.5, 0.4, cutoff=2)), "b1", 0.6)
     for side in ("A", "B"):
         apply_analyzer(warm, side, 0.77)
-    for mode in ("a1", "a2", "b1", "b2"):
-        apply_loss(warm, mode, 0.37)
-    basis = [a + b for a in _side_states(3) for b in _side_states(1)]
-    x = np.random.default_rng(11).standard_normal((len(basis), len(basis)))
-    dm = DensityMatrixLite(basis, (x + x.T) / (2 * len(basis)))
-    for mode in ("a1", "a2", "b1", "b2"):
-        got = apply_loss(dm, mode, 0.37).rho
-        assert np.max(np.abs(got - _dense_loss_reference(dm, mode, 0.37))) <= 1e-15, mode
-    for side in ("A", "B"):
-        got = apply_analyzer(dm, side, 0.77).rho
-        assert np.max(np.abs(got - _dense_analyzer_reference(dm, side, 0.77))) <= 1e-15, side
+    for mode, eta in zip(("a1", "a2", "b1", "b2"), (0.37, 0.8, 0.55, 0.0)):
+        apply_loss(warm, mode, eta)
+    _matches_dense_references(_random_branches(11), 1e-15)
 
 
 def test_cached_side_operators_are_read_only():
-    states = tuple(_side_states(2))
+    states = _side_states(2)
     n, maps = oracle_mod._lowering_maps(states, 1)
-    basis = tuple(a + b for a in states for b in states)
-    (_, at, cells), *_ = oracle_mod._readout_cells(basis)
-    for arr in (oracle_mod._rotation_block(states, 0, 0.4), n, *maps[0], at, *cells):
+    _, cells = oracle_mod._readout_cells((states, states))
+    for arr in (oracle_mod._rotation_block(states, 0, 0.4), n, *maps[0], cells):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
 
 
 def test_cold_and_warm_channels_agree_bit_for_bit():
-    dm = DensityMatrixLite.from_state(build_epr2(0.5, 0.4, cutoff=3))
+    state = KrausBranches.from_state(build_epr2(0.5, 0.4, cutoff=3))
 
     def run():
-        out = apply_loss(apply_loss(dm, "a2", 0.7), "b1", 0.55)
+        out = apply_loss(apply_loss(state, "a2", 0.7), "b1", 0.55)
         out = apply_analyzer(apply_analyzer(out, "A", 0.9), "B", -1.3)
-        return out.rho, measure_joint(out)
+        return out.psi, measure_joint(out)
 
     for f in _oracle_caches().values():
         f.cache_clear()
-    cold_rho, cold_joint = run()
-    warm_rho, warm_joint = run()
+    cold_psi, cold_joint = run()
+    warm_psi, warm_joint = run()
     assert oracle_mod._rotation_block.cache_info().hits >= 2
-    assert np.array_equal(cold_rho, warm_rho)
+    assert np.array_equal(cold_psi, warm_psi)
     assert _same_blocks(warm_joint, cold_joint)
