@@ -4,9 +4,10 @@ The source emits two effective spins in the singlet of every sector s with
 weight w_s = (2s+1) tanh(r)^(4s) / cosh(r)^4.  Loss maps each side's
 |s w><s w'| onto surviving spins sigma <= s with weight h[w, mu] h[w', mu'],
 h = exp(L / 2) of that side's ``loss.log_weight_table``.  The h tables are
-cached across engines, so a source sector's blocks are batched products over
-their bra-ket offsets; a table that is all zero is skipped, and one that the
-efficiencies alone make zero (a side at eta 1 or 0) is never built.
+cached across engines (up to ``numerics._CACHE_BYTES``), so a source sector's
+blocks are batched products over their bra-ket offsets; a table that is all
+zero is skipped, and one that the efficiencies alone make zero (a side at
+eta 1 or 0) is never built.
 Analyzer rotations contract the kernels with pairs of rotation-matrix elements
 in one ``_contract``, for one setting or a grid of them.  Both the kernel
 build and the contraction take every sector pair of a call at once.  Each
@@ -25,14 +26,23 @@ post-selected correlation and the left side at any analyzer setting are
 contractions of them.  The full-trace correlation needs no kernel: it is
 exact in closed form.
 
+Where loss is equal within each side it commutes with the analyzers, and the
+singlet of every source sector is invariant under a common rotation, so
+P(alpha, beta) = P(alpha - beta, 0).  At beta = 0 Bob's rotation block is the
+identity and only the dl = 0 offset of a kernel contributes.  So such an
+engine builds, caches and contracts that one offset: a source sector adds one
+product per pair, and every setting, sample of an angle grid and moment is
+taken at (alpha - beta, 0) (``LossyEngine._frame``).  Other loss keeps all
+2 min(2s_a, 2s_b) + 1 offsets and contracts at (alpha, beta).
+
 Every matrix product stays within OpenBLAS's single-thread size (M N K <=
 2^18), so that BLAS runs it on the calling thread and results do not depend
 on its thread count.  Each pair's build and contraction run over its own
 ``_runs`` of consecutive bra-ket offsets whose products fit, so a pair gets
 the same bits alone as among others; pair products are formed for one run at
 a time, never for all offsets of a large pair, and ``numerics._matmul``
-splits one offset's product by columns where it does not fit (from s = 32 on,
-at eta < 1 a few spins earlier in the kernel build).
+splits one offset's product by columns where it does not fit (from s = 32 on
+in the contraction, at eta < 1 a few spins earlier in the kernel build).
 
 The methods of ``LossyEngine`` (``joint``, ``correlation``,
 ``mermin_sides``) are the only way to evaluate a point; one engine serves
@@ -56,7 +66,14 @@ import numpy as np
 
 from .ideal import AngleTriple, theta_triple
 from .loss import LossConfig, log_weight_table
-from .numerics import _SINGLE_THREAD_MACS, HalfInt, InternalConsistencyError, _matmul, wigner_d_matrix
+from .numerics import (
+    _SINGLE_THREAD_MACS,
+    HalfInt,
+    InternalConsistencyError,
+    _BytesBoundedCache,
+    _matmul,
+    wigner_d_matrix,
+)
 from .source import _log_cosh, sector_weight_tail
 
 __all__ = [
@@ -204,7 +221,12 @@ class ViolationRecord:
 
 
 def _shifted(h: np.ndarray, dmax: int, step: int) -> np.ndarray:
-    """Read-only view V[dl + dmax, i, j] = h[i + dl, j + step * dl] of one zero-padded copy of ``h``."""
+    """Read-only view V[dl + dmax, i, j] = h[i + dl, j + step * dl] of one zero-padded copy of ``h``; at
+    ``dmax`` 0, of ``h`` itself."""
+    if not dmax:
+        view = h[None]
+        view.flags.writeable = False
+        return view
     n, m = h.shape
     pad = dmax * abs(step)
     padded = np.zeros((n + 2 * dmax, m + 2 * pad), dtype=h.dtype)
@@ -214,7 +236,7 @@ def _shifted(h: np.ndarray, dmax: int, step: int) -> np.ndarray:
     return np.ndarray((2 * dmax + 1, n, m), h.dtype, padded, (pad - step * dmax) * s1, (s0 + step * s1, s0, s1))
 
 
-@lru_cache(maxsize=256)
+@_BytesBoundedCache
 def _amplitudes(ts: int, tso: int, eta_up: float, eta_dn: float) -> np.ndarray | None:
     """Read-only h = exp(L / 2) of ``loss.log_weight_table``, or None where it is all zero.
 
@@ -250,19 +272,27 @@ def _runs(n_off: int, macs: int) -> tuple[slice, ...]:
 
 
 @lru_cache(maxsize=1024)
-def _rows(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple, tuple]:
-    """Outcome sector pairs as rows (tsa, reach, (tsb, ...)), sectors and rows in descending order, and each
-    Bob sector's (tsb, reach); a sector's reach is the largest |dl| = min(tsa, tsb) of its pairs.
+def _rows(pairs: tuple[tuple[int, int, int], ...]) -> tuple[tuple, tuple]:
+    """Outcome sector pairs (tsa, tsb, reach) as rows (tsa, reach, (tsb, ...)), sectors and rows in descending
+    order, and each Bob sector's (tsb, reach); a pair's reach is its largest |dl|, a sector's the largest of its
+    pairs'.
 
     In this order a sector's first pair spans its widest offsets, so where that pair's offsets fit one
     ``_runs`` run, the sector's later pairs read slices of the pieces it formed (``_piece``).
     """
     rows: dict[int, list[int]] = {}
+    reach_a: dict[int, int] = {}
     reach_b: dict[int, int] = {}
-    for a, b in sorted(pairs, reverse=True):
+    for a, b, w in sorted(pairs, reverse=True):
         rows.setdefault(a, []).append(b)
-        reach_b[b] = max(reach_b.get(b, 0), min(a, b))
-    return tuple((a, min(a, row[0]), tuple(row)) for a, row in rows.items()), tuple(reach_b.items())
+        reach_a[a] = max(reach_a.get(a, 0), w)
+        reach_b[b] = max(reach_b.get(b, 0), w)
+    return tuple((a, reach_a[a], tuple(row)) for a, row in rows.items()), tuple(reach_b.items())
+
+
+def _reach(t: np.ndarray) -> int:
+    """The largest bra-ket offset |dl| a kernel T[dl + reach] holds; its dl = 0 slice is T[reach]."""
+    return (t.shape[0] - 1) // 2
 
 
 def _piece(cache: dict, sector: int, tag: int, view: np.ndarray, h: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -284,14 +314,15 @@ def _piece(cache: dict, sector: int, tag: int, view: np.ndarray, h: np.ndarray, 
 def _contract(kernels: dict, alphas: Sequence[float], betas: Sequence[float]) -> dict:
     """Joint probabilities P[i, j, m_a, m_b] = sum_dl EA_dl^T T_dl EB_dl of each sector pair at (alphas[i], betas[j]).
 
-    ``kernels`` maps (tsa, tsb) to its kernel T.  EA_dl[m, m_a] = d[m + dl, m_a] d[m, m_a] of Alice's block
-    d(alphas[i]), zero where m + dl is off it; EB is the same of Bob's at offset -dl.  Each outcome sector's
-    rotation blocks and padded copies are formed once per call, and its pair products are shared by its pairs
-    through ``_piece``.  Per ``_runs`` run of a pair's offsets, so that no pair stack is held for all of them,
-    each beta's half T_dl EB_dl is formed once for the whole grid, and each (i, j) writes (first run) or adds
-    one flattened product.  One setting passes 1-tuples; one sector pair, a one-entry ``kernels``.
+    ``kernels`` maps (tsa, tsb) to its kernel T, over offsets |dl| up to its ``_reach``.  EA_dl[m, m_a] =
+    d[m + dl, m_a] d[m, m_a] of Alice's block d(alphas[i]), zero where m + dl is off it; EB is the same of Bob's
+    at offset -dl.  Each outcome sector's rotation blocks and padded copies are formed once per call, and its
+    pair products are shared by its pairs through ``_piece``.  Per ``_runs`` run of a pair's offsets, so that
+    no pair stack is held for all of them, each beta's half T_dl EB_dl is formed once for the whole grid, and
+    each (i, j) writes (first run) or adds one flattened product.  One setting passes 1-tuples; one sector
+    pair, a one-entry ``kernels``.
     """
-    rows, reach_b = _rows(tuple(kernels))
+    rows, reach_b = _rows(tuple((a, b, _reach(t)) for (a, b), t in kernels.items()))
     bob = {b: [(_shifted(d, w, 0)[::-1], d) for d in [wigner_d_matrix(HalfInt(b), x) for x in betas]]
            for b, w in reach_b}
     out, bob_pieces = {}, {}
@@ -299,7 +330,8 @@ def _contract(kernels: dict, alphas: Sequence[float], betas: Sequence[float]) ->
         alice = [(_shifted(d, w, 0), d) for d in [wigner_d_matrix(HalfInt(a), x) for x in alphas]]
         alice_pieces: dict = {}
         for b in row:
-            t, dm = kernels[(a, b)], min(a, b)
+            t = kernels[(a, b)]
+            dm = _reach(t)
             p = out[(a, b)] = np.empty((len(alice), len(bob[b]), a + 1, b + 1))
             for k, r in enumerate(_runs(t.shape[0], (a + 1) ** 2 * (b + 1))):
                 lo, hi = r.start - dm, min(r.stop, t.shape[0]) - dm
@@ -335,12 +367,14 @@ def _moment_parts(t: np.ndarray, tsa: int, tsb: int) -> tuple[float, float]:
 
     S_z S_z reads the dl = 0 slice; the S_x S_x ladder terms read dl = +-1,
     weighted by sqrt(sigma(sigma+1) - mu(mu +- 1)).  ``_moment`` combines them.
+    A kernel of one slice is kept where the moment is invariant under a common
+    rotation, so S_x S_x = S_z S_z and ladders = 4 zz (both 0 at spin 0).
     """
-    c = (t.shape[0] - 1) // 2
+    c = _reach(t)
     mua, lpa, lma = _ladder_weights(tsa)
     mub, lpb, lmb = _ladder_weights(tsb)
     zz = float(mua @ t[c] @ mub)
-    ladders = float(lpa @ t[c + 1] @ lmb) + float(lma @ t[c - 1] @ lpb) if c else 0.0
+    ladders = float(lpa @ t[c + 1] @ lmb) + float(lma @ t[c - 1] @ lpb) if c else 4.0 * zz
     return zz, ladders
 
 
@@ -407,6 +441,29 @@ class LossyEngine:
         self.policy = TruncationPolicy() if policy is None else policy
         self._kernel_cache: dict = {}
 
+    # ----------------------------------------------------------------- frame
+
+    def _pair_reach(self, tsa: int, tsb: int) -> int:
+        """The largest bra-ket offset a pair's kernel keeps: every one, min(tsa, tsb), or only dl = 0 where
+        loss is equal within each side (see ``_frame``)."""
+        return 0 if self.loss.equal_within_sides else min(tsa, tsb)
+
+    def _frame(self, alpha: float, beta: float) -> tuple[float, float]:
+        """The setting that a contraction or moment at (alpha, beta) runs at.
+
+        Loss equal within each side commutes with the analyzers, and the source is invariant under a common
+        rotation, so P(alpha, beta) = P(alpha - beta, 0).  At beta = 0 Bob's rotation block is the identity,
+        so only each kernel's dl = 0 slice contributes, and that slice is all the engine keeps.
+        """
+        return (alpha - beta, 0.0) if self.loss.equal_within_sides else (alpha, beta)
+
+    def _framed_contract(self, kernels: dict, alphas: Sequence[float], betas: Sequence[float]) -> dict:
+        """``_contract`` of the kernels at every (alphas[i], betas[j]), each taken in ``_frame``."""
+        if not self.loss.equal_within_sides:
+            return _contract(kernels, alphas, betas)
+        blocks = _contract(kernels, [x - y for x in alphas for y in betas], (0.0,))
+        return {k: p.reshape(len(alphas), len(betas), *p.shape[2:]) for k, p in blocks.items()}
+
     # ---------------------------------------------------------------- weights
 
     def _log_tau2(self, ts: int) -> float:
@@ -438,23 +495,24 @@ class LossyEngine:
         return tables
 
     def _t_sector(self, ts: int, pairs: list, kernels: dict) -> None:
-        """Add source sector ts's block T[dl + dmax, mu_a, mu_b] to the kernel of each pair (tsa, tsb <= ts).
+        """Add source sector ts's block T[dl + reach, mu_a, mu_b] to the kernel of each pair (tsa, tsb <= ts).
 
-        T[dl] = (-1)^dl tau^4 EA_dl^T EB_dl, one batched product per ``_runs`` run, written into T: EA_dl[w, mu]
-        = h[w, mu] h[w + dl, mu + dl] of Alice's table, EB_dl the same of Bob's at row ts - w and offset -dl;
-        (-1)^dl is what remains of the singlet phases.  Each outcome sector's table and padded copy are formed
-        once, and its products are shared by its pairs through ``_piece``.  A pair's first block becomes its
-        kernel in ``kernels``; a pair the sector does not feed (an all-zero table, or tau = 0) is left alone.
+        The reach is the engine's ``_pair_reach``.  T[dl] = (-1)^dl tau^4 EA_dl^T EB_dl, one batched product per
+        ``_runs`` run, written into T: EA_dl[w, mu] = h[w, mu] h[w + dl, mu + dl] of Alice's table, EB_dl the
+        same of Bob's at row ts - w and offset -dl; (-1)^dl is what remains of the singlet phases.  Each outcome
+        sector's table and padded copy are formed once, and its products are shared by its pairs through
+        ``_piece``.  A pair's first block becomes its kernel in ``kernels``; a pair the sector does not feed (an
+        all-zero table, or tau = 0) is left alone.
         """
         tau4 = math.exp(2.0 * self._log_tau2(ts))
         if tau4 == 0.0 or not pairs:
             return
-        rows, reach_b = _rows(tuple(pairs))
+        rows, reach_b = _rows(tuple((a, b, self._pair_reach(a, b)) for a, b in pairs))
         ha, hb = self._tables(ts, "a", [(a, w) for a, w, _ in rows]), self._tables(ts, "b", reach_b)
         new = {}
         for a, b in pairs:  # in the callers' order, which sets the kernels' order
             if a in ha and b in hb and (a, b) not in kernels:
-                new[(a, b)] = kernels[(a, b)] = np.empty((2 * min(a, b) + 1, a + 1, b + 1))
+                new[(a, b)] = kernels[(a, b)] = np.empty((2 * self._pair_reach(a, b) + 1, a + 1, b + 1))
         bob_pieces: dict = {}
         for a, _, row in rows:
             if a not in ha:
@@ -465,7 +523,8 @@ class LossyEngine:
                 if b not in hb:
                     continue
                 sb, h_b = hb[b]
-                t, dm, first = kernels[(a, b)], min(a, b), (a, b) in new
+                t, first = kernels[(a, b)], (a, b) in new
+                dm = _reach(t)
                 for r in _runs(t.shape[0], (a + 1) * (ts + 1) * (b + 1)):
                     lo, hi = r.start - dm, min(r.stop, t.shape[0]) - dm
                     ea = _piece(alice_pieces, a, 0, sa, h_a, lo, hi).transpose(0, 2, 1)
@@ -479,7 +538,7 @@ class LossyEngine:
     def _kernels(self, pairs: tuple | None):
         """Converged kernels ({(tsa, tsb): T}, cutoff, converged) of outcome sector pairs.
 
-        T[dl + dmax, mu_a, mu_b] sums the source-sector blocks up to the
+        T[dl + reach, mu_a, mu_b] sums the source-sector blocks up to the
         cutoff; it does not depend on the analyzer angles, so it is built
         once per ``pairs`` and every angle contracts it.  ``pairs`` None
         takes every pair reachable below the cutoff.  The engine's policy
@@ -500,7 +559,7 @@ class LossyEngine:
                 live = pairs if pairs else [(a, b) for a in range(ts + 1) for b in range(ts + 1)]
                 self._t_sector(ts, [p for p in live if max(p) <= ts], kernels)
             applied = tcut
-            mass = sum(float(t[min(tsa, tsb)].sum()) for (tsa, tsb), t in kernels.items())
+            mass = sum(float(t[_reach(t)].sum()) for t in kernels.values())
             if prev is not None:
                 ok = abs(mass - prev) / max(abs(mass), abs(prev), 1e-300) <= self.policy.rel_tol
             if ok or tcut >= t_max:
@@ -509,7 +568,9 @@ class LossyEngine:
         # every reachable pair, in the order the cutoff reaches it; a pair no sector fed is zero
         reach = pairs if pairs else [(a, b) for a in range(tcut + 1) for b in range(tcut + 1)]
         kernels = {
-            (a, b): kernels[(a, b)] if (a, b) in kernels else np.zeros((2 * min(a, b) + 1, a + 1, b + 1))
+            (a, b): kernels[(a, b)]
+            if (a, b) in kernels
+            else np.zeros((2 * self._pair_reach(a, b) + 1, a + 1, b + 1))
             for a, b in sorted(reach, key=max)
         }
         for t in kernels.values():
@@ -522,7 +583,7 @@ class LossyEngine:
         ts = s_star.twice
         kernels, tcut, ok = self._kernels(((ts, ts),))
         t = kernels[(ts, ts)]
-        prob = float(t[ts].sum())
+        prob = float(t[_reach(t)].sum())
         if prob < 1e-300:
             raise DegenerateSectorError(f"sector s={s_star} has probability {prob:.3e}")
         return t, prob, _moment_parts(t, ts, ts), HalfInt(tcut), ok
@@ -535,7 +596,7 @@ class LossyEngine:
         """
         pairs = None if sectors is None else ((HalfInt.of(sectors[0]).twice, HalfInt.of(sectors[1]).twice),)
         kernels, tcut, ok = self._kernels(pairs)
-        blocks = _contract(kernels, (alpha,), (beta,))
+        blocks = self._framed_contract(kernels, (alpha,), (beta,))
         return JointOutcomeDistribution(
             blocks={k: _nonnegative(blocks[k][0, 0], *k) for k in sorted(blocks)},
             tail_bound=sector_weight_tail(HalfInt(tcut), self.r),
@@ -574,7 +635,7 @@ class LossyEngine:
                 raise ValueError(f"the full-trace correlation overflows at r = {self.r!r}")
             return _moment((zz, ladders), alpha, beta), 1.0, None, True
         _, prob, parts, cutoff, ok = self._sector(HalfInt.of(s_star))
-        return _moment(parts, alpha, beta) / prob, prob, cutoff, ok
+        return _moment(parts, *self._frame(alpha, beta)) / prob, prob, cutoff, ok
 
     # ------------------------------------------------------- inequality sides
 
@@ -590,9 +651,10 @@ class LossyEngine:
         ts = s_star.twice
         t, prob, parts, cutoff, ok = self._sector(s_star)
         scale = prob if conditioned else 1.0
-        p = _contract({(ts, ts): t}, (angles.alpha,), (angles.beta,))[(ts, ts)][0, 0]
+        p = self._framed_contract({(ts, ts): t}, (angles.alpha,), (angles.beta,))[(ts, ts)][0, 0]
         lhs = _lhs(_nonnegative(p, ts, ts), s_star, scale)
-        rhs = _rhs(parts, angles.alpha, angles.beta, angles.gamma, scale)
+        (ag, g), (bg, _) = self._frame(angles.alpha, angles.gamma), self._frame(angles.beta, angles.gamma)
+        rhs = _rhs(parts, ag, bg, g, scale)
         return ViolationRecord(
             s_star=s_star,
             r=self.r,
@@ -748,7 +810,7 @@ def _lhs_coefficients(eng: LossyEngine, s_star: HalfInt, convention: str, full: 
     t, prob, parts, _, _ = eng._sector(s_star)
     scale = prob if conditioned else 1.0
     grid = 2.0 * math.pi * np.arange(2 * ts + 1) / (2 * ts + 1)
-    blocks = _contract({(ts, ts): t}, grid, grid if full else (0.0,))[(ts, ts)]
+    blocks = eng._framed_contract({(ts, ts): t}, grid, grid if full else (0.0,))[(ts, ts)]
     coef = np.fft.fft2([[_lhs(_nonnegative(p, ts, ts), s_star, scale) for p in row] for row in blocks])
     return coef / coef.size, parts, scale
 
@@ -795,7 +857,8 @@ def _descent_objective(eng: LossyEngine, s_star: HalfInt, convention: str) -> Ca
 
     One-entry memos hold the row (keyed on alpha) and the lhs (on both), so a gamma search reads only the
     rhs of the kernel's moment parts.  The rhs and the violation are formed as in
-    ``mermin_sides``; ``objective.lhs`` is the interpolated lhs at (alpha, beta).
+    ``mermin_sides`` at unequal loss (at (alpha, gamma) and (beta, gamma), not in the per-side-equal
+    ``_frame``); ``objective.lhs`` is the interpolated lhs at (alpha, beta).
     """
     coef, parts, scale = _lhs_coefficients(eng, s_star, convention, full=True)
     k = np.fft.ifftshift(np.arange(-s_star.twice, s_star.twice + 1))

@@ -15,7 +15,8 @@ factorial sum, which cancels catastrophically beyond 2s ~ 60, this stays
 unitary to rounding at every spin the engine accepts.  The eigenvectors are
 checked for orthogonality once per spin, since an orthogonal V makes every
 d(beta) unitary to rounding.  Built blocks are kept, read-only, in a
-least-recently-used cache bounded by their total size in bytes.  An angle
+least-recently-used cache bounded by their total size in bytes
+(a ``_BytesBoundedCache``, which keeps ``lossy``'s loss tables too).  An angle
 above ``MAX_ANGLE`` in magnitude, or not finite, raises ``ValueError``.
 """
 
@@ -235,34 +236,42 @@ def _wigner_block(ts: int, alpha: float) -> np.ndarray:
     return out
 
 
-# built blocks by (2s, angle), least recently used first; their nbytes sum to _wigner_bytes
-_WIGNER_CACHE_BYTES = 64 * 2**20
-_wigner_cache: OrderedDict[tuple[int, float], np.ndarray] = OrderedDict()
-_wigner_bytes = 0
-_wigner_lock = threading.Lock()
+# the size in bytes past which a ``_BytesBoundedCache`` drops its least recently used values
+_CACHE_BYTES = 64 * 2**20
 
 
-def _wigner_matrix_cached(ts: int, alpha: float) -> np.ndarray:
-    """Read-only block of ``_wigner_block``; the cache drops its oldest blocks past ``_WIGNER_CACHE_BYTES``."""
-    global _wigner_bytes
-    key = (ts, alpha)
-    with _wigner_lock:
-        out = _wigner_cache.get(key)
-        if out is not None:
-            _wigner_cache.move_to_end(key)
-            return out
-        out = _wigner_cache[key] = _wigner_block(ts, alpha)
-        _wigner_bytes += out.nbytes
-        while _wigner_bytes > _WIGNER_CACHE_BYTES:
-            _wigner_bytes -= _wigner_cache.popitem(last=False)[1].nbytes
-    return out
+class _BytesBoundedCache:
+    """Thread-safe memo of ``build`` over hashable arguments, for values that are read-only arrays or None.
+
+    ``values`` holds the least recently used first; once their nbytes sum (``nbytes``) passes ``_CACHE_BYTES``,
+    the oldest are dropped.  A value is built under the lock, so each is built once.
+    """
+
+    def __init__(self, build):
+        self.build = build
+        self.values: OrderedDict = OrderedDict()
+        self.nbytes = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, *key):
+        with self._lock:
+            if key in self.values:
+                self.values.move_to_end(key)
+                return self.values[key]
+            out = self.values[key] = self.build(*key)
+            self.nbytes += getattr(out, "nbytes", 0)
+            while self.nbytes > _CACHE_BYTES:
+                self.nbytes -= getattr(self.values.popitem(last=False)[1], "nbytes", 0)
+        return out
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self.values.clear()
+            self.nbytes = 0
 
 
-def _wigner_cache_clear() -> None:
-    global _wigner_bytes
-    with _wigner_lock:
-        _wigner_cache.clear()
-        _wigner_bytes = 0
+# read-only blocks of ``_wigner_block`` by (2s, angle)
+_wigner_matrix_cached = _BytesBoundedCache(_wigner_block)
 
 
 def wigner_d_matrix(s, alpha: float) -> np.ndarray:

@@ -148,8 +148,9 @@ def apply_loss(obj, mode: str, eta: float) -> KrausBranches:
 
     The k-photon Kraus operator sends each state of the mode's side with
     n >= k to its copy with n - k photons, so it turns every branch into a
-    weighted copy gathered along that side's axis.  Copies that are all zero
-    are dropped.
+    weighted copy gathered along that side's axis.  Copies are made only up
+    to the largest n that a nonzero amplitude holds, and copies that are all
+    zero are dropped.
     """
     if mode not in _MODE_POS:
         raise ValueError(f"unknown mode {mode!r}")
@@ -162,10 +163,12 @@ def apply_loss(obj, mode: str, eta: float) -> KrausBranches:
     n, maps = _lowering_maps(state.sides[side], pos)
     # the side's axis last, in the input and in each k's copies
     src = state.psi.swapaxes(1, 2) if side == 0 else state.psi
-    out = np.zeros((len(maps) + 1, *state.psi.shape), dtype=state.psi.dtype)
+    # no k above the largest count the mode holds where psi is nonzero has a nonzero copy
+    k_max = int(n[state.psi.any(axis=(0, 2 - side))].max(initial=0))
+    out = np.zeros((k_max + 1, *state.psi.shape), dtype=state.psi.dtype)
     dst = out.swapaxes(2, 3) if side == 0 else out
     np.multiply(src, _loss_weights(eta, 0, len(maps))[n], out=dst[0])
-    for k, (cols, rows) in enumerate(maps, start=1):
+    for k, (cols, rows) in enumerate(maps[:k_max], start=1):
         dst[k][..., rows] = src[..., cols] * _loss_weights(eta, k, len(maps))[n[cols]]
     out = out.reshape(-1, *state.psi.shape[1:])
     keep = out.reshape(len(out), -1).any(axis=1)

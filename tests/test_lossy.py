@@ -163,8 +163,11 @@ def test_kernels_equal_offset_by_offset_reference(r, loss, pairs, policy):
     assert (tcut, ok) == (want_cut, want_ok)
     assert list(kernels) == list(want)
     for key, t in kernels.items():
-        assert t.shape == want[key].shape
-        assert np.abs(t - want[key]).max() <= 1e-13 * np.abs(want[key]).max()
+        ref = want[key]
+        if loss.equal_within_sides:  # the engine keeps the dl = 0 slice only
+            ref = ref[(len(ref) - 1) // 2][None]
+        assert t.shape == ref.shape
+        assert np.abs(t - ref).max() <= 1e-13 * np.abs(ref).max()
         assert not t.flags.writeable
     if not policy.rel_tol:
         # one pass: the cap's every source sector in order, also where the cap lies above 2s + 4
@@ -222,6 +225,19 @@ def test_amplitude_tables_are_shared_and_read_only():
     assert view.shape == (5, 6, 4) and view[3, 1, 1] == h[2, 2] and view[0, 0, 0] == 0.0
     with pytest.raises(ValueError, match="read-only"):
         view[2, 0, 0] = 1.0
+    centre = lossy._shifted(h, 0, -1)  # no offset to pad for: a view of h itself
+    assert centre.shape == (1, 6, 4) and np.shares_memory(centre, h) and np.array_equal(centre[0], h)
+    assert not centre.flags.writeable
+
+
+def test_amplitude_tables_outlive_a_deep_unrestricted_build(monkeypatch):
+    # 650 tables: every (ts, tso) up to 2s = 24 on each side; the next engine at these efficiencies builds none
+    loss, policy = LossConfig(0.6, 0.6, 0.8, 0.8), TruncationPolicy(HalfInt(24), 0.0)
+    lossy._amplitudes.cache_clear()
+    LossyEngine(0.5, loss, policy).joint(0.7, -0.4)
+    assert len(lossy._amplitudes.values) == 2 * 25 * 26 // 2
+    monkeypatch.setattr(lossy, "log_weight_table", lambda *args: pytest.fail(f"table {args} rebuilt"))
+    LossyEngine(0.3, loss, policy).joint(0.7, -0.4)
 
 
 def _full_stacks(t, tsa, tsb, alpha, beta):
@@ -340,7 +356,7 @@ def test_large_spin_products_stay_within_single_thread_size(monkeypatch):
         return matmul(a, b, out=out)
 
     numerics._sx_eigenvectors.cache_clear()
-    numerics._wigner_cache_clear()
+    numerics._wigner_matrix_cached.cache_clear()
     monkeypatch.setattr(np, "matmul", recording)
     rec = LossyEngine(0.3, LossConfig.equal_eta(1.0)).mermin_sides(40, theta_triple(0.3 / 40))
     monkeypatch.undo()
@@ -361,7 +377,7 @@ def test_deep_unrestricted_joint_stays_within_single_thread_size(monkeypatch):
         return matmul(a, b, out=out)
 
     numerics._sx_eigenvectors.cache_clear()
-    numerics._wigner_cache_clear()
+    numerics._wigner_matrix_cached.cache_clear()
     monkeypatch.setattr(np, "matmul", recording)
     dist = LossyEngine(0.5, DEEP_JOINT_LOSS, TruncationPolicy(HalfInt(40), rel_tol=1e-14)).joint(0.7, -0.4)
     monkeypatch.undo()
@@ -398,8 +414,81 @@ def test_deep_unrestricted_joint_blocks_equal_post_selected_joints():
         assert np.abs(p - one.blocks[(tsa, tsb)]).max() <= 1e-15 * p.max(), (tsa, tsb)
 
 
-def test_large_spin_evaluation_holds_no_full_depth_pair_stack():
-    loss = LossConfig.equal_eta(1.0)
+def _per_side_equal_settings():
+    """Seeded (r, eta_a, eta_b): r = 0, a side at eta 0 or 1 and eta_a != eta_b among them."""
+    rng = np.random.default_rng(24)
+    out = []
+    for k in range(8):
+        r = 0.0 if k == 0 else float(rng.uniform(0.05, 0.9))
+        eta_a, eta_b = (float(x) for x in rng.uniform(0.3, 1.0, 2))
+        eta_a, eta_b = {1: (0.0, eta_b), 2: (eta_a, 1.0), 3: (1.0, 0.0), 4: (1.0, 1.0)}.get(k, (eta_a, eta_b))
+        out.append((r, eta_a, eta_b))
+    return out
+
+
+def _reference_moment_parts(t, ts):
+    """(zz, ladders) of a full-offset kernel of the pair (ts, ts), read from its dl = 0 and +-1 slices."""
+    so = ts / 2.0
+    mu = np.arange(ts + 1) - so
+    lp = np.sqrt(np.maximum(so * (so + 1) - mu * (mu + 1), 0.0))
+    lm = np.sqrt(np.maximum(so * (so + 1) - mu * (mu - 1), 0.0))
+    c = (len(t) - 1) // 2
+    return mu @ t[c] @ mu, lp @ t[c + 1] @ lm + lm @ t[c - 1] @ lp
+
+
+@pytest.mark.parametrize(
+    "r, eta_a, eta_b", _per_side_equal_settings(), ids=lambda x: f"{x:.3f}" if isinstance(x, float) else None
+)
+def test_per_side_equal_route_equals_full_offset_reference(r, eta_a, eta_b):
+    # the engine keeps one slice and contracts at (alpha - beta, 0); the reference keeps every offset and
+    # contracts densely at (alpha, beta)
+    loss = LossConfig(eta_a, eta_a, eta_b, eta_b)
+    rng = np.random.default_rng(round(1e6 * (r + eta_a + 2 * eta_b)))
+    policy = TruncationPolicy(HalfInt(3), 0.0)
+
+    def assert_blocks_equal(dist, ref_kernels, alpha, beta):
+        assert sorted(dist.blocks) == sorted(ref_kernels)
+        for (tsa, tsb), t in ref_kernels.items():
+            want = np.maximum(_full_stack_join(t, tsa, tsb, alpha, beta), 0.0)
+            assert np.abs(dist.blocks[(tsa, tsb)] - want).max() <= 1e-13 * want.max(), (tsa, tsb)
+
+    eng = LossyEngine(r, loss, policy)
+    ref_all = _reference_kernels(r, loss, None, policy)[0]
+    for alpha, beta in rng.uniform(-2 * math.pi, 2 * math.pi, (3, 2)):
+        assert_blocks_equal(eng.joint(alpha, beta), ref_all, alpha, beta)
+        for pair in [(1, 3), (4, 4), (6, 2)]:
+            one = eng.joint(alpha, beta, sectors=tuple(HalfInt(t) for t in pair))
+            assert_blocks_equal(one, {pair: _reference_kernels(r, loss, (pair,), policy)[0][pair]}, alpha, beta)
+    if 0.0 in (eta_a, eta_b) or r == 0.0:
+        return  # no post-selected sector above spin 0 has weight
+    for ts in (1, 2, 4):
+        s = HalfInt(ts)
+        t = _reference_kernels(r, loss, ((ts, ts),), policy)[0][(ts, ts)]
+        prob, (zz, ladders) = t[(len(t) - 1) // 2].sum(), _reference_moment_parts(t, ts)
+        assert abs(ladders - 4.0 * zz) <= 1e-13 * abs(zz)
+        assert eng._sector(s)[2] == (pytest.approx(zz, rel=1e-13), pytest.approx(ladders, rel=1e-13))
+        gaps = np.abs(np.subtract.outer(np.arange(ts + 1), np.arange(ts + 1)))
+        for alpha, beta, gamma in rng.uniform(-2 * math.pi, 2 * math.pi, (3, 3)):
+            p = np.maximum(_full_stack_join(t, ts, ts, alpha, beta), 0.0)
+            lhs = s.value * (gaps * p).sum() / prob
+            rhs = sum(math.cos(x) * math.cos(gamma) * zz + math.sin(x) * math.sin(gamma) * ladders / 4
+                      for x in (alpha, beta)) / prob
+            rec = eng.mermin_sides(s, AngleTriple(alpha, beta, gamma))
+            assert rec.lhs == pytest.approx(lhs, rel=1e-13) and rec.rhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize(
+    "loss, slices, bound",
+    [
+        # one source sector feeds the kernel (Alice loses nothing); it holds 121 offsets, the peak at most two of it
+        (LossConfig(1.0, 1.0, 1.0, 0.9), 121, 2),
+        # per-side-equal loss: a kernel of one slice, and nothing near the 121 slices of a full-depth stack
+        (LossConfig.equal_eta(1.0), 1, 8),
+        (LossConfig(0.9, 0.9, 0.7, 0.7), 1, 8),
+    ],
+    ids=["unequal", "equal", "per-side-equal"],
+)
+def test_large_spin_evaluation_holds_no_full_depth_pair_stack(loss, slices, bound):
     LossyEngine(0.3, loss).mermin_sides(30, theta_triple(0.01))  # warm the shared caches
     eng = LossyEngine(0.3, loss)
     tracemalloc.start()
@@ -409,7 +498,8 @@ def test_large_spin_evaluation_holds_no_full_depth_pair_stack():
     finally:
         tracemalloc.stop()
     kernel = eng._sector(HalfInt(60))[0]
-    assert peak <= 2 * kernel.nbytes, peak / kernel.nbytes
+    assert kernel.shape == (slices, 61, 61)
+    assert peak <= bound * kernel.nbytes, peak / kernel.nbytes
 
 
 # ------------------------------------------------------------- eta=1 limits
@@ -1140,7 +1230,7 @@ def test_non_orthogonal_rotation_basis_is_an_internal_error(monkeypatch):
         return u
 
     numerics._sx_eigenvectors.cache_clear()
-    numerics._wigner_cache_clear()
+    numerics._wigner_matrix_cached.cache_clear()
     monkeypatch.setattr(numerics, "_sx_basis", perturbed)
     try:
         engine = LossyEngine(0.3, LossConfig.equal_eta(0.9))
@@ -1152,7 +1242,7 @@ def test_non_orthogonal_rotation_basis_is_an_internal_error(monkeypatch):
     finally:
         monkeypatch.undo()
         numerics._sx_eigenvectors.cache_clear()
-        numerics._wigner_cache_clear()
+        numerics._wigner_matrix_cached.cache_clear()
     assert engine.mermin_sides(HalfInt(2), theta_triple(0.2)).error is None
 
     # a record off the theta interpolant (a curve of higher degree than 4s) fails the optimizer's check

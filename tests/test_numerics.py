@@ -348,29 +348,31 @@ def test_wigner_block_matches_lapack_eigenbasis(ts):
 
 
 def test_wigner_cache_bounded_by_bytes(monkeypatch):
-    assert numerics._WIGNER_CACHE_BYTES == 64 * 2**20
+    assert numerics._CACHE_BYTES == 64 * 2**20
     block = 101 * 101 * 8
-    numerics._wigner_cache_clear()
-    monkeypatch.setattr(numerics, "_WIGNER_CACHE_BYTES", 10 * block)
+    cache = numerics._wigner_matrix_cached
+    cache.cache_clear()
+    monkeypatch.setattr(numerics, "_CACHE_BYTES", 10 * block)
     try:
         first = wigner_d_matrix(HalfInt(100), 0.0)
         for i in range(1, 25):
             wigner_d_matrix(HalfInt(100), 0.01 * i)
             assert wigner_d_matrix(HalfInt(100), 0.0) is first  # a hit keeps the block recent
-        cached = numerics._wigner_cache
-        assert sum(d.nbytes for d in cached.values()) == numerics._wigner_bytes == 10 * block
+        cached = cache.values
+        assert sum(d.nbytes for d in cached.values()) == cache.nbytes == 10 * block
         assert list(cached) == [(100, 0.01 * i) for i in range(16, 25)] + [(100, 0.0)]
         wigner_d_matrix(HalfInt(0), 0.3)  # a small block evicts a large one
-        assert numerics._wigner_bytes == 9 * block + 8 and (100, 0.16) not in cached
+        assert cache.nbytes == 9 * block + 8 and (100, 0.16) not in cached
     finally:
         monkeypatch.undo()
-        numerics._wigner_cache_clear()
+        cache.cache_clear()
 
 
 def test_wigner_cache_byte_count_survives_threads(monkeypatch):
     budget = 6 * 21 * 21 * 8
-    numerics._wigner_cache_clear()
-    monkeypatch.setattr(numerics, "_WIGNER_CACHE_BYTES", budget)
+    cache = numerics._wigner_matrix_cached
+    cache.cache_clear()
+    monkeypatch.setattr(numerics, "_CACHE_BYTES", budget)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -384,11 +386,11 @@ def test_wigner_cache_byte_count_survives_threads(monkeypatch):
         for t in threads:
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads)
-        assert sum(d.nbytes for d in numerics._wigner_cache.values()) == numerics._wigner_bytes <= budget
+        assert sum(d.nbytes for d in cache.values.values()) == cache.nbytes <= budget
     finally:
         sys.setswitchinterval(switch)
         monkeypatch.undo()
-        numerics._wigner_cache_clear()
+        cache.cache_clear()
 
 
 def test_wigner_matrix_cached_and_readonly():

@@ -392,6 +392,19 @@ def test_source_amplitudes_are_real():
     assert out.psi.dtype == np.float64
 
 
+def test_apply_loss_copies_only_counts_a_nonzero_amplitude_holds(monkeypatch):
+    # the uncapped source at cutoff 4 holds at most 4 photons in a mode, while its side basis allows 8
+    state = KrausBranches.from_state(build_epr2(0.3, 0.3, cutoff=4))
+    assert max(n1 for n1, _ in state.sides[0]) == 8
+    ks, weights = [], oracle_mod._loss_weights
+    monkeypatch.setattr(oracle_mod, "_loss_weights", lambda eta, k, n: ks.append(k) or weights(eta, k, n))
+    lossy = apply_loss(state, "a1", 0.6)
+    assert ks == [0, 1, 2, 3, 4] and len(lossy.psi) == 5
+    ks.clear()
+    apply_loss(apply_loss(state, "b2", 0.0), "b2", 0.5)  # the second loss finds b2 empty
+    assert ks == [0, 1, 2, 3, 4, 0]
+
+
 def test_apply_loss_rejects_basis_not_closed_under_loss():
     state = KrausBranches((((1, 0),), ((0, 0),)), np.ones((1, 1, 1)))
     with pytest.raises(ValueError, match="not closed"):
