@@ -63,11 +63,12 @@ def theta_triple(theta: float, base: float = 0.0) -> AngleTriple:
 def ideal_pair_probability(s, m, m_p, delta: float) -> float:
     """P(m, m', delta): Alice reads m, Bob reads m', analyzers delta apart.
 
-    Equals |d^s_{m m'}(pi - delta)|^2 / (2s+1); at delta = 0 the outcomes
-    are perfectly anticorrelated.
+    Equals |d^s_{m m'}(pi - delta)|^2 / (2s+1) = |d^s_{m, -m'}(delta)|^2 / (2s+1),
+    read at delta itself, not at a rounded pi - delta; at delta = 0 the
+    outcomes are perfectly anticorrelated.
     """
     ts = HalfInt.of(s).twice
-    d = wigner_d(s, m, m_p, math.pi - float(delta))
+    d = wigner_d(s, m, -HalfInt.of(m_p), float(delta))
     return d * d / (ts + 1)
 
 
@@ -84,7 +85,8 @@ def ideal_mermin_sides(s, angles: AngleTriple) -> InequalitySides:
     rhs = corr(alpha-gamma) + corr(beta-gamma).
     """
     s = HalfInt.of(s)
-    d = wigner_d_matrix(s, math.pi - (angles.alpha - angles.beta))
+    # |d(pi - delta)[m, m']| = |d(delta)[m, -m']|: the columns reversed, at the exact angle
+    d = wigner_d_matrix(s, angles.alpha - angles.beta)[:, ::-1]
     m = np.arange(s.twice + 1)
     terms = np.abs(m[:, None] - m[None, :]) * (d * d / (s.twice + 1))
     # summed in sequence, m then m' ascending, so the eta = 1 reference

@@ -4,45 +4,44 @@ The source emits two effective spins in the singlet of every sector s with
 weight w_s = (2s+1) tanh(r)^(4s) / cosh(r)^4.  Loss maps each side's
 |s w><s w'| onto surviving spins sigma <= s with weight h[w, mu] h[w', mu'],
 h = exp(L / 2) of that side's ``loss.log_weight_table``.  The h tables are
-cached across engines (up to ``numerics._CACHE_BYTES``), so a source sector's
-blocks are batched products over their bra-ket offsets; a table that is all
+cached across engines (up to ``numerics._CACHE_BYTES``); a table that is all
 zero is skipped, and one that the efficiencies alone make zero (a side at
-eta 1 or 0) is never built.
-Analyzer rotations contract the kernels with pairs of rotation-matrix elements
-in one ``_contract``, for one setting or a grid of them.  Both the kernel
-build and the contraction take every sector pair of a call at once.  Each
-outcome sector's table or rotation block and its padded copy are formed once
-per call; its pair products, formed for a run of offsets, are read by every
-pair of the sector whose run lies inside that one (every pair, where the
-sector's widest pair fits one run).  Each pair then makes only its own
-products.  Everything is
-accumulated sector by sector so the infinite source sum can be cut off
-dynamically, with an exact geometric bound on the discarded weight.
-The cutoff is part of an engine's setting: its ``TruncationPolicy`` says
-where the sum stops.  The angle-independent kernels of the computed outcome
-sector pairs (one post-selected pair, or every pair reachable below the
-cutoff) are converged once per engine; the joint distribution, the
-post-selected correlation and the left side at any analyzer setting are
-contractions of them.  The full-trace correlation needs no kernel: it is
-exact in closed form.
+eta 1 or 0) is never built.  Everything is accumulated source sector by
+source sector, so the infinite source sum can be cut off dynamically, with
+an exact geometric bound on the discarded weight.  The cutoff is part of an
+engine's setting: its ``TruncationPolicy`` says where the sum stops.  The
+angle-independent kernels of the computed outcome sector pairs (one
+post-selected pair, or every pair reachable below the cutoff) are converged
+once per engine; the joint distribution, the post-selected correlation and
+the left side at any analyzer setting are contractions of them.  The
+full-trace correlation needs no kernel: it is exact in closed form.
 
 Where loss is equal within each side it commutes with the analyzers, and the
 singlet of every source sector is invariant under a common rotation, so
-P(alpha, beta) = P(alpha - beta, 0).  At beta = 0 Bob's rotation block is the
-identity and only the dl = 0 offset of a kernel contributes.  So such an
-engine builds, caches and contracts that one offset: a source sector adds one
-product per pair, and every setting, sample of an angle grid and moment is
-taken at (alpha - beta, 0) (``LossyEngine._frame``).  Other loss keeps all
-2 min(2s_a, 2s_b) + 1 offsets and contracts at (alpha, beta).
+P(alpha, beta) = P(alpha - beta, 0).  There Bob's rotation block is the
+identity and only a kernel's dl = 0 slice T_0 contributes, so that slice is
+all such an engine keeps, and two plain products per pair give it and P: a
+source sector adds tau^4 (h_a h_a)^T (h_b h_b) to T_0, and P = (d d)^T T_0
+with d = d(alpha - beta), both squared elementwise.
+
+Other loss keeps every bra-ket offset |dl| <= min(2s_a, 2s_b).  A source
+sector's blocks are then batched products over the offsets, and analyzer
+rotations contract the kernels with pairs of rotation-matrix elements in one
+``_contract``, for one setting or a grid of them.  Both take every sector
+pair of a call at once.  Each outcome sector's table or rotation block and
+its padded copy are formed once per call; its pair products, formed for a
+run of offsets, are read by every pair of the sector whose run lies inside
+that one (every pair, where the sector's widest pair fits one run).  Each
+pair then makes only its own products.
 
 Every matrix product stays within OpenBLAS's single-thread size (M N K <=
 2^18), so that BLAS runs it on the calling thread and results do not depend
-on its thread count.  Each pair's build and contraction run over its own
-``_runs`` of consecutive bra-ket offsets whose products fit, so a pair gets
-the same bits alone as among others; pair products are formed for one run at
-a time, never for all offsets of a large pair, and ``numerics._matmul``
-splits one offset's product by columns where it does not fit (from s = 32 on
-in the contraction, at eta < 1 a few spins earlier in the kernel build).
+on its thread count.  Each pair's offset build and contraction run over its
+own ``_runs`` of consecutive offsets whose products fit, so a pair gets the
+same bits alone as among others; pair products are formed for one run at a
+time, never for all offsets of a large pair, and ``numerics._matmul`` splits
+one product by columns where it does not fit (from s = 32 on in a
+contraction, at eta < 1 a few spins earlier in a kernel build).
 
 The methods of ``LossyEngine`` (``joint``, ``correlation``,
 ``mermin_sides``) are the only way to evaluate a point; one engine serves
@@ -221,12 +220,7 @@ class ViolationRecord:
 
 
 def _shifted(h: np.ndarray, dmax: int, step: int) -> np.ndarray:
-    """Read-only view V[dl + dmax, i, j] = h[i + dl, j + step * dl] of one zero-padded copy of ``h``; at
-    ``dmax`` 0, of ``h`` itself."""
-    if not dmax:
-        view = h[None]
-        view.flags.writeable = False
-        return view
+    """Read-only view V[dl + dmax, i, j] = h[i + dl, j + step * dl] of one zero-padded copy of ``h``."""
     n, m = h.shape
     pad = dmax * abs(step)
     padded = np.zeros((n + 2 * dmax, m + 2 * pad), dtype=h.dtype)
@@ -272,22 +266,19 @@ def _runs(n_off: int, macs: int) -> tuple[slice, ...]:
 
 
 @lru_cache(maxsize=1024)
-def _rows(pairs: tuple[tuple[int, int, int], ...]) -> tuple[tuple, tuple]:
-    """Outcome sector pairs (tsa, tsb, reach) as rows (tsa, reach, (tsb, ...)), sectors and rows in descending
-    order, and each Bob sector's (tsb, reach); a pair's reach is its largest |dl|, a sector's the largest of its
-    pairs'.
+def _rows(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple, tuple]:
+    """Outcome sector pairs as rows (tsa, reach, (tsb, ...)), sectors and rows in descending order, and each
+    Bob sector's (tsb, reach); a sector's reach is the largest |dl| = min(tsa, tsb) of its pairs.
 
     In this order a sector's first pair spans its widest offsets, so where that pair's offsets fit one
     ``_runs`` run, the sector's later pairs read slices of the pieces it formed (``_piece``).
     """
     rows: dict[int, list[int]] = {}
-    reach_a: dict[int, int] = {}
     reach_b: dict[int, int] = {}
-    for a, b, w in sorted(pairs, reverse=True):
+    for a, b in sorted(pairs, reverse=True):
         rows.setdefault(a, []).append(b)
-        reach_a[a] = max(reach_a.get(a, 0), w)
-        reach_b[b] = max(reach_b.get(b, 0), w)
-    return tuple((a, reach_a[a], tuple(row)) for a, row in rows.items()), tuple(reach_b.items())
+        reach_b[b] = max(reach_b.get(b, 0), min(a, b))
+    return tuple((a, min(a, row[0]), tuple(row)) for a, row in rows.items()), tuple(reach_b.items())
 
 
 def _reach(t: np.ndarray) -> int:
@@ -314,15 +305,14 @@ def _piece(cache: dict, sector: int, tag: int, view: np.ndarray, h: np.ndarray, 
 def _contract(kernels: dict, alphas: Sequence[float], betas: Sequence[float]) -> dict:
     """Joint probabilities P[i, j, m_a, m_b] = sum_dl EA_dl^T T_dl EB_dl of each sector pair at (alphas[i], betas[j]).
 
-    ``kernels`` maps (tsa, tsb) to its kernel T, over offsets |dl| up to its ``_reach``.  EA_dl[m, m_a] =
-    d[m + dl, m_a] d[m, m_a] of Alice's block d(alphas[i]), zero where m + dl is off it; EB is the same of Bob's
-    at offset -dl.  Each outcome sector's rotation blocks and padded copies are formed once per call, and its
-    pair products are shared by its pairs through ``_piece``.  Per ``_runs`` run of a pair's offsets, so that
-    no pair stack is held for all of them, each beta's half T_dl EB_dl is formed once for the whole grid, and
-    each (i, j) writes (first run) or adds one flattened product.  One setting passes 1-tuples; one sector
-    pair, a one-entry ``kernels``.
+    ``kernels`` maps (tsa, tsb) to its kernel T.  EA_dl[m, m_a] = d[m + dl, m_a] d[m, m_a] of Alice's block
+    d(alphas[i]), zero where m + dl is off it; EB is the same of Bob's at offset -dl.  Each outcome sector's
+    rotation blocks and padded copies are formed once per call, and its pair products are shared by its pairs
+    through ``_piece``.  Per ``_runs`` run of a pair's offsets, so that no pair stack is held for all of them,
+    each beta's half T_dl EB_dl is formed once for the whole grid, and each (i, j) writes (first run) or adds
+    one flattened product.  One setting passes 1-tuples; one sector pair, a one-entry ``kernels``.
     """
-    rows, reach_b = _rows(tuple((a, b, _reach(t)) for (a, b), t in kernels.items()))
+    rows, reach_b = _rows(tuple(kernels))
     bob = {b: [(_shifted(d, w, 0)[::-1], d) for d in [wigner_d_matrix(HalfInt(b), x) for x in betas]]
            for b, w in reach_b}
     out, bob_pieces = {}, {}
@@ -330,8 +320,7 @@ def _contract(kernels: dict, alphas: Sequence[float], betas: Sequence[float]) ->
         alice = [(_shifted(d, w, 0), d) for d in [wigner_d_matrix(HalfInt(a), x) for x in alphas]]
         alice_pieces: dict = {}
         for b in row:
-            t = kernels[(a, b)]
-            dm = _reach(t)
+            t, dm = kernels[(a, b)], min(a, b)
             p = out[(a, b)] = np.empty((len(alice), len(bob[b]), a + 1, b + 1))
             for k, r in enumerate(_runs(t.shape[0], (a + 1) ** 2 * (b + 1))):
                 lo, hi = r.start - dm, min(r.stop, t.shape[0]) - dm
@@ -441,29 +430,6 @@ class LossyEngine:
         self.policy = TruncationPolicy() if policy is None else policy
         self._kernel_cache: dict = {}
 
-    # ----------------------------------------------------------------- frame
-
-    def _pair_reach(self, tsa: int, tsb: int) -> int:
-        """The largest bra-ket offset a pair's kernel keeps: every one, min(tsa, tsb), or only dl = 0 where
-        loss is equal within each side (see ``_frame``)."""
-        return 0 if self.loss.equal_within_sides else min(tsa, tsb)
-
-    def _frame(self, alpha: float, beta: float) -> tuple[float, float]:
-        """The setting that a contraction or moment at (alpha, beta) runs at.
-
-        Loss equal within each side commutes with the analyzers, and the source is invariant under a common
-        rotation, so P(alpha, beta) = P(alpha - beta, 0).  At beta = 0 Bob's rotation block is the identity,
-        so only each kernel's dl = 0 slice contributes, and that slice is all the engine keeps.
-        """
-        return (alpha - beta, 0.0) if self.loss.equal_within_sides else (alpha, beta)
-
-    def _framed_contract(self, kernels: dict, alphas: Sequence[float], betas: Sequence[float]) -> dict:
-        """``_contract`` of the kernels at every (alphas[i], betas[j]), each taken in ``_frame``."""
-        if not self.loss.equal_within_sides:
-            return _contract(kernels, alphas, betas)
-        blocks = _contract(kernels, [x - y for x in alphas for y in betas], (0.0,))
-        return {k: p.reshape(len(alphas), len(betas), *p.shape[2:]) for k, p in blocks.items()}
-
     # ---------------------------------------------------------------- weights
 
     def _log_tau2(self, ts: int) -> float:
@@ -482,37 +448,43 @@ class LossyEngine:
 
     # --------------------------------------------------------- joint outcomes
 
-    def _tables(self, ts: int, side: str, reach: Iterable[tuple[int, int]]) -> dict:
-        """{tso: (V, h)} of one side's nonzero ``_amplitudes`` tables h from source sector ts, Bob's rows reversed,
-        V the ``_shifted`` view of h at each (tso, reach) of ``reach``."""
+    def _tables(self, ts: int, side: str, sectors: Iterable[int]) -> dict:
+        """{tso: h} of one side's nonzero ``_amplitudes`` tables h from source sector ts to each of ``sectors``,
+        Bob's rows reversed."""
         etas = self._side_etas(side)
-        tables = {}
-        for tso, w in reach:
-            h = _amplitudes(ts, tso, *etas)
-            if h is not None:
-                h = h if side == "a" else h[::-1]
-                tables[tso] = (_shifted(h, w, 1 if side == "a" else -1), h)
-        return tables
+        tables = {tso: _amplitudes(ts, tso, *etas) for tso in sectors}
+        return {tso: h if side == "a" else h[::-1] for tso, h in tables.items() if h is not None}
 
     def _t_sector(self, ts: int, pairs: list, kernels: dict) -> None:
-        """Add source sector ts's block T[dl + reach, mu_a, mu_b] to the kernel of each pair (tsa, tsb <= ts).
+        """Add source sector ts's block to the kernel of each pair (tsa, tsb <= ts).
 
-        The reach is the engine's ``_pair_reach``.  T[dl] = (-1)^dl tau^4 EA_dl^T EB_dl, one batched product per
-        ``_runs`` run, written into T: EA_dl[w, mu] = h[w, mu] h[w + dl, mu + dl] of Alice's table, EB_dl the
-        same of Bob's at row ts - w and offset -dl; (-1)^dl is what remains of the singlet phases.  Each outcome
-        sector's table and padded copy are formed once, and its products are shared by its pairs through
-        ``_piece``.  A pair's first block becomes its kernel in ``kernels``; a pair the sector does not feed (an
-        all-zero table, or tau = 0) is left alone.
+        Where loss is equal within each side a kernel is its dl = 0 slice T[0] alone (see ``_framed_contract``),
+        and the block is one product tau^4 (h_a h_a)^T (h_b h_b) per pair.  Other loss keeps every offset |dl| <=
+        min(tsa, tsb), at T[dl + min(tsa, tsb)]: T[dl] = (-1)^dl tau^4 EA_dl^T EB_dl, EA_dl[w, mu] = h[w, mu]
+        h[w + dl, mu + dl] of Alice's table, EB_dl the same of Bob's at offset -dl; (-1)^dl is what remains of
+        the singlet phases.  It is one batched product per ``_runs`` run, written into T; each outcome sector's
+        table and padded copy are formed once, and its products are shared by its pairs through ``_piece``.
+        Bob's table is read at row ts - w.  A pair's first block becomes its kernel in ``kernels``; a pair the
+        sector does not feed (an all-zero table, or tau = 0) is left alone.
         """
         tau4 = math.exp(2.0 * self._log_tau2(ts))
         if tau4 == 0.0 or not pairs:
             return
-        rows, reach_b = _rows(tuple((a, b, self._pair_reach(a, b)) for a, b in pairs))
-        ha, hb = self._tables(ts, "a", [(a, w) for a, w, _ in rows]), self._tables(ts, "b", reach_b)
+        if self.loss.equal_within_sides:
+            ha = {a: h * h for a, h in self._tables(ts, "a", {a for a, _ in pairs}).items()}
+            hb = {b: h * h for b, h in self._tables(ts, "b", {b for _, b in pairs}).items()}
+            for a, b in pairs:  # in the callers' order, which sets the kernels' order
+                if a in ha and b in hb:
+                    kernels.setdefault((a, b), np.zeros((1, a + 1, b + 1)))[0] += tau4 * _matmul(ha[a].T, hb[b])
+            return
+        rows, reach_b = _rows(tuple(pairs))
+        ta, tb = self._tables(ts, "a", [a for a, _, _ in rows]), self._tables(ts, "b", dict(reach_b))
+        ha = {a: (_shifted(ta[a], w, 1), ta[a]) for a, w, _ in rows if a in ta}
+        hb = {b: (_shifted(tb[b], w, -1), tb[b]) for b, w in reach_b if b in tb}
         new = {}
         for a, b in pairs:  # in the callers' order, which sets the kernels' order
             if a in ha and b in hb and (a, b) not in kernels:
-                new[(a, b)] = kernels[(a, b)] = np.empty((2 * self._pair_reach(a, b) + 1, a + 1, b + 1))
+                new[(a, b)] = kernels[(a, b)] = np.empty((2 * min(a, b) + 1, a + 1, b + 1))
         bob_pieces: dict = {}
         for a, _, row in rows:
             if a not in ha:
@@ -523,8 +495,7 @@ class LossyEngine:
                 if b not in hb:
                     continue
                 sb, h_b = hb[b]
-                t, first = kernels[(a, b)], (a, b) in new
-                dm = _reach(t)
+                t, dm, first = kernels[(a, b)], min(a, b), (a, b) in new
                 for r in _runs(t.shape[0], (a + 1) * (ts + 1) * (b + 1)):
                     lo, hi = r.start - dm, min(r.stop, t.shape[0]) - dm
                     ea = _piece(alice_pieces, a, 0, sa, h_a, lo, hi).transpose(0, 2, 1)
@@ -538,8 +509,8 @@ class LossyEngine:
     def _kernels(self, pairs: tuple | None):
         """Converged kernels ({(tsa, tsb): T}, cutoff, converged) of outcome sector pairs.
 
-        T[dl + reach, mu_a, mu_b] sums the source-sector blocks up to the
-        cutoff; it does not depend on the analyzer angles, so it is built
+        T[dl + reach, mu_a, mu_b] (``_t_sector``) sums the source-sector blocks
+        up to the cutoff; it does not depend on the analyzer angles, so it is built
         once per ``pairs`` and every angle contracts it.  ``pairs`` None
         takes every pair reachable below the cutoff.  The engine's policy
         sets the cutoff: its ``cap`` (a ``ValueError`` before any build),
@@ -567,10 +538,11 @@ class LossyEngine:
             prev, tcut = mass, min(tcut + 2, t_max)
         # every reachable pair, in the order the cutoff reaches it; a pair no sector fed is zero
         reach = pairs if pairs else [(a, b) for a in range(tcut + 1) for b in range(tcut + 1)]
+        one = self.loss.equal_within_sides
         kernels = {
             (a, b): kernels[(a, b)]
             if (a, b) in kernels
-            else np.zeros((2 * self._pair_reach(a, b) + 1, a + 1, b + 1))
+            else np.zeros((1 if one else 2 * min(a, b) + 1, a + 1, b + 1))
             for a, b in sorted(reach, key=max)
         }
         for t in kernels.values():
@@ -588,13 +560,38 @@ class LossyEngine:
             raise DegenerateSectorError(f"sector s={s_star} has probability {prob:.3e}")
         return t, prob, _moment_parts(t, ts, ts), HalfInt(tcut), ok
 
+    def _framed_contract(self, kernels: dict, alphas: Sequence[float], betas: Sequence[float]) -> dict:
+        """Joint probabilities P[i, j, m_a, m_b] of each sector pair at (alphas[i], betas[j]).
+
+        Loss equal within each side commutes with the analyzers, and the source is invariant under a common
+        rotation, so P(alpha, beta) = P(alpha - beta, 0).  At beta = 0 Bob's rotation block is the identity, so
+        only the dl = 0 slice T_0 that such a kernel keeps contributes: P = (d d)^T T_0 with d = d(alpha - beta)
+        squared elementwise, one ``_matmul`` per pair and setting.  Other loss is ``_contract``.
+        """
+        if not self.loss.equal_within_sides:
+            return _contract(kernels, alphas, betas)
+        settings = [x - y for x in alphas for y in betas]
+        squares: dict = {}
+        out = {}
+        for (a, b), t in kernels.items():
+            if a not in squares:
+                squares[a] = [np.square(wigner_d_matrix(HalfInt(a), x)).T for x in settings]
+            p = np.empty((len(settings), a + 1, b + 1))
+            for e, cell in zip(squares[a], p):
+                _matmul(e, t[0], cell)
+            out[(a, b)] = p.reshape(len(alphas), len(betas), a + 1, b + 1)
+        return out
+
     def joint(self, alpha: float, beta: float, sectors: tuple | None = None) -> JointOutcomeDistribution:
         """Joint readout distribution at analyzer angles (alpha, beta).
 
-        ``sectors`` restricts the computed blocks to one (s_a, s_b) pair;
-        otherwise every outcome sector pair reachable below the cutoff is returned.
+        ``sectors`` restricts the computed blocks to one (s_a, s_b) pair of
+        nonnegative spins (else ``ValueError``); otherwise every outcome
+        sector pair reachable below the cutoff is returned.
         """
-        pairs = None if sectors is None else ((HalfInt.of(sectors[0]).twice, HalfInt.of(sectors[1]).twice),)
+        pairs = None if sectors is None else (tuple(HalfInt.of(s).twice for s in sectors),)
+        if pairs and (len(pairs[0]) != 2 or min(pairs[0]) < 0):
+            raise ValueError(f"sectors must be two nonnegative spins (s_a, s_b), not {sectors!r}")
         kernels, tcut, ok = self._kernels(pairs)
         blocks = self._framed_contract(kernels, (alpha,), (beta,))
         return JointOutcomeDistribution(
@@ -635,7 +632,7 @@ class LossyEngine:
                 raise ValueError(f"the full-trace correlation overflows at r = {self.r!r}")
             return _moment((zz, ladders), alpha, beta), 1.0, None, True
         _, prob, parts, cutoff, ok = self._sector(HalfInt.of(s_star))
-        return _moment(parts, *self._frame(alpha, beta)) / prob, prob, cutoff, ok
+        return _moment(parts, alpha, beta) / prob, prob, cutoff, ok
 
     # ------------------------------------------------------- inequality sides
 
@@ -653,8 +650,7 @@ class LossyEngine:
         scale = prob if conditioned else 1.0
         p = self._framed_contract({(ts, ts): t}, (angles.alpha,), (angles.beta,))[(ts, ts)][0, 0]
         lhs = _lhs(_nonnegative(p, ts, ts), s_star, scale)
-        (ag, g), (bg, _) = self._frame(angles.alpha, angles.gamma), self._frame(angles.beta, angles.gamma)
-        rhs = _rhs(parts, ag, bg, g, scale)
+        rhs = _rhs(parts, angles.alpha, angles.beta, angles.gamma, scale)
         return ViolationRecord(
             s_star=s_star,
             r=self.r,
@@ -802,8 +798,8 @@ def _lhs_coefficients(eng: LossyEngine, s_star: HalfInt, convention: str, full: 
     """(C, ``_moment_parts``, scale) of sector s_star: the lhs is Re(e^{ik alpha} C e^{ik beta}), k by fftfreq.
 
     d(alpha) has frequencies -s..s and P is bilinear in the two pair stacks, so the lhs has degree 2s in each
-    angle.  One ``_contract`` samples it at 2 pi k / (4s + 1) on both axes (``full``) or for alpha at beta = 0,
-    each block checked by ``_nonnegative`` and scaled as ``_lhs``; a 2-D FFT gives every coefficient.
+    angle.  One ``_framed_contract`` samples it at 2 pi k / (4s + 1) on both axes (``full``) or for alpha at
+    beta = 0, each block checked by ``_nonnegative`` and scaled as ``_lhs``; a 2-D FFT gives every coefficient.
     """
     s_star, conditioned = _sector_and_convention(s_star, convention)
     ts = s_star.twice
@@ -857,8 +853,7 @@ def _descent_objective(eng: LossyEngine, s_star: HalfInt, convention: str) -> Ca
 
     One-entry memos hold the row (keyed on alpha) and the lhs (on both), so a gamma search reads only the
     rhs of the kernel's moment parts.  The rhs and the violation are formed as in
-    ``mermin_sides`` at unequal loss (at (alpha, gamma) and (beta, gamma), not in the per-side-equal
-    ``_frame``); ``objective.lhs`` is the interpolated lhs at (alpha, beta).
+    ``mermin_sides``; ``objective.lhs`` is the interpolated lhs at (alpha, beta).
     """
     coef, parts, scale = _lhs_coefficients(eng, s_star, convention, full=True)
     k = np.fft.ifftshift(np.arange(-s_star.twice, s_star.twice + 1))

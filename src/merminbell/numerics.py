@@ -55,16 +55,16 @@ class HalfInt:
 
     @classmethod
     def of(cls, value) -> "HalfInt":
-        """Coerce an int, float or HalfInt to an exact half-integer."""
+        """Coerce an int, float or HalfInt to an exact half-integer; ``ValueError`` for any other float,
+        infinities and NaN included."""
         if isinstance(value, HalfInt):
             return value
         if isinstance(value, (int, np.integer)):
             return cls(2 * int(value))
         doubled = 2.0 * float(value)
-        rounded = round(doubled)
-        if abs(doubled - rounded) > 1e-9:
+        if not math.isfinite(doubled) or abs(doubled - round(doubled)) > 1e-9:
             raise ValueError(f"{value!r} is not a half-integer")
-        return cls(int(rounded))
+        return cls(round(doubled))
 
     @property
     def value(self) -> float:

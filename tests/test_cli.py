@@ -266,9 +266,12 @@ def test_validate_conventions_table(tmp_path):
     assert convs == {"conditioned", "unconditioned"}
 
 
-def test_mutated_bob_sign_fails_reduction(monkeypatch):
+def test_mutated_bob_sign_fails_reduction(monkeypatch, request):
     # flipping Bob's readout convention must break the anticorrelation
-    # structure that the reduction suite checks
+    # structure that the reduction suite checks; the readout cells cached
+    # under the flipped convention are dropped again afterwards
+    oracle_mod._readout_cells.cache_clear()
+    request.addfinalizer(oracle_mod._readout_cells.cache_clear)
     monkeypatch.setattr(oracle_mod, "_bob_projection", lambda n3, n4: n3 - n4)
     from merminbell.validation import oracle_equivalence_report
     from merminbell.numerics import HalfInt
@@ -292,6 +295,7 @@ def test_mutated_bob_sign_fails_reduction(monkeypatch):
         (["sweep-theta", "--s", "1", "--r", "0.3", "--eta", "0.9", "--workers", "-2"], "is not"),
         (["sweep-theta", "--s", "1", "--r", "0.3", "--eta", "0.9", "--theta-steps", "0"], "is not"),
         (["optimize", "--s", "1", "--r", "0.3", "--conventions", "both"], "invalid choice: 'both'"),
+        (["validate", "--conventions", "unconditioned"], "invalid choice: 'unconditioned'"),
         (["optimize", "--s", "1000", "--r", "0.3"], "is not"),
         (["sweep-theta", "--s", "1000", "--r", "0.3", "--eta", "0.9"], "is not"),
         (["optimize", "--s", "1", "--r", "0.3", "--policy-max-s", "300"], "is not"),
@@ -314,7 +318,8 @@ def test_mutated_bob_sign_fails_reduction(monkeypatch):
     ids=[
         "s-zero", "s-not-half-integer", "eta-above-one", "r-negative", "base-angle-nan",
         "policy-tol-nan", "policy-max-s-not-half-integer", "n-max-negative", "n-max-above-cap",
-        "workers-negative", "theta-steps-zero", "optimize-both-conventions", "optimize-s-above-cap",
+        "workers-negative", "theta-steps-zero", "optimize-both-conventions", "validate-unconditioned",
+        "optimize-s-above-cap",
         "sweep-theta-s-above-cap", "policy-max-s-above-cap", "policy-max-s-below-s-above-cap",
         "theta-grid-overflows", "angle-triple-overflows", "base-angle-huge", "base-angle-above-bound",
         "theta-min-above-bound", "unused-theta-max-above-bound",

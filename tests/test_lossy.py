@@ -77,6 +77,18 @@ def test_unrestricted_cutoff_converges_on_mass():
     assert dist.total_mass() + dist.tail_bound == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("sectors", [(-1, 1), (1,), (1, 2, 3)])
+def test_joint_sectors_must_be_two_nonnegative_spins(sectors):
+    with pytest.raises(ValueError, match="sectors must be two nonnegative spins"):
+        LossyEngine(0.3, LossConfig.equal_eta(0.9)).joint(0.7, -0.4, sectors=sectors)
+
+
+@pytest.mark.parametrize("s", [math.inf, math.nan])
+def test_a_spin_that_is_not_finite_is_a_value_error(s):
+    with pytest.raises(ValueError, match="is not a half-integer"):
+        LossyEngine(0.3, LossConfig.equal_eta(0.9)).mermin_sides(s, theta_triple(0.3))
+
+
 def test_perfect_detection_supports_equal_sectors():
     dist = LossyEngine(0.4, LossConfig.equal_eta(1.0), TruncationPolicy(HalfInt(8))).joint(0.9, 0.1)
     for (tsa, tsb), p in dist.blocks.items():
@@ -225,9 +237,6 @@ def test_amplitude_tables_are_shared_and_read_only():
     assert view.shape == (5, 6, 4) and view[3, 1, 1] == h[2, 2] and view[0, 0, 0] == 0.0
     with pytest.raises(ValueError, match="read-only"):
         view[2, 0, 0] = 1.0
-    centre = lossy._shifted(h, 0, -1)  # no offset to pad for: a view of h itself
-    assert centre.shape == (1, 6, 4) and np.shares_memory(centre, h) and np.array_equal(centre[0], h)
-    assert not centre.flags.writeable
 
 
 def test_amplitude_tables_outlive_a_deep_unrestricted_build(monkeypatch):
@@ -368,7 +377,17 @@ def test_large_spin_products_stay_within_single_thread_size(monkeypatch):
 DEEP_JOINT_LOSS = LossConfig(0.6, 0.95, 0.7, 0.8)
 
 
-def test_deep_unrestricted_joint_stays_within_single_thread_size(monkeypatch):
+@pytest.mark.parametrize(
+    "loss, largest",
+    [
+        # offset runs and column splits fill the single-thread size
+        (DEEP_JOINT_LOSS, lossy._SINGLE_THREAD_MACS),
+        # one product per pair, 25 x 25 x 25 at most: no run stacks offsets
+        (LossConfig(0.9, 0.9, 0.7, 0.7), 25**3),
+    ],
+    ids=["unequal", "per-side-equal"],
+)
+def test_deep_unrestricted_joint_stays_within_single_thread_size(loss, largest, monkeypatch):
     # every gemm of a cold deep full distribution (rotation basis, blocks, shared-sector build and contraction)
     sizes, matmul = [], np.matmul
 
@@ -379,10 +398,10 @@ def test_deep_unrestricted_joint_stays_within_single_thread_size(monkeypatch):
     numerics._sx_eigenvectors.cache_clear()
     numerics._wigner_matrix_cached.cache_clear()
     monkeypatch.setattr(np, "matmul", recording)
-    dist = LossyEngine(0.5, DEEP_JOINT_LOSS, TruncationPolicy(HalfInt(40), rel_tol=1e-14)).joint(0.7, -0.4)
+    dist = LossyEngine(0.5, loss, TruncationPolicy(HalfInt(40), rel_tol=1e-14)).joint(0.7, -0.4)
     monkeypatch.undo()
     assert dist.converged and dist.s_cutoff_used == HalfInt(24)
-    assert lossy._SINGLE_THREAD_MACS // 2 < max(sizes) <= lossy._SINGLE_THREAD_MACS
+    assert largest // 2 < max(sizes) <= largest <= lossy._SINGLE_THREAD_MACS
 
 
 JOINT_LOSSES = {"equal": LossConfig.equal_eta(0.8), "unequal": LossConfig(0.9, 0.6, 0.8, 0.7)}
@@ -520,6 +539,15 @@ def test_eta1_reduction_small(r, angles):
         assert got.lhs == pytest.approx(want.lhs, abs=1e-10)
         assert got.rhs == pytest.approx(want.rhs, abs=1e-10)
         assert got.converged
+
+
+@pytest.mark.parametrize("s", [20, 50, 100])
+def test_eta1_lhs_meets_the_reference_to_rounding(s):
+    # the reference reads d(alpha - beta) with its columns reversed, not d(pi - (alpha - beta)) at the float pi
+    angles = theta_triple(0.3 / s)
+    got = LossyEngine(0.3, LossConfig.equal_eta(1.0)).mermin_sides(s, angles).lhs
+    want = ideal_mermin_sides(s, angles).lhs
+    assert abs(got - want) <= 4e-15 * abs(want)
 
 
 @pytest.mark.parametrize("s", [40, 60])
@@ -1007,21 +1035,39 @@ PER_SIDE_EQUAL_LOSSES = {
 }
 
 
+def test_per_side_equal_loss_never_reaches_the_offset_machinery(monkeypatch):
+    # a kernel of one slice is built and contracted by plain products, so every call serves without them
+    loss = PER_SIDE_EQUAL_LOSSES["alice-better"]
+
+    def calls():
+        eng = LossyEngine(0.4, loss, TruncationPolicy(HalfInt(6), 0.0))
+        full, one = eng.joint(0.7, -0.4).blocks, eng.joint(0.7, -0.4, sectors=(1, 2)).blocks
+        rest = eng.mermin_sides(2, theta_triple(0.3)), eng.correlation(0.3, -0.2, 2), optimize_angles(2, 0.4, loss)
+        return {**full, "one": one[(2, 4)]}, rest
+
+    want = calls()
+    for name in ("_contract", "_piece", "_runs", "_rows"):
+        monkeypatch.setattr(lossy, name, lambda *args, name=name: pytest.fail(f"{name} was called"))
+    blocks, rest = calls()
+    assert blocks.keys() == want[0].keys() and all(np.array_equal(blocks[k], want[0][k]) for k in blocks)
+    assert rest == want[1]
+
+
 @pytest.mark.parametrize("ts", [1, 2, 3, 5])
 @pytest.mark.parametrize("loss", PER_SIDE_EQUAL_LOSSES.values(), ids=PER_SIDE_EQUAL_LOSSES.keys())
 def test_equal_loss_optimum_reads_one_lhs_row_and_one_record(ts, loss, monkeypatch):
-    contract, sides = lossy._contract, LossyEngine.mermin_sides
+    contract, sides = LossyEngine._framed_contract, LossyEngine.mermin_sides
     grids, records = [], []
 
-    def recording_contract(kernels, alphas, betas):
+    def recording_contract(self, kernels, alphas, betas):
         grids.append((len(alphas), len(betas)))
-        return contract(kernels, alphas, betas)
+        return contract(self, kernels, alphas, betas)
 
     def recording_sides(self, *args, **kwargs):
         records.append(args)
         return sides(self, *args, **kwargs)
 
-    monkeypatch.setattr(lossy, "_contract", recording_contract)
+    monkeypatch.setattr(LossyEngine, "_framed_contract", recording_contract)
     monkeypatch.setattr(LossyEngine, "mermin_sides", recording_sides)
     optimize_angles(HalfInt(ts), 0.4, loss)
     assert grids == [(2 * ts + 1, 1), (1, 1)]

@@ -34,6 +34,12 @@ def test_halfint_coercion_and_arithmetic():
         HalfInt.of(0.3)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 1e308])
+def test_halfint_of_a_value_without_a_finite_double_is_a_value_error(value):
+    with pytest.raises(ValueError, match="is not a half-integer"):
+        HalfInt.of(value)
+
+
 def test_half_range():
     vals = [h.value for h in half_range(0, 2)]
     assert vals == [0.0, 0.5, 1.0, 1.5, 2.0]
