@@ -73,7 +73,7 @@ from .numerics import (
     _matmul,
     wigner_d_matrix,
 )
-from .source import _log_cosh, sector_weight_tail
+from .source import _log_cosh, sector_weight, sector_weight_tail
 
 __all__ = [
     "TruncationPolicy",
@@ -90,6 +90,8 @@ __all__ = [
 _NEG_INF = float("-inf")
 _TINY = float(np.finfo(float).tiny)
 _MAX_SOURCE_TWICE = 400
+# a post-selected sector of lower probability is degenerate
+_DEGENERATE = 1e-300
 # equal-loss angle search: dense-grid oversampling, Newton steps, interpolant check
 _OVERSAMPLE = 64
 _NEWTON_STEPS = 8
@@ -551,12 +553,24 @@ class LossyEngine:
         return got
 
     def _sector(self, s_star: HalfInt):
-        """(kernel, probability = its dl = 0 trace, ``_moment_parts``, cutoff, converged) of sector s_star."""
+        """(kernel, probability = its dl = 0 trace, ``_moment_parts``, cutoff, converged) of sector s_star.
+
+        A probability below ``_DEGENERATE`` raises ``DegenerateSectorError``.  Before the kernel is built, so
+        does a bound below half of it: each source sector the build would add, 2s* to the policy's cap,
+        contributes at most its ``sector_weight``, (2s + 1) / (2s* + 1) tanh(r)^(2(2s - 2s*)) times that of
+        2s*, and the half covers rounding in the built sum.
+        """
         ts = s_star.twice
+        if ((ts, ts),) not in self._kernel_cache:
+            y = math.tanh(self.r) ** 2
+            ratios = sum((t + 1) / (ts + 1) * y ** (t - ts) for t in range(ts, self.policy.cap(ts) + 1))
+            bound = sector_weight(s_star, self.r) * ratios
+            if bound < _DEGENERATE / 2:
+                raise DegenerateSectorError(f"sector s={s_star} has probability {bound:.3e} at most")
         kernels, tcut, ok = self._kernels(((ts, ts),))
         t = kernels[(ts, ts)]
         prob = float(t[_reach(t)].sum())
-        if prob < 1e-300:
+        if prob < _DEGENERATE:
             raise DegenerateSectorError(f"sector s={s_star} has probability {prob:.3e}")
         return t, prob, _moment_parts(t, ts, ts), HalfInt(tcut), ok
 
@@ -593,9 +607,13 @@ class LossyEngine:
         if pairs and (len(pairs[0]) != 2 or min(pairs[0]) < 0):
             raise ValueError(f"sectors must be two nonnegative spins (s_a, s_b), not {sectors!r}")
         kernels, tcut, ok = self._kernels(pairs)
-        blocks = self._framed_contract(kernels, (alpha,), (beta,))
+        # an all-zero kernel (a pair no source sector fed) has an all-zero block: it is not contracted
+        blocks = self._framed_contract({k: t for k, t in kernels.items() if t.any()}, (alpha,), (beta,))
         return JointOutcomeDistribution(
-            blocks={k: _nonnegative(blocks[k][0, 0], *k) for k in sorted(blocks)},
+            blocks={
+                k: _nonnegative(blocks[k][0, 0], *k) if k in blocks else np.zeros((k[0] + 1, k[1] + 1))
+                for k in sorted(kernels)
+            },
             tail_bound=sector_weight_tail(HalfInt(tcut), self.r),
             s_cutoff_used=HalfInt(tcut),
             converged=ok,
@@ -764,7 +782,9 @@ def optimize_angles(
     trigonometric polynomial in theta; ``_theta_optimum`` reads its maximum
     from 4s + 1 lhs samples of one contraction and returns theta in (0, pi/2],
     gamma = 0.  Other loss runs the multi-start coordinate descent of
-    ``_coordinate_descent`` on the exact 2-D interpolant of the lhs.  Both read
+    ``_coordinate_descent``, whose every golden-section line search reads one
+    line of the exact 2-D interpolant of the lhs: a 1-D trigonometric
+    polynomial in alpha or beta, a constant in gamma.  Both read
     ``_lhs_coefficients`` of one engine under ``policy``, check their
     interpolant against the returned record and are deterministic.
     """
@@ -848,55 +868,80 @@ def _theta_optimum(eng: LossyEngine, s_star: HalfInt, convention: str) -> tuple[
     return _checked_optimum(eng, s_star, convention, theta_triple(theta), derivative(theta, 0), defect)
 
 
-def _descent_objective(eng: LossyEngine, s_star: HalfInt, convention: str) -> Callable[[float, float, float], float]:
-    """-violation at (alpha, beta, gamma), the lhs read from ``_lhs_coefficients`` on the full grid.
+def _descent_lines(eng: LossyEngine, s_star: HalfInt, convention: str) -> Callable:
+    """``line(x, i)``: the (lhs, rhs) of ``mermin_sides`` as functions of angle i of x = (alpha, beta, gamma),
+    the other two held at x.
 
-    One-entry memos hold the row (keyed on alpha) and the lhs (on both), so a gamma search reads only the
-    rhs of the kernel's moment parts.  The rhs and the violation are formed as in
-    ``mermin_sides``; ``objective.lhs`` is the interpolated lhs at (alpha, beta).
+    The lhs is Re(e(alpha) C e(beta)) of ``_lhs_coefficients``' C on the full grid, e(x)_k = e^{ikx}.  Along
+    alpha it is Re sum_k u_k e^{ik alpha} with u = C e(beta), formed once per line; the k and -k terms fold into
+    Re(w_k e^{ik alpha}), w_k = u_k + conj(u_{-k}), summed by a cos/sin recurrence.  Along beta u = e(alpha) C;
+    along gamma the lhs is a constant and the rhs is ``_rhs``.  Along alpha or beta the held angle's moment and
+    gamma's cosine and sine are computed once, and the moving one's in ``_moment``'s order of operations, so the
+    rhs is ``_rhs`` bit for bit.
     """
     coef, parts, scale = _lhs_coefficients(eng, s_star, convention, full=True)
-    k = np.fft.ifftshift(np.arange(-s_star.twice, s_star.twice + 1))
+    zz, ladders = parts
+    ts = s_star.twice
+    k = np.fft.ifftshift(np.arange(-ts, ts + 1))
 
-    @lru_cache(maxsize=1)
-    def row(alpha: float) -> np.ndarray:
-        return np.exp(1j * alpha * k) @ coef
+    def along(u: np.ndarray) -> Callable[[float, float], float]:
+        """The lhs at cos, sin of the moving angle, from u of its line."""
+        w = u[1 : ts + 1] + np.conj(u[:ts:-1])
+        c0, terms = float(u[0].real), list(zip(w.real.tolist(), w.imag.tolist()))
 
-    @lru_cache(maxsize=1)
-    def lhs(alpha: float, beta: float) -> float:
-        return float((row(alpha) @ np.exp(1j * beta * k)).real)
+        def lhs(c1: float, s1: float) -> float:
+            total, c, s = c0, c1, s1
+            for re, im in terms:
+                total += re * c - im * s
+                c, s = c * c1 - s * s1, s * c1 + c * s1
+            return total
 
-    def objective(a: float, b: float, g: float) -> float:
-        return -(_rhs(parts, a, b, g, scale) - lhs(a, b))
+        return lhs
 
-    objective.lhs = lhs
-    return objective
+    def line(x: Sequence[float], i: int) -> Callable[[float], tuple[float, float]]:
+        a, b, g = x
+        if i == 2:
+            lhs = along(coef @ np.exp(1j * b * k))(math.cos(a), math.sin(a))
+            return lambda v: (lhs, _rhs(parts, a, b, v, scale))
+        at = along(coef @ np.exp(1j * b * k) if i == 0 else np.exp(1j * a * k) @ coef)
+        cg, sg = math.cos(g), math.sin(g)
+        held = _moment(parts, b if i == 0 else a, g) / scale
+
+        def sides(v: float) -> tuple[float, float]:
+            c, s = math.cos(v), math.sin(v)
+            return at(c, s), (c * cg * zz + s * sg / 4.0 * ladders) / scale + held
+
+        return sides
+
+    return line
 
 
 def _coordinate_descent(eng: LossyEngine, s_star: HalfInt, convention: str) -> tuple[AngleTriple, ViolationRecord]:
     """Multi-start coordinate descent over (alpha, beta, gamma) with golden-section line searches.
 
-    The objective is ``_descent_objective``; ``_checked_optimum`` holds it to the returned record.
+    Each search minimizes -violation along one angle, read from that angle's ``_descent_lines`` line: a
+    trigonometric polynomial of degree 2s in alpha or beta, and the rhs alone in gamma.  No point of a search
+    contracts the kernel; ``_checked_optimum`` holds the result to the returned record.
     """
-    objective = _descent_objective(eng, s_star, convention)
+    line = _descent_lines(eng, s_star, convention)
     sv = max(s_star.value, 0.5)
     starts = [theta_triple(t) for t in (0.15 / sv, 0.35 / sv, 0.7 / sv, 1.2 / sv)]
     starts.append(AngleTriple(2.0, -1.2, 0.3))
     best = (math.inf, (math.nan,) * 3)
     for st in starts:
         x = [st.alpha, st.beta, st.gamma]
-        fx = objective(*x)
+        lhs, rhs = line(x, 0)(x[0])
+        fx = -(rhs - lhs)
         width = 0.7
         for _ in range(7):
             for i in range(3):
-                lo, hi = x[i] - width, x[i] + width
+                sides = line(x, i)
 
-                def line(v, i=i):
-                    y = list(x)
-                    y[i] = v
-                    return objective(*y)
+                def objective(v: float) -> float:
+                    lhs, rhs = sides(v)
+                    return -(rhs - lhs)
 
-                xv, fv = _golden_min(line, lo, hi, tol=max(1e-7, width * 1e-5))
+                xv, fv = _golden_min(objective, x[i] - width, x[i] + width, tol=max(1e-7, width * 1e-5))
                 if fv < fx:
                     x[i], fx = xv, fv
             width *= 0.45

@@ -5,10 +5,8 @@ Every printed number is correct or flagged: a command exits 0 with rows that are
 line; a library call returns finite values or raises ``ValueError``, ``DegenerateSectorError`` or
 ``InternalConsistencyError``.  Nothing may warn.
 
-r = 177.8 is drawn with the small spins only: there tanh r rounds to 1 and no source-sector weight
-underflows, so at s = 185 the default policy builds 31 source sectors of 371 x 371 tables before the
-sector is found empty; at unequal loss each of them spans 741 bra-ket offsets, about 9 s apiece with
-one BLAS thread.
+r = 177.8 is drawn with every spin: there tanh r rounds to 1 and no source-sector weight underflows,
+so a post-selected sector at s = 185 is found empty from its source weights before any build.
 """
 
 import csv
@@ -40,7 +38,7 @@ def _pick(rng, values):
 
 def _spin_and_r(rng):
     r = _pick(rng, R)
-    return _pick(rng, SMALL_SPINS if r == 177.8 else SPINS), r
+    return _pick(rng, SPINS), r
 
 
 def _policy_flags(rng) -> list[str]:

@@ -15,7 +15,7 @@ from merminbell.lossy import (
     JointOutcomeDistribution,
     LossyEngine,
     TruncationPolicy,
-    _descent_objective,
+    _descent_lines,
     correlation_alt_bookkeeping,
     optimize_angles,
     sweep,
@@ -57,6 +57,30 @@ def test_degenerate_sector_raises(evaluate, loss):
         evaluate(0.0, loss)
 
 
+def test_sector_below_its_source_weight_bound_raises_before_any_build(monkeypatch):
+    # at r = 177.8 tanh r rounds to 1, so no source weight vanishes, yet every one is about 1e-305:
+    # the one source sector at s = 185 would span 741 bra-ket offsets before it was found empty
+    monkeypatch.setattr(LossyEngine, "_t_sector", lambda *args: pytest.fail("a source sector was built"))
+    eng = LossyEngine(177.8, LossConfig(0.5, 0.9, 0.5, 0.9), TruncationPolicy(185, 0.0))
+    with pytest.raises(DegenerateSectorError, match=r"sector s=185 has probability 8\.003e-306 at most"):
+        eng.mermin_sides(185, theta_triple(0.3))
+    with pytest.raises(DegenerateSectorError, match="at most"):
+        LossyEngine(177.8, LossConfig(0.5, 0.9, 0.5, 0.9)).correlation(0.3, -0.2, 185)
+
+
+def test_source_weight_bound_keeps_every_sector_that_builds():
+    # the bound holds the built probability, with room for rounding, and rejects nothing that builds
+    from merminbell.source import sector_weight
+
+    for r, s, loss in [(0.3, 2, LossConfig(0.9, 0.8, 0.85, 0.75)), (20.0, 1, LossConfig.equal_eta(0.9)),
+                       (3.0, 40, LossConfig.equal_eta(1.0)), (0.05, 30, LossConfig(0.9, 0.7, 0.8, 0.6))]:
+        eng = LossyEngine(r, loss, TruncationPolicy(s + 2, 0.0))
+        cap = eng.policy.cap(2 * s)
+        bound = sum(sector_weight(HalfInt(t), r) for t in range(2 * s, cap + 1))
+        prob = eng.correlation(0.3, -0.2, s)[1]
+        assert prob <= bound * (1 + 1e-12), (r, s)
+
+
 def test_full_distribution_mass_plus_tail():
     policy = TruncationPolicy(HalfInt(24), rel_tol=1e-9)
     for eta in (1.0, 0.8, 0.5):
@@ -81,6 +105,19 @@ def test_unrestricted_cutoff_converges_on_mass():
 def test_joint_sectors_must_be_two_nonnegative_spins(sectors):
     with pytest.raises(ValueError, match="sectors must be two nonnegative spins"):
         LossyEngine(0.3, LossConfig.equal_eta(0.9)).joint(0.7, -0.4, sectors=sectors)
+
+
+def test_joint_of_a_sector_no_source_sector_feeds_is_zero_without_a_contraction(monkeypatch):
+    # at r = 0.3 the one source sector s = 185.5 has weight 0 in a float: its 743-offset kernel is all zero
+    contract = lossy._contract
+
+    def guarded(kernels, *args):
+        assert not kernels, "a zero kernel was contracted"
+        return contract(kernels, *args)
+
+    monkeypatch.setattr(lossy, "_contract", guarded)
+    dist = LossyEngine(0.3, LossConfig(0.9, 0.9, 0.5, 0.9), TruncationPolicy(2, 0.0)).joint(0.0, 0.3, (185.5, 185.5))
+    assert list(dist.blocks) == [(371, 371)] and np.array_equal(dist.blocks[(371, 371)], np.zeros((372, 372)))
 
 
 @pytest.mark.parametrize("s", [math.inf, math.nan])
@@ -1110,13 +1147,14 @@ def _objective_path():
 @pytest.mark.parametrize("loss", UNEQUAL_LOSSES, ids=["mild", "strong"])
 @pytest.mark.parametrize("convention", ["conditioned", "unconditioned"])
 def test_descent_objective_is_mermin_sides_bit_for_bit(ts, loss, convention):
-    # given its interpolated lhs, the objective forms rhs and violation exactly as mermin_sides does
+    # along each angle the rhs is formed exactly as mermin_sides forms it
     s = HalfInt(ts)
-    objective = _descent_objective(LossyEngine(0.4, loss), s, convention)
+    line = _descent_lines(LossyEngine(0.4, loss), s, convention)
     fresh = LossyEngine(0.4, loss)
     for point in _objective_path():
         rec = fresh.mermin_sides(s, AngleTriple(*point), convention)
-        assert objective(*point) == -(rec.rhs - objective.lhs(point[0], point[1])), point
+        for i in range(3):
+            assert line(point, i)(point[i])[1] == rec.rhs, (point, i)
 
 
 @pytest.mark.parametrize("ts", [1, 2, 3, 5])
@@ -1125,13 +1163,38 @@ def test_descent_objective_is_mermin_sides_bit_for_bit(ts, loss, convention):
 def test_descent_objective_matches_mermin_sides(ts, loss, convention):
     # the lhs comes from an interpolant, so agreement is to roundoff, not bit for bit
     s = HalfInt(ts)
-    objective = _descent_objective(LossyEngine(0.4, loss), s, convention)
+    line = _descent_lines(LossyEngine(0.4, loss), s, convention)
     fresh = LossyEngine(0.4, loss)
     path = _objective_path()
     path += [tuple(p) for p in np.random.default_rng(ts).uniform(-2 * math.pi, 2 * math.pi, (20, 3))]
     for point in path:
         rec = fresh.mermin_sides(s, AngleTriple(*point), convention)
-        assert abs(objective(*point) + rec.violation) <= 1e-12 * max(1.0, abs(rec.lhs)), point
+        for i in range(3):
+            lhs, rhs = line(point, i)(point[i])
+            assert rhs == rec.rhs, (point, i)
+            assert abs((rhs - lhs) - rec.violation) <= 1e-12 * max(1.0, abs(rec.lhs)), (point, i)
+
+
+@pytest.mark.parametrize("ts", [1, 2, 3, 5])
+@pytest.mark.parametrize("loss", UNEQUAL_LOSSES, ids=["mild", "strong"])
+def test_unequal_loss_optimum_reads_one_lhs_grid_and_one_record(ts, loss, monkeypatch):
+    # every line-search point reads the interpolant: no point contracts the kernel
+    contract, sides = LossyEngine._framed_contract, LossyEngine.mermin_sides
+    grids, records = [], []
+
+    def recording_contract(self, kernels, alphas, betas):
+        grids.append((len(alphas), len(betas)))
+        return contract(self, kernels, alphas, betas)
+
+    def recording_sides(self, *args, **kwargs):
+        records.append(args)
+        return sides(self, *args, **kwargs)
+
+    monkeypatch.setattr(LossyEngine, "_framed_contract", recording_contract)
+    monkeypatch.setattr(LossyEngine, "mermin_sides", recording_sides)
+    optimize_angles(HalfInt(ts), 0.4, loss)
+    assert grids == [(2 * ts + 1, 2 * ts + 1), (1, 1)]
+    assert len(records) == 1
 
 
 @pytest.mark.parametrize("ts", [1, 2, 3, 5])
