@@ -27,12 +27,11 @@ with d = d(alpha - beta), both squared elementwise.
 Other loss keeps every bra-ket offset |dl| <= min(2s_a, 2s_b).  A source
 sector's blocks are then batched products over the offsets, and analyzer
 rotations contract the kernels with pairs of rotation-matrix elements in one
-``_contract``, for one setting or a grid of them.  Both take every sector
-pair of a call at once.  Each outcome sector's table or rotation block and
-its padded copy are formed once per call; its pair products, formed for a
-run of offsets, are read by every pair of the sector whose run lies inside
-that one (every pair, where the sector's widest pair fits one run).  Each
-pair then makes only its own products.
+``_contract``, for one setting or a grid of them.  Both take the sector pairs
+of a call one at a time, in the callers' order.  Each outcome sector's table
+or rotation block and its padded copy are formed once per call; each pair
+forms its own pair products from them.  A source sector's block that would
+round to zero in every entry is not formed.
 
 Every matrix product stays within OpenBLAS's single-thread size (M N K <=
 2^18), so that BLAS runs it on the calling thread and results do not depend
@@ -267,41 +266,15 @@ def _runs(n_off: int, macs: int) -> tuple[slice, ...]:
     return tuple(slice(lo, lo + run) for lo in range(0, n_off, run))
 
 
-@lru_cache(maxsize=1024)
-def _rows(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple, tuple]:
-    """Outcome sector pairs as rows (tsa, reach, (tsb, ...)), sectors and rows in descending order, and each
-    Bob sector's (tsb, reach); a sector's reach is the largest |dl| = min(tsa, tsb) of its pairs.
-
-    In this order a sector's first pair spans its widest offsets, so where that pair's offsets fit one
-    ``_runs`` run, the sector's later pairs read slices of the pieces it formed (``_piece``).
-    """
-    rows: dict[int, list[int]] = {}
-    reach_b: dict[int, int] = {}
-    for a, b in sorted(pairs, reverse=True):
-        rows.setdefault(a, []).append(b)
-        reach_b[b] = max(reach_b.get(b, 0), min(a, b))
-    return tuple((a, min(a, row[0]), tuple(row)) for a, row in rows.items()), tuple(reach_b.items())
-
-
 def _reach(t: np.ndarray) -> int:
-    """The largest bra-ket offset |dl| a kernel T[dl + reach] holds; its dl = 0 slice is T[reach]."""
+    """The largest bra-ket offset |dl| a kernel T[dl + reach] (or a ``_shifted`` view) holds; dl = 0 is T[reach]."""
     return (t.shape[0] - 1) // 2
 
 
-def _piece(cache: dict, sector: int, tag: int, view: np.ndarray, h: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Pair products view[dl] * h over offsets lo <= dl < hi of one sector; ``view`` is ``_shifted`` with
-    V[0] at dl = -reach.
-
-    ``cache`` keeps one piece per sector: a request inside the kept one (same ``tag``, an angle's index)
-    is a slice of it, any other is formed and kept in its place.
-    """
-    kept = cache.get(sector)
-    if kept is not None and kept[0] == tag and kept[1] <= lo and hi <= kept[2]:
-        return kept[3][lo - kept[1] : hi - kept[1]]
-    w = (view.shape[0] - 1) // 2
-    piece = view[lo + w : hi + w] * h
-    cache[sector] = (tag, lo, hi, piece)
-    return piece
+def _pair_products(view: np.ndarray, h: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Pair products view[dl] * h over offsets lo <= dl < hi of a ``_shifted`` view with V[0] at dl = -reach."""
+    w = _reach(view)
+    return view[lo + w : hi + w] * h
 
 
 def _contract(kernels: dict, alphas: Sequence[float], betas: Sequence[float]) -> dict:
@@ -309,34 +282,30 @@ def _contract(kernels: dict, alphas: Sequence[float], betas: Sequence[float]) ->
 
     ``kernels`` maps (tsa, tsb) to its kernel T.  EA_dl[m, m_a] = d[m + dl, m_a] d[m, m_a] of Alice's block
     d(alphas[i]), zero where m + dl is off it; EB is the same of Bob's at offset -dl.  Each outcome sector's
-    rotation blocks and padded copies are formed once per call, and its pair products are shared by its pairs
-    through ``_piece``.  Per ``_runs`` run of a pair's offsets, so that no pair stack is held for all of them,
-    each beta's half T_dl EB_dl is formed once for the whole grid, and each (i, j) writes (first run) or adds
-    one flattened product.  One setting passes 1-tuples; one sector pair, a one-entry ``kernels``.
+    rotation blocks and their copies, padded by min(its 2s, the other side's largest 2s), are formed once per
+    call.  Pair by pair, per ``_runs`` run of its offsets, so that no pair stack is held for all of them, each
+    beta's half T_dl EB_dl is formed once for the whole grid, and each (i, j) writes (first run) or adds one
+    flattened product.  One setting passes 1-tuples; one sector pair, a one-entry ``kernels``.
     """
-    rows, reach_b = _rows(tuple(kernels))
-    bob = {b: [(_shifted(d, w, 0)[::-1], d) for d in [wigner_d_matrix(HalfInt(b), x) for x in betas]]
-           for b, w in reach_b}
-    out, bob_pieces = {}, {}
-    for a, w, row in rows:
-        alice = [(_shifted(d, w, 0), d) for d in [wigner_d_matrix(HalfInt(a), x) for x in alphas]]
-        alice_pieces: dict = {}
-        for b in row:
-            t, dm = kernels[(a, b)], min(a, b)
-            p = out[(a, b)] = np.empty((len(alice), len(bob[b]), a + 1, b + 1))
-            for k, r in enumerate(_runs(t.shape[0], (a + 1) ** 2 * (b + 1))):
-                lo, hi = r.start - dm, min(r.stop, t.shape[0]) - dm
-                halves = [
-                    _matmul(t[r], _piece(bob_pieces, b, j, sb, db, lo, hi)).reshape(-1, b + 1)
-                    for j, (sb, db) in enumerate(bob[b])
-                ]
-                for i, (sa, da) in enumerate(alice):
-                    ea = _piece(alice_pieces, a, i, sa, da, lo, hi).reshape(-1, a + 1).T
-                    for x, cell in zip(halves, p[i]):
-                        if k:
-                            cell += _matmul(ea, x)
-                        else:
-                            _matmul(ea, x, cell)
+    top_a, top_b = max((a for a, _ in kernels), default=0), max((b for _, b in kernels), default=0)
+    alice, bob, out = {}, {}, {}
+    for (a, b), t in kernels.items():
+        if a not in alice:
+            alice[a] = [(_shifted(d, min(a, top_b), 0), d) for d in [wigner_d_matrix(HalfInt(a), x) for x in alphas]]
+        if b not in bob:
+            bob[b] = [(_shifted(d, min(b, top_a), 0)[::-1], d) for d in [wigner_d_matrix(HalfInt(b), x) for x in betas]]
+        dm = min(a, b)
+        p = out[(a, b)] = np.empty((len(alphas), len(betas), a + 1, b + 1))
+        for k, r in enumerate(_runs(t.shape[0], (a + 1) ** 2 * (b + 1))):
+            lo, hi = r.start - dm, min(r.stop, t.shape[0]) - dm
+            halves = [_matmul(t[r], _pair_products(sb, db, lo, hi)).reshape(-1, b + 1) for sb, db in bob[b]]
+            for (sa, da), row in zip(alice[a], p):
+                ea = _pair_products(sa, da, lo, hi).reshape(-1, a + 1).T
+                for x, cell in zip(halves, row):
+                    if k:
+                        cell += _matmul(ea, x)
+                    else:
+                        _matmul(ea, x, cell)
     return out
 
 
@@ -464,10 +433,14 @@ class LossyEngine:
         and the block is one product tau^4 (h_a h_a)^T (h_b h_b) per pair.  Other loss keeps every offset |dl| <=
         min(tsa, tsb), at T[dl + min(tsa, tsb)]: T[dl] = (-1)^dl tau^4 EA_dl^T EB_dl, EA_dl[w, mu] = h[w, mu]
         h[w + dl, mu + dl] of Alice's table, EB_dl the same of Bob's at offset -dl; (-1)^dl is what remains of
-        the singlet phases.  It is one batched product per ``_runs`` run, written into T; each outcome sector's
-        table and padded copy are formed once, and its products are shared by its pairs through ``_piece``.
-        Bob's table is read at row ts - w.  A pair's first block becomes its kernel in ``kernels``; a pair the
-        sector does not feed (an all-zero table, or tau = 0) is left alone.
+        the singlet phases.  Each outcome sector's table and its copy, padded by min(its 2s, the other side's
+        largest 2s), are formed once per call; pair by pair, in the callers' order, the block is one batched
+        product of the pair's own products per ``_runs`` run, written into T.  Bob's table is read at row
+        ts - w.  A pair's first block becomes its kernel in ``kernels``; a pair the sector does not feed (an
+        all-zero table, or tau = 0) is left alone.  A block's entries are at most 4 B, B = tau^4 (ts + 1)
+        max(h_a)^2 max(h_b)^2, the 4 for subnormal products that round up; where B < 2^-1078 (read as a sum of
+        logs: the maxima's product can underflow) each rounds to zero and the block is not formed; a pair's
+        first such block leaves a zero kernel.
         """
         tau4 = math.exp(2.0 * self._log_tau2(ts))
         if tau4 == 0.0 or not pairs:
@@ -479,34 +452,27 @@ class LossyEngine:
                 if a in ha and b in hb:
                     kernels.setdefault((a, b), np.zeros((1, a + 1, b + 1)))[0] += tau4 * _matmul(ha[a].T, hb[b])
             return
-        rows, reach_b = _rows(tuple(pairs))
-        ta, tb = self._tables(ts, "a", [a for a, _, _ in rows]), self._tables(ts, "b", dict(reach_b))
-        ha = {a: (_shifted(ta[a], w, 1), ta[a]) for a, w, _ in rows if a in ta}
-        hb = {b: (_shifted(tb[b], w, -1), tb[b]) for b, w in reach_b if b in tb}
-        new = {}
+        top_a, top_b = max(a for a, _ in pairs), max(b for _, b in pairs)
+        ta, tb = self._tables(ts, "a", {a for a, _ in pairs}), self._tables(ts, "b", {b for _, b in pairs})
+        ha = {a: (_shifted(h, min(a, top_b), 1), h, math.log(h.max())) for a, h in ta.items()}
+        hb = {b: (_shifted(h, min(b, top_a), -1), h, math.log(h.max())) for b, h in tb.items()}
+        floor = -1078.0 * math.log(2.0) - math.log(tau4) - math.log(ts + 1)
         for a, b in pairs:  # in the callers' order, which sets the kernels' order
-            if a in ha and b in hb and (a, b) not in kernels:
-                new[(a, b)] = kernels[(a, b)] = np.empty((2 * min(a, b) + 1, a + 1, b + 1))
-        bob_pieces: dict = {}
-        for a, _, row in rows:
-            if a not in ha:
+            if a not in ha or b not in hb:
                 continue
-            sa, h_a = ha[a]
-            alice_pieces: dict = {}
-            for b in row:
-                if b not in hb:
-                    continue
-                sb, h_b = hb[b]
-                t, dm, first = kernels[(a, b)], min(a, b), (a, b) in new
-                for r in _runs(t.shape[0], (a + 1) * (ts + 1) * (b + 1)):
-                    lo, hi = r.start - dm, min(r.stop, t.shape[0]) - dm
-                    ea = _piece(alice_pieces, a, 0, sa, h_a, lo, hi).transpose(0, 2, 1)
-                    eb = _piece(bob_pieces, b, 0, sb, h_b, lo, hi)
-                    block = _matmul(ea, eb, t[r] if first else None)
-                    block *= tau4
-                    block[(lo + 1) % 2 :: 2] *= -1.0
-                    if not first:
-                        t[r] += block
+            (sa, h_a, la), (sb, h_b, lb) = ha[a], hb[b]
+            dm, first = min(a, b), (a, b) not in kernels
+            t = kernels[(a, b)] = np.zeros((2 * dm + 1, a + 1, b + 1)) if first else kernels[(a, b)]
+            if 2.0 * (la + lb) < floor:
+                continue
+            for r in _runs(t.shape[0], (a + 1) * (ts + 1) * (b + 1)):
+                lo, hi = r.start - dm, min(r.stop, t.shape[0]) - dm
+                ea = _pair_products(sa, h_a, lo, hi).transpose(0, 2, 1)
+                block = _matmul(ea, _pair_products(sb, h_b, lo, hi), t[r] if first else None)
+                block *= tau4
+                block[(lo + 1) % 2 :: 2] *= -1.0
+                if not first:
+                    t[r] += block
 
     def _kernels(self, pairs: tuple | None):
         """Converged kernels ({(tsa, tsb): T}, cutoff, converged) of outcome sector pairs.

@@ -392,6 +392,30 @@ def test_t_sector_of_many_pairs_equals_full_stack_products():
         assert np.array_equal(kernels[p], 1.0 + want if p == (60, 60) else want), p
 
 
+def test_t_sector_skips_a_block_that_rounds_to_zero(monkeypatch):
+    # at r = 185 every entry of tau^4 EA^T EB of pair (4, 4) rounds to zero: no product is formed, and the
+    # kernel is the zero block; at r = 182 the bound does not fire and the block holds denormals
+    loss, ts = LossConfig(0.1, 0.05, 0.1, 0.05), 4
+    low = LossyEngine(182.0, loss)
+    want = _full_stack_block(low, 4, 4, ts)
+    assert np.count_nonzero(want) == 6 and np.array_equal(_one_block(low, 4, 4, ts), want)
+    eng = LossyEngine(185.0, loss)
+    want = _full_stack_block(eng, 4, 4, ts)
+    assert not want.any()
+    monkeypatch.setattr(lossy, "_matmul", lambda *args: pytest.fail("a zero block was formed"))
+    got = _one_block(eng, 4, 4, ts)
+    assert got.shape == want.shape and not got.any()
+
+
+def test_joint_of_a_sector_that_rounds_to_zero_forms_no_product(monkeypatch):
+    # r = 177.8: tau^4 and a table from eta 1e-300 round every block of the (185, 185) sector to zero
+    monkeypatch.setattr(lossy, "_matmul", lambda *args: pytest.fail("a zero block was formed"))
+    eng = LossyEngine(177.8, LossConfig(1e-300, 0.9, 0.9, 0.5), TruncationPolicy(2, 1e-6))
+    dist = eng.joint(1e15, 1e-300, (185, 185))
+    assert list(dist.blocks) == [(370, 370)] and not dist.blocks[(370, 370)].any()
+    assert dist.s_cutoff_used == HalfInt(370) and not dist.converged
+
+
 def test_large_spin_products_stay_within_single_thread_size(monkeypatch):
     # every gemm of a cold s = 40 evaluation (rotation basis, blocks, kernel build, contraction)
     # stays where OpenBLAS runs it on the calling thread
@@ -444,10 +468,15 @@ def test_deep_unrestricted_joint_stays_within_single_thread_size(loss, largest, 
 JOINT_LOSSES = {"equal": LossConfig.equal_eta(0.8), "unequal": LossConfig(0.9, 0.6, 0.8, 0.7)}
 
 
-@pytest.mark.parametrize("r", [0.0, 0.3])
-@pytest.mark.parametrize("loss", JOINT_LOSSES.values(), ids=JOINT_LOSSES.keys())
+@pytest.mark.parametrize(
+    "r, loss",
+    [(r, loss) for r in (0.0, 0.3) for loss in JOINT_LOSSES.values()]
+    # pairs with a spin-0 side, whose products round 1 ulp apart when laid out as slices of a wider product
+    + [(20.0, LossConfig(0.1, 0.05, 0.1, 0.05))],
+    ids=[f"{name}-{r}" for r in (0.0, 0.3) for name in JOINT_LOSSES] + ["low-eta-20.0"],
+)
 def test_unrestricted_joint_blocks_equal_post_selected_joints(r, loss):
-    # the full distribution shares each sector's pieces among its pairs; one pair at a time shares nothing
+    # every pair forms its own products from its sectors' padded copies, so it gets the same bits among others
     eng = LossyEngine(r, loss, TruncationPolicy(HalfInt(6), 0.0))
     for alpha, beta in [(0.7, -0.4), (2.3, 1.1)]:
         dist = eng.joint(alpha, beta)
@@ -455,19 +484,47 @@ def test_unrestricted_joint_blocks_equal_post_selected_joints(r, loss):
         for (tsa, tsb), p in dist.blocks.items():
             one = eng.joint(alpha, beta, sectors=(HalfInt(tsa), HalfInt(tsb)))
             assert one.s_cutoff_used == dist.s_cutoff_used
-            assert np.abs(p - one.blocks[(tsa, tsb)]).max() <= 1e-15 * p.max(), (tsa, tsb)
+            assert np.array_equal(p, one.blocks[(tsa, tsb)]), (tsa, tsb)
 
 
 def test_deep_unrestricted_joint_blocks_equal_post_selected_joints():
-    # pairs whose kernel build and contraction run over several runs of offsets
+    # pairs whose kernel build and contraction run over several runs of offsets, bit for bit as alone
     eng = LossyEngine(0.5, DEEP_JOINT_LOSS, TruncationPolicy(HalfInt(24), 0.0))
     dist = eng.joint(0.7, -0.4)
     pairs = [(24, 24), (24, 23), (23, 24), (24, 10), (10, 24), (17, 20), (3, 24)]
     assert len(lossy._runs(49, 25**3)) > 1 and len(lossy._runs(47, 25 * 25 * 24)) > 1
     for tsa, tsb in pairs:
         one = eng.joint(0.7, -0.4, sectors=(HalfInt(tsa), HalfInt(tsb)))
-        p = dist.blocks[(tsa, tsb)]
-        assert np.abs(p - one.blocks[(tsa, tsb)]).max() <= 1e-15 * p.max(), (tsa, tsb)
+        assert np.array_equal(dist.blocks[(tsa, tsb)], one.blocks[(tsa, tsb)]), (tsa, tsb)
+
+
+def test_each_outcome_sector_makes_one_padded_copy_per_call(monkeypatch):
+    # a multi-pair build or contraction pads each sector's table or rotation block once (per angle), by
+    # min(its 2s, the other side's largest 2s): a post-selected pair pads no sector beyond the other's spin
+    shifted, copies = lossy._shifted, []
+
+    def recording(h, dmax, step):
+        copies.append((h.shape, dmax, step))
+        return shifted(h, dmax, step)
+
+    monkeypatch.setattr(lossy, "_shifted", recording)
+    eng, ts = LossyEngine(0.3, LossConfig(0.9, 0.6, 0.8, 0.7)), 6
+    pairs = [(6, 2), (6, 4), (2, 6), (4, 4), (2, 2), (4, 6)]
+    eng._t_sector(ts, pairs, {})
+    assert sorted(copies) == sorted(
+        [((ts + 1, a + 1), min(a, 6), 1) for a in (2, 4, 6)] + [((ts + 1, b + 1), min(b, 6), -1) for b in (2, 4, 6)]
+    )
+    copies.clear()
+    kernels = {p: _random_kernel(*p)[0] for p in pairs}
+    lossy._contract(kernels, (0.3, -1.2), (0.0, 0.7, 2.2))
+    assert sorted(copies) == sorted(
+        [((a + 1, a + 1), a, 0) for a in (2, 4, 6) for _ in range(2)]
+        + [((b + 1, b + 1), b, 0) for b in (2, 4, 6) for _ in range(3)]
+    )
+    copies.clear()
+    LossyEngine(0.3, DEEP_JOINT_LOSS).joint(0.7, -0.4, sectors=(12, 3))
+    # Alice's spin-12 table and rotation block are padded by Bob's 2 s_b = 6 offsets, not by her own 24
+    assert {dmax for shape, dmax, _ in copies if shape[1] == 25} == {6}
 
 
 def _per_side_equal_settings():
@@ -1083,7 +1140,7 @@ def test_per_side_equal_loss_never_reaches_the_offset_machinery(monkeypatch):
         return {**full, "one": one[(2, 4)]}, rest
 
     want = calls()
-    for name in ("_contract", "_piece", "_runs", "_rows"):
+    for name in ("_contract", "_pair_products", "_runs", "_shifted"):
         monkeypatch.setattr(lossy, name, lambda *args, name=name: pytest.fail(f"{name} was called"))
     blocks, rest = calls()
     assert blocks.keys() == want[0].keys() and all(np.array_equal(blocks[k], want[0][k]) for k in blocks)
